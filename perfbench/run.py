@@ -850,6 +850,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"note: {note}")
     if verdict.tally.reasons:
         print(f"failures: {verdict.tally.reasons}")
+    if not verdict.correct:
+        # the result line carries no reasons; stderr says why the run failed
+        invalid = [n for n in verdict.notes if n.startswith("invalid:")]
+        print(f"perfbench: incorrect run: failures {verdict.tally.reasons} {invalid}", file=sys.stderr)
     if not verdict.valid:
         e2e = {k: v for k, v in e2e.items() if not k.startswith("latency_")}
     for name, value in e2e.items():

@@ -77,9 +77,11 @@ class Tracer:
             frame = [label, 0]
             stack.append(frame)
             result = None
+            returned = False
             start = clock()
             try:
                 result = fn(*args, **kwargs)
+                returned = True
                 return result
             finally:
                 end = clock()
@@ -93,7 +95,9 @@ class Tracer:
                 entry[0] += 1
                 entry[1] += took
                 entry[2] += took - frame[1]
-                if amount is not None:
+                # a call that raised has no amount, and its own exception
+                # must reach the program unchanged
+                if amount is not None and returned:
                     entry[3] += amount(args, kwargs, result)
                 if label in tracer.keep:
                     tracer.kept.append(

@@ -103,6 +103,20 @@ def test_tracer_counts_amounts_and_keeps_tagged_spans(tmp_path):
     assert [t for _, _, t in spans.kept(docs, "req")] == [3, 4]
 
 
+def test_traced_call_that_raises_keeps_its_own_exception(tmp_path):
+    def put(path):
+        raise FileNotFoundError("the program's own error")
+
+    def size(args, _kw, _result):  # like recordings.put's amount: stats the written file
+        return float(Path(args[0]).stat().st_size)
+
+    tracer = spans.Tracer(str(tmp_path))
+    traced = tracer.wrap("put", put, amount=size)
+    with pytest.raises(FileNotFoundError, match="the program's own error"):
+        traced(str(tmp_path / "missing"))
+    assert tracer.tree[("", "put")][:1] == [1] and tracer.tree[("", "put")][3] == 0.0
+
+
 # ----------------------------------------------------------------------
 # failure accounting
 
