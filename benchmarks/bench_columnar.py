@@ -1,24 +1,26 @@
 """Replay-speedup benchmark for the columnar pricing engine.
 
-Measures the headline claim of the columnar tentpole: re-pricing the
+Measures the headline claim of the columnar engine: re-pricing the
 Fig. 9 DSE's recorded op streams through :mod:`repro.sim.columnar` is an
-order of magnitude faster than the scalar ``Op.apply`` walk, while
+order of magnitude faster than the scalar per-op walk it replaced, while
 staying bit-identical (the differential and property suites pin the
 identity; this script pins the speed and re-checks identity on the way).
+The scalar side is the test oracle, :mod:`tests.scalar_oracle` — the
+only place the per-op walk still exists.
 
 The workload is the real Fig. 9 shape: record the DSE collection once
 into an artifact store, then replay every recording under every port
 variant of its capacity group — exactly the work the record/replay sweep
-and the serving layer's replay path perform.  Two phases per engine:
+and the serving layer's replay path perform.  Two phases per pricer:
 
 * **warm** — recordings already resident (the steady state behind the
-  store's load memo): pure re-pricing arithmetic.  The scalar engine
-  walks every op in Python; the columnar engine reduces whole columns.
-  This is the headline number.
+  store's load memo): pure re-pricing arithmetic.  The oracle walks every
+  op in Python; the columnar engine reduces whole columns.  This is the
+  headline number.
 * **cold** — each iteration reloads every artifact from disk first, so
-  the scalar engine also pays per-op materialization of the columnar
-  columns while the columnar engine prices them directly.  Dominated by
-  shared npz decompression, reported for honesty.
+  the oracle also pays per-op materialization of the columnar columns
+  while the columnar engine prices them directly.  Dominated by shared
+  npz decompression, reported for honesty.
 
 Run::
 
@@ -35,8 +37,9 @@ path (fresh simulations, nothing cached).  Two measurements:
 
 * **cold end-to-end** — the full Fig. 9 DSE in record+replay mode
   (functional kernel execution, narration, pricing, artifact IO,
-  replays), once under ``scalar`` narration and once under ``batched``
-  narration, with the DSE cycle tables compared for bit-identity.
+  replays), once priced by the oracle (``scalar``: every flush op by op,
+  every replay a per-op walk) and once by the columnar engine
+  (``batched``), with the DSE cycle tables compared for bit-identity.
   Amdahl applies here: functional simulation (the VIA engine's CAM/SSPM
   bookkeeping), the order-dependent cache walk, and npz IO are identical
   in both modes and dominate wall-clock, so this number hovers near 1x —
@@ -45,10 +48,10 @@ path (fresh simulations, nothing cached).  Two measurements:
 * **record-path narration** — the layer batching actually replaces:
   narrating a Fig. 9-shaped op stream (VIA-op dominated, mixed with
   vector/scalar compute, branches, and stalls) through a live
-  ``RecorderBackend`` and pricing it to a finalized result.  Scalar mode
-  pays one ``Op`` dataclass + ``Op.apply`` per event; batched mode
-  appends to the ``ColumnarBuilder`` and prices whole flushes.  This is
-  the gated >=3x number, and the finalized cycle totals must match
+  ``RecorderBackend`` and pricing it to a finalized result.  The oracle
+  pays one ``Op`` dataclass and one per-op pricing call per event; the
+  columnar engine prices whole flushes of ``ColumnarBuilder`` rows.  This
+  is the gated >=3x number, and the finalized cycle totals must match
   bit-for-bit.
 
 With ``--cold``, results land in ``BENCH_columnar_cold.json`` and
@@ -59,6 +62,7 @@ measurements, and no cold end-to-end regression.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -67,6 +71,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO))  # the scalar side: tests/scalar_oracle.py
 
 import numpy as np  # noqa: E402
 
@@ -75,6 +80,8 @@ from repro.matrices.collection import small_collection  # noqa: E402
 from repro.sim.backends import replay_recording  # noqa: E402
 from repro.sim.ops import load_recordings  # noqa: E402
 from repro.via.config import dse_configs  # noqa: E402
+
+from tests import scalar_oracle  # noqa: E402
 
 DEFAULT_JSON = REPO / "benchmarks" / "results" / "BENCH_columnar.json"
 DEFAULT_COLD_JSON = REPO / "benchmarks" / "results" / "BENCH_columnar_cold.json"
@@ -90,6 +97,7 @@ def _load_all(paths):
 
 def _replay_all(recordings, engine, port_variants):
     """Replay every recording under every port variant of its group."""
+    replay = scalar_oracle.replay if engine == "scalar" else replay_recording
     results = []
     for rec in recordings:
         if rec.via_config is not None:
@@ -97,9 +105,7 @@ def _replay_all(recordings, engine, port_variants):
         else:
             cfgs = [None]  # baseline recordings have no VIA side
         for cfg in cfgs:
-            results.append(
-                replay_recording(rec, via_config=cfg, engine=engine)
-            )
+            results.append(replay(rec, via_config=cfg))
     return results
 
 
@@ -121,7 +127,7 @@ def bench_engine(engine, paths, port_variants, repeats):
         results = _replay_all(recordings, engine, port_variants)
     warm_s = (time.perf_counter() - t0) / repeats
     # cold: a fresh load every iteration (fresh Recording objects, so the
-    # scalar engine re-materializes per-op dataclasses each time)
+    # oracle re-materializes per-op dataclasses each time)
     t0 = time.perf_counter()
     for _ in range(max(1, repeats // 2)):
         cold_results = _replay_all(_load_all(paths), engine, port_variants)
@@ -157,16 +163,22 @@ def _narrate_fig9_mix(core, n_ops):
         core.dependency_stall(3.0)
 
 
+def _pricing(mode):
+    """``scalar``: the oracle prices everything; ``batched``: the engine."""
+    if mode == "scalar":
+        return scalar_oracle.scalar_pricing()
+    return contextlib.nullcontext()
+
+
 def bench_narration(mode, n_ops, repeats):
-    """Record-path narration+pricing throughput under one narration mode."""
+    """Record-path narration+pricing throughput under one pricer."""
     from repro.sim.backends import RecorderBackend
     from repro.sim.config import DEFAULT_MACHINE
-    from repro.sim.core import Core, set_narration_mode
+    from repro.sim.core import Core
     from repro.via.config import DEFAULT_VIA
     from repro.via.engine import ViaDevice
 
-    prev = set_narration_mode(mode)
-    try:
+    with _pricing(mode):
         best = float("inf")
         result = None
         for _ in range(repeats):
@@ -179,8 +191,6 @@ def bench_narration(mode, n_ops, repeats):
             _narrate_fig9_mix(core, n_ops)
             result = core.finalize("bench-narration")
             best = min(best, time.perf_counter() - t0)
-    finally:
-        set_narration_mode(prev)
     digest = (
         np.float64(result.cycles).tobytes()
         + np.float64(result.energy_pj).tobytes()
@@ -189,11 +199,8 @@ def bench_narration(mode, n_ops, repeats):
 
 
 def bench_cold_dse(mode, collection, repeats):
-    """Full cold record+replay DSE under one narration mode."""
-    from repro.sim.core import set_narration_mode
-
-    prev = set_narration_mode(mode)
-    try:
+    """Full cold record+replay DSE under one pricer."""
+    with _pricing(mode):
         best = float("inf")
         result = None
         for _ in range(repeats):
@@ -201,8 +208,6 @@ def bench_cold_dse(mode, collection, repeats):
                 t0 = time.perf_counter()
                 result = run_dse(collection, record_dir=td)
                 best = min(best, time.perf_counter() - t0)
-    finally:
-        set_narration_mode(prev)
     digest = json.dumps(result.cycles, sort_keys=True)
     return {"best_s": round(best, 6)}, digest
 
@@ -298,8 +303,8 @@ def main(argv=None) -> int:
                         help="CI-sized workload (3 matrices, max_n 160)")
     parser.add_argument("--cold", action="store_true",
                         help="benchmark the record path: cold end-to-end "
-                             "DSE plus narration throughput, scalar vs "
-                             "batched narration mode")
+                             "DSE plus narration throughput, scalar oracle "
+                             "vs batched columnar pricing")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless warm speedup >= 5x and "
                              "both engines price identically (with --cold: "

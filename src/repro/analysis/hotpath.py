@@ -5,8 +5,8 @@ a per-op Python object: :class:`~repro.sim.core.Core` buffers narration
 in a :class:`~repro.sim.columnar.ColumnarBuilder` and prices whole
 flushes vectorised.  That win evaporates the moment someone reintroduces
 per-op ``Op`` construction on a hot path — one innocent-looking
-``self._emit(GatherOp(...))`` inside a kernel loop silently restores the
-old allocation-per-element cost *and* bypasses the builder's flush
+``GatherOp(...)`` inside a kernel loop silently restores the old
+allocation-per-element cost *and* bypasses the builder's flush
 accounting.  These rules turn the convention into a checkable gate:
 
 * ``VIA401`` (error) — an :mod:`repro.sim.ops` op class is constructed
@@ -14,16 +14,16 @@ accounting.  These rules turn the convention into a checkable gate:
   (``repro.sim.core`` and everything under ``repro.kernels``).  Loops
   are where per-op costs multiply; narrate through the ``Core`` methods
   (which append builder rows) instead.
-* ``VIA402`` (error) — a kernel module constructs an op class *at all*.
-  Kernels narrate exclusively through the ``Core`` API; building IR
-  objects directly skips validation, the builder, and the backend seam.
+* ``VIA402`` (error) — a kernel module, or ``repro.sim.core`` itself,
+  constructs an op class *at all*.  Kernels narrate exclusively through
+  the ``Core`` API, and ``Core`` buffers every narration call as a
+  builder row; building IR objects directly skips validation, the
+  builder, and the backend seam.  Op records are materialized only off
+  the hot path, from finished columns (execution traces, the test
+  oracle).
 
-``Core``'s own scalar-fallback branches (``if b is None: self._emit(...)``
-at method-body level) construct ops legitimately — they sit outside any
-loop, so ``VIA401`` does not fire, and ``repro.sim.core`` is not a
-kernel, so ``VIA402`` does not apply.  A justified exception is silenced
-with ``# via: ignore[VIA401]`` next to the call, where the reviewer can
-see the reasoning.
+A justified exception is silenced with ``# via: ignore[VIA401]`` next to
+the call, where the reviewer can see the reasoning.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ VIA401 = rule(
 VIA402 = rule(
     "VIA402",
     "hotpath",
-    "kernel constructs an op object directly; use the Core narration API",
+    "hot-path module constructs an op object directly; use the Core "
+    "narration API",
 )
 
 #: the module whose classes are the narration IR
@@ -60,7 +61,7 @@ OP_MODULE = "repro.sim.ops"
 LOOP_SCOPES: Sequence[str] = ("repro/sim/core.py", "repro/kernels/")
 
 #: scopes where op construction is banned outright (VIA402)
-KERNEL_SCOPES: Sequence[str] = ("repro/kernels/",)
+KERNEL_SCOPES: Sequence[str] = ("repro/sim/core.py", "repro/kernels/")
 
 
 def _is_op_class(dotted: str) -> bool:
@@ -120,7 +121,7 @@ def _scan_file(
                     VIA402,
                     src.rel,
                     call.lineno,
-                    f"kernel constructs {name} directly; narrate through "
+                    f"hot path constructs {name} directly; narrate through "
                     f"the Core methods so the builder prices it",
                 )
             )

@@ -125,16 +125,11 @@ class SimulationError(ReproError):
 class InvariantError(SimulationError):
     """A runtime invariant of the cycle model was violated.
 
-    Raised by :class:`~repro.sim.backends.InvariantBackend` when pricing an
-    op breaks one of the model's conservation laws (cache hit/miss totals,
-    monotone non-negative counters, SSPM occupancy bounds, finite cycle
-    components).  The op that exposed the corruption is attached as
-    ``op`` (``None`` for finalize-time violations).
+    Raised by :class:`~repro.sim.backends.InvariantBackend` when pricing a
+    narration flush breaks one of the model's conservation laws (cache
+    hit/miss totals, monotone non-negative counters, SSPM occupancy bounds,
+    finite cycle components), and by validating replays.
     """
-
-    def __init__(self, message: str, *, op: Any = None) -> None:
-        super().__init__(message)
-        self.op = op
 
 
 class RecordingError(SimulationError):

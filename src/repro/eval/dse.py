@@ -128,7 +128,6 @@ def run_dse(
     spmm_max_n: int = 1024,
     runner: Optional["RunnerConfig"] = None,
     record_dir: Optional[str] = None,
-    engine: Optional[str] = None,
     validate: bool = False,
     strategy: str = "exhaustive",
     model: Any = None,
@@ -150,11 +149,6 @@ def run_dse(
     into that directory, and every configuration is priced by replaying
     them (bit-identical to the direct sweep, see
     ``tests/test_ops_replay_differential.py``).
-
-    ``engine`` selects the replay pricing engine (``"scalar"`` or
-    ``"columnar"``, see :data:`repro.sim.backends.REPLAY_ENGINES`); it only
-    applies in record/replay mode and never changes results — both engines
-    are bit-identical by contract.
 
     ``validate`` routes every op (direct, record, and replay) through the
     runtime invariant checker
@@ -187,7 +181,6 @@ def run_dse(
             spmm_max_n=spmm_max_n,
             runner=runner,
             record_dir=record_dir,
-            engine=engine,
             validate=validate,
             model=model,
             keep=guided_keep,
@@ -202,7 +195,6 @@ def run_dse(
             spmm_max_n=spmm_max_n,
             runner=runner,
             record_dir=record_dir,
-            engine=engine,
             validate=validate,
         )
     cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
@@ -251,7 +243,6 @@ def _run_dse_replay(
     spmm_max_n: int,
     runner: Optional["RunnerConfig"],
     record_dir: str,
-    engine: Optional[str] = None,
     validate: bool = False,
 ) -> DseResult:
     """Record once per stream-shape group, replay once per configuration."""
@@ -278,7 +269,7 @@ def _run_dse_replay(
                 spmm_collection, spmm_max_n, validate,
             )
             recs = _run(
-                replay_units(units, record_dir=record_dir, engine=engine),
+                replay_units(units, record_dir=record_dir),
                 runner,
                 None,
             )
@@ -368,7 +359,6 @@ def _run_dse_guided(
     spmm_max_n: int,
     runner: Optional["RunnerConfig"],
     record_dir: Optional[str],
-    engine: Optional[str],
     validate: bool,
     model: Any,
     keep: float,
@@ -433,9 +423,7 @@ def _run_dse_guided(
                 spmm_collection, spmm_max_n, validate,
             )
             if record_dir is not None:
-                units = replay_units(
-                    units, record_dir=record_dir, engine=engine
-                )
+                units = replay_units(units, record_dir=record_dir)
             recs = _run(units, runner, None)
             cycles[kernel][cfg.name] = geomean(
                 r.via_cycles[fmt] for r in recs

@@ -51,8 +51,6 @@ KEY_EXEMPT = {
         "record_dir": "the recording is invariant to where it is stored",
         "validate": "invariant checking only verifies streams; it never "
         "changes them",
-        "engine": "the replay pricing engine re-prices a stream; it never "
-        "shapes one — recordings are engine-invariant",
     },
     "ViaConfig": {
         "ports": "pure-pricing knob applied at replay time; excluding it "

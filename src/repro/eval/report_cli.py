@@ -10,10 +10,8 @@ Usage::
 This is the scripted equivalent of ``pytest benchmarks/ --benchmark-only``
 for users who want the artifacts without the benchmarking machinery.
 
-Naming note: this module *renders and runs* the full report (it was
-``repro.eval.report`` until that kept colliding with
-:mod:`repro.eval.reporting`, the text-table renderers).  The old name is
-kept as a deprecation shim.
+Naming note: this module *renders and runs* the full report; the
+text-table renderers live in :mod:`repro.eval.reporting`.
 """
 
 from __future__ import annotations

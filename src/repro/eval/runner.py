@@ -51,6 +51,7 @@ import json
 import multiprocessing
 import os
 import signal as signal_mod
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -100,13 +101,11 @@ class RunnerConfig:
     routes execution through :mod:`repro.eval.supervisor`.  ``resume``
     names a prior run's journal: units whose completed records it holds
     are served from it bit-identically instead of recomputed.
-    ``chunksize`` is retained for backward compatibility but ignored —
-    supervised dispatch hands out one unit at a time so every timeout or
+    Supervised dispatch hands out one unit at a time, so every timeout or
     worker death is attributable to a single unit.
     """
 
     workers: int = 1
-    chunksize: Optional[int] = None
     cache_dir: Optional[str] = None
     use_cache: bool = True
     journal_path: Optional[str] = None
@@ -119,8 +118,6 @@ class RunnerConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise SweepError(f"workers must be >= 1, got {self.workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise SweepError(f"chunksize must be >= 1, got {self.chunksize}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SweepError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.retries < 0:
@@ -250,11 +247,19 @@ class ResultCache:
         }
         if context is not None:
             entry["context"] = context
-        tmp = path.with_suffix(".tmp")
-        # no sort_keys: the payload's dict order must survive the round
-        # trip so cached records stay bit-identical to computed ones
-        tmp.write_text(json.dumps(entry))
-        os.replace(tmp, path)  # atomic: readers never see a partial entry
+        # every writer gets its own temp file: two workers storing the same
+        # unit at once must not write through (or replace away) one name
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                # no sort_keys: the payload's dict order must survive the
+                # round trip so cached records stay bit-identical to
+                # computed ones
+                fh.write(json.dumps(entry))
+            os.replace(tmp, path)  # atomic: readers never see a partial entry
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def invalidate(self, key: Optional[str] = None) -> int:
         """Drop one entry (or, with no key, every entry); returns count."""
@@ -582,13 +587,11 @@ def run_units(
     state = _SweepState(units, config, journal, cache, progress)
     counters = state.counters
     run_start = time.perf_counter()
-    # engine observability: attribute in-process engine fallbacks and
-    # builder flushes to this sweep (deltas of process-wide counters;
-    # parallel workers narrate in their own processes and under-count)
-    from repro.sim.columnar import engine_fallback_count
+    # attribute in-process builder flushes to this sweep (a delta of a
+    # process-wide counter; parallel workers narrate in their own
+    # processes and under-count)
     from repro.sim.core import narration_flush_count
 
-    fallback_start = engine_fallback_count()
     flush_start = narration_flush_count()
     my_pid = os.getpid()
     pending: List[Tuple[int, WorkUnit]] = []
@@ -690,7 +693,6 @@ def run_units(
                 )
     finally:
         counters.wall_seconds = time.perf_counter() - run_start
-        counters.engine_fallback = engine_fallback_count() - fallback_start
         counters.narration_flushes = narration_flush_count() - flush_start
         journal.close()
     return state.assemble()
@@ -727,8 +729,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-n", type=int, default=512,
                         help="largest matrix dimension")
     parser.add_argument("--workers", type=positive_int, default=1)
-    parser.add_argument("--chunksize", type=positive_int, default=None,
-                        help="(legacy, ignored by supervised dispatch)")
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true",
                         help="escape hatch: ignore --cache-dir")
@@ -756,7 +756,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         journal = args.resume  # keep extending the journal we resume from
     config = RunnerConfig(
         workers=args.workers,
-        chunksize=args.chunksize,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         journal_path=journal,

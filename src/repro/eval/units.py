@@ -77,9 +77,6 @@ class WorkUnit:
     every op through the :class:`~repro.sim.backends.InvariantBackend`
     runtime checker; like ``record_dir`` it stays out of the cache key
     because validation only *checks* results, it never changes them.
-    ``engine`` picks the replay pricing engine (``scalar``/``columnar``,
-    ``None`` = :data:`~repro.sim.backends.DEFAULT_REPLAY_ENGINE`); the
-    engines are bit-identical by contract, so it too stays out of the key.
     """
 
     kind: str
@@ -91,7 +88,6 @@ class WorkUnit:
     kernel: str = ""
     record_dir: Optional[str] = None
     validate: bool = False
-    engine: Optional[str] = None
 
 
 def _x_vector(spec: MatrixSpec, cols: int) -> np.ndarray:
@@ -326,14 +322,12 @@ def _try_replay(unit: WorkUnit, store, code: str) -> Optional[SweepRecord]:
             base = replay_recording(
                 base_recs[f"{fmt}/base"],
                 machine=unit.machine,
-                engine=unit.engine,
                 validate=unit.validate,
             )
             via = replay_recording(
                 via_recs[f"{fmt}/via"],
                 machine=unit.machine,
                 via_config=unit.via_config,
-                engine=unit.engine,
                 validate=unit.validate,
             )
             _fill_record(rec, fmt, base, via)
@@ -378,7 +372,6 @@ def _compute_record(unit: WorkUnit) -> Optional[SweepRecord]:
                     base_results[fmt] = replay_recording(
                         base_found[0][f"{fmt}/base"],
                         machine=unit.machine,
-                        engine=unit.engine,
                         validate=unit.validate,
                     )
             except KeyError:
@@ -544,14 +537,12 @@ def replay_units(
     record_dir: str,
     machine: Optional[MachineConfig] = None,
     via_config: Optional[ViaConfig] = None,
-    engine: Optional[str] = None,
 ) -> List[WorkUnit]:
     """Turn direct units into ``replay`` units re-priced under a target.
 
     ``machine``/``via_config`` default to each unit's own configuration;
     pass a different (stream-shape compatible) pair to sweep pricing knobs
-    against one set of recordings.  ``engine`` selects the replay pricing
-    engine for every unit (``None`` keeps each unit's own setting).
+    against one set of recordings.
     """
     return [
         dataclasses.replace(
@@ -561,7 +552,6 @@ def replay_units(
             record_dir=record_dir,
             machine=machine if machine is not None else u.machine,
             via_config=via_config if via_config is not None else u.via_config,
-            engine=engine if engine is not None else u.engine,
         )
         for u in units
     ]
@@ -578,9 +568,6 @@ KEY_EXEMPT = {
         "its op-stream artifact is stored",
         "validate": "invariant checking only verifies results; it never "
         "changes them",
-        "engine": "the scalar and columnar replay engines are bit-identical "
-        "by contract (pinned by the differential suite), so the record is "
-        "engine-invariant",
     },
 }
 
@@ -595,8 +582,6 @@ def unit_cache_key(unit: WorkUnit, code_version: str) -> str:
     ``record_dir`` and ``validate`` deliberately do not: a unit's record is
     invariant to where (or whether) its op-stream artifact is stored, and
     invariant checking only verifies results — it never changes them.
-    ``engine`` stays out for the same reason: both replay engines are
-    bit-identical by contract.
     """
     payload = {
         "kind": unit.kind,

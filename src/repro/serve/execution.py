@@ -31,7 +31,6 @@ METRIC_KEYS = (
     "units_executed",
     "cache_hits",
     "cache_misses",
-    "engine_fallback",
     "narration_flushes",
     "replay_hits",
     "replay_misses",
@@ -143,7 +142,6 @@ def _run_sim(
     metrics["units_executed"] += len(units)
     metrics["cache_hits"] += result.counters.cache_hits
     metrics["cache_misses"] += result.counters.cache_misses
-    metrics["engine_fallback"] += result.counters.engine_fallback
     metrics["narration_flushes"] += result.counters.narration_flushes
     if result.failures:
         first = result.failures[0]
@@ -172,7 +170,6 @@ def _run_sim(
             "units_cached": result.counters.units_cached,
             "cache_hits": result.counters.cache_hits,
             "cache_misses": result.counters.cache_misses,
-            "engine_fallback": result.counters.engine_fallback,
             "narration_flushes": result.counters.narration_flushes,
         },
     }
@@ -208,7 +205,7 @@ def _build_units(
             collection, via_config=via, max_n=spec.max_n, validate=validate
         )
     if spec.kind == "replay":
-        units = replay_units(units, record_dir=record_dir, engine=spec.engine)
+        units = replay_units(units, record_dir=record_dir)
     return list(units)
 
 

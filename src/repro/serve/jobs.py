@@ -56,7 +56,6 @@ from repro.errors import (
     SweepError,
     SweepInterrupted,
 )
-from repro.sim.backends import DEFAULT_REPLAY_ENGINE, REPLAY_ENGINES
 
 JOB_KINDS = ("simulate", "replay", "sweep", "report", "sleep", "estimate")
 #: kinds that describe a kernel×collection workload (shared validation)
@@ -122,9 +121,6 @@ class JobSpec:
     sram_kb: int = 16
     ports: int = 2
     port_sweep: Tuple[int, ...] = ()
-    #: replay pricing engine ("scalar" or "columnar"); only meaningful for
-    #: the replay family, where it selects how recordings are re-priced
-    engine: Optional[str] = None
     duration_s: float = 0.1
     priority: int = 0
     deadline_s: Optional[float] = None
@@ -172,17 +168,6 @@ class JobSpec:
             if any(p <= 0 for p in self.port_sweep):
                 raise _bad_request(
                     f"port_sweep entries must be positive, got {self.port_sweep}"
-                )
-        if self.engine is not None:
-            if self.engine not in REPLAY_ENGINES:
-                raise _bad_request(
-                    f"unknown replay engine {self.engine!r}; expected one "
-                    f"of {REPLAY_ENGINES}"
-                )
-            if self.kind not in ("replay", "sweep"):
-                raise _bad_request(
-                    f"engine only applies to replay/sweep jobs, not "
-                    f"{self.kind!r}"
                 )
         if self.kind == "sleep" and not (0 <= self.duration_s <= MAX_SLEEP_S):
             raise _bad_request(
@@ -243,11 +228,7 @@ class JobSpec:
         kernel, collection parameters, formats, and SSPM capacity.  Ports
         are included for ``simulate`` (they change the direct run) but
         excluded for ``replay``/``sweep`` — port variants re-price one
-        recording, which is precisely the batching win.  The replay
-        *engine* participates (normalized to the default when unset): a
-        batch executes once with one engine, so jobs requesting different
-        engines must not share a batch even though their results are
-        bit-identical by contract.
+        recording, which is precisely the batching win.
         """
         family = "replay" if self.kind in ("replay", "sweep") else self.kind
         payload: Dict[str, Any] = {
@@ -262,8 +243,6 @@ class JobSpec:
         }
         if self.kind in ("simulate", "estimate"):
             payload["ports"] = self.ports
-        if family == "replay":
-            payload["engine"] = self.engine or DEFAULT_REPLAY_ENGINE
         if self.kind in ("report", "sleep"):
             payload = {"family": self.kind}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

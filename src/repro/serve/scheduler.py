@@ -200,10 +200,6 @@ class Scheduler:
             "cache_misses", "work units that missed the result cache"
         )
         self._m_units = m.counter("units_executed", "work units run to completion")
-        self._m_engine_fallback = m.counter(
-            "engine_fallback",
-            "pricing fell back to the scalar engine (non-integral latency)",
-        )
         self._m_narration_flushes = m.counter(
             "narration_flushes",
             "columnar builder flushes on the batched record path",
@@ -606,7 +602,6 @@ class Scheduler:
         self._m_units.inc(deltas.get("units_executed", 0))
         self._m_cache_hits.inc(deltas.get("cache_hits", 0))
         self._m_cache_misses.inc(deltas.get("cache_misses", 0))
-        self._m_engine_fallback.inc(deltas.get("engine_fallback", 0))
         self._m_narration_flushes.inc(deltas.get("narration_flushes", 0))
         self._m_replay_hits.inc(deltas.get("replay_hits", 0))
         self._m_replay_misses.inc(deltas.get("replay_misses", 0))

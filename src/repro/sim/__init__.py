@@ -7,8 +7,6 @@ parallelism, and VIA commit-time execution.
 """
 
 from repro.sim.backends import (
-    DEFAULT_REPLAY_ENGINE,
-    REPLAY_ENGINES,
     Backend,
     DirectBackend,
     RecorderBackend,
@@ -19,13 +17,10 @@ from repro.sim.cache import Cache, CacheStats, compress_lines, stream_lines
 from repro.sim.columnar import (
     ColumnarBuilder,
     ColumnarOps,
-    EngineFallbackWarning,
     FlushBatch,
     check_columnar_invariants,
     columnar_via_totals,
     concat_columnar,
-    engine_fallback_count,
-    note_engine_fallback,
     price_columnar,
     price_flush,
 )
@@ -41,8 +36,6 @@ from repro.sim.core import (
     Array,
     Core,
     narration_flush_count,
-    narration_mode,
-    set_narration_mode,
 )
 from repro.sim.dram import DRAMModel, DRAMStats
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
@@ -67,17 +60,12 @@ __all__ = [
     "RecorderBackend",
     "TraceBackend",
     "replay_recording",
-    "DEFAULT_REPLAY_ENGINE",
-    "REPLAY_ENGINES",
     "ColumnarBuilder",
     "ColumnarOps",
-    "EngineFallbackWarning",
     "FlushBatch",
     "check_columnar_invariants",
     "columnar_via_totals",
     "concat_columnar",
-    "engine_fallback_count",
-    "note_engine_fallback",
     "price_columnar",
     "price_flush",
     "OPS_SCHEMA_VERSION",
@@ -99,8 +87,6 @@ __all__ = [
     "Core",
     "DEFAULT_FLUSH_OPS",
     "narration_flush_count",
-    "narration_mode",
-    "set_narration_mode",
     "DRAMModel",
     "DRAMStats",
     "AccessResult",

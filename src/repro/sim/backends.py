@@ -1,38 +1,31 @@
 """Pricing backends for the op-stream IR.
 
-Narration reaches a backend in one of two shapes.  Batch-capable backends
-(:attr:`Backend.batch_capable`) receive whole
-:class:`~repro.sim.columnar.FlushBatch` column blocks from the core's
-narration buffer via :meth:`Backend.flush` — the hot path, no per-op
-objects.  Batch-incapable backends (tracing) and directly-injected ops
-arrive one :class:`~repro.sim.ops.Op` at a time through
-:meth:`Backend.handle`, priced by :meth:`Op.apply` — the scalar reference
-engine.  Both shapes mutate the same core counters and are bit-identical.
+Narration reaches a backend as whole :class:`~repro.sim.columnar.FlushBatch`
+column blocks from the core's narration buffer, via :meth:`Backend.flush`;
+no per-op objects exist on this path.  Every backend prices a flush through
+:func:`~repro.sim.columnar.price_flush`, directly or through the backend it
+wraps:
 
 * :class:`DirectBackend` — price immediately and retain nothing (the
   default);
 * :class:`RecorderBackend` — capture the stream *and* price it, so a
   recording run produces both the artifact and the baseline result in one
-  pass.  Batched narration is captured as the column blocks themselves:
-  the recording is born columnar, with no ``from_ops`` conversion and no
-  per-op materialization;
+  pass.  The stream is captured as the flushed column blocks themselves:
+  the recording is born columnar;
 * :class:`TraceBackend` — log a :class:`~repro.sim.trace.TraceEvent` per
-  op and delegate to an inner backend (installed by
-  :class:`~repro.sim.trace.TracedCore`; not batch-capable, which is what
-  keeps the trace op-by-op);
+  flushed row, then delegate to an inner backend (installed by
+  :class:`~repro.sim.trace.TracedCore`);
 * :class:`InvariantBackend` — delegate, then assert the model's
-  conservation laws (gem5-style runtime self-checking): monotone
+  conservation laws (gem5-style runtime self-checking) at flush
+  granularity: structurally via
+  :func:`~repro.sim.columnar.check_columnar_invariants`, then monotone
   non-negative counters, cache hit totals that account for every line
-  access, bounded branch mispredicts, SSPM occupancy within capacity.
-  Per-op deltas are checked on the scalar path; flushes are validated at
-  batch granularity — structurally via
-  :func:`~repro.sim.columnar.check_columnar_invariants` plus the same
-  counter-delta laws over the whole batch.
+  access, bounded branch mispredicts, and SSPM occupancy within capacity
+  over the whole batch's counter delta.
 
 Replay is not a backend but a driver: :func:`replay_recording` re-prices a
-recorded stream on a *fresh* core configured with the target machine/VIA
-pair, through either pricing engine.  Because direct execution prices ops
-through the very same kernels, replayed results are bit-identical by
+recorded stream under a target machine/VIA pair through the same columnar
+kernels direct execution uses, so replayed results are bit-identical by
 construction.
 """
 
@@ -41,24 +34,20 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from typing import TYPE_CHECKING, List, Optional, Union, cast
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.errors import InvariantError, SimulationError
+from repro.errors import InvariantError
+from repro.sim import columnar
 from repro.sim.config import MachineConfig
 from repro.sim.ops import (
-    AllocOp,
-    Op,
     PricedState,
     Recording,
     ReplayMismatchError,
-    ViaOpRecord,
     stream_shape_key,
-    via_totals,
 )
 from repro.sim.stats import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.columnar import ColumnarOps, FlushBatch
     from repro.sim.core import Core
     from repro.sim.stats import KernelResult
     from repro.sim.trace import Trace
@@ -66,44 +55,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Backend:
-    """Base backend: price each op as it is narrated.
+    """Base backend: price each narration batch as it is flushed."""
 
-    Subclasses advertising :attr:`batch_capable` receive buffered
-    narration as :meth:`flush` calls instead of per-op :meth:`handle`
-    calls; the base :meth:`flush` is a reference implementation that
-    materializes the batch back into ops and handles them one by one
-    (alloc rows excepted — a batched core allocates eagerly at narration
-    time, so re-applying the op would corrupt the address space).
-    """
-
-    #: whether this backend accepts whole flush batches; cores only build
-    #: a narration buffer for backends that do
-    batch_capable: bool = False
-
-    def handle(self, op: Op, core: "Core") -> None:
-        op.apply(core)
-
-    def flush(self, batch: "FlushBatch", core: "Core") -> None:
-        """Price one narration batch (reference implementation: per-op)."""
-        for op in batch.cols.to_ops():
-            if isinstance(op, AllocOp):
-                continue
-            self.handle(op, core)
+    def flush(self, batch: columnar.FlushBatch, core: "Core") -> None:
+        """Price one narration batch against the core's live state."""
+        # looked up on the module at call time, so a wrapper installed on
+        # ``columnar.price_flush`` (profilers, test pricers) sees every flush
+        columnar.price_flush(batch, core)
 
     def on_finalize(self, core: "Core", name: str, output: object) -> None:
         """Called by :meth:`Core.finalize` before the result is built."""
 
 
 class DirectBackend(Backend):
-    """Price immediately, retain nothing; flushes go through the columnar
-    kernels (:func:`~repro.sim.columnar.price_flush`)."""
-
-    batch_capable = True
-
-    def flush(self, batch: "FlushBatch", core: "Core") -> None:
-        from repro.sim.columnar import price_flush
-
-        price_flush(batch, core)
+    """Price immediately, retain nothing (the default backend)."""
 
 
 class RecorderBackend(Backend):
@@ -112,53 +77,26 @@ class RecorderBackend(Backend):
     After the kernel calls ``finalize``, :attr:`recording` holds the
     complete :class:`~repro.sim.ops.Recording` (stream + configurations +
     functional output), ready for :func:`~repro.sim.ops.save_recordings`.
-
-    Batched narration is captured as the flushed column blocks and
-    stitched with :func:`~repro.sim.columnar.concat_columnar` at finalize,
-    so the recording carries native struct-of-arrays columns end to end —
-    no ``Op`` object is ever built on this path.  Ops injected directly
-    (scalar mode, traced cores, tests) are captured per-op; a mixed stream
-    falls back to an op-list recording, preserving order.
+    Flushed column blocks are stitched with
+    :func:`~repro.sim.columnar.concat_columnar` at finalize, so the
+    recording carries native struct-of-arrays columns end to end — no
+    ``Op`` object is ever built on this path.
     """
 
     def __init__(self) -> None:
-        self._events: List[Union[Op, "ColumnarOps"]] = []
+        self._chunks: List[columnar.ColumnarOps] = []
         self.recording: Optional[Recording] = None
 
-    batch_capable = True
-
-    def handle(self, op: Op, core: "Core") -> None:
-        self._events.append(op)
-        op.apply(core)
-
-    def flush(self, batch: "FlushBatch", core: "Core") -> None:
-        from repro.sim.columnar import price_flush
-
-        self._events.append(batch.cols)
-        price_flush(batch, core)
+    def flush(self, batch: columnar.FlushBatch, core: "Core") -> None:
+        self._chunks.append(batch.cols)
+        super().flush(batch, core)
 
     def on_finalize(self, core: "Core", name: str, output: object) -> None:
-        from repro.sim.columnar import ColumnarOps, concat_columnar
-
-        via_cfg = core.via.config if core.via is not None else None
-        events = self._events
-        cols_arg: Optional["ColumnarOps"] = None
-        ops_arg: Optional[List[Op]] = None
-        if events and all(isinstance(e, ColumnarOps) for e in events):
-            cols_arg = concat_columnar(cast("List[ColumnarOps]", events))
-        else:
-            ops_arg = []
-            for event in events:
-                if isinstance(event, ColumnarOps):
-                    ops_arg.extend(event.to_ops())
-                else:
-                    ops_arg.append(event)
         self.recording = Recording(
             name=name,
             machine=core.machine,
-            via_config=via_cfg,
-            ops=ops_arg,
-            columnar=cols_arg,
+            via_config=core.via.config if core.via is not None else None,
+            columnar=columnar.concat_columnar(self._chunks),
             output=output,
             priced=PricedState(
                 counters=dataclasses.replace(core.counters),
@@ -171,27 +109,30 @@ class RecorderBackend(Backend):
 
 
 class TraceBackend(Backend):
-    """Log every op to a :class:`~repro.sim.trace.Trace`, then delegate.
+    """Log every flushed row to a :class:`~repro.sim.trace.Trace`, then
+    delegate.
 
-    Deliberately not batch-capable: installing it flips the core back to
-    per-op narration, which is what keeps the trace a faithful op-by-op
-    log (DESIGN.md §10 — tracing is when ``Op`` objects still materialize).
+    Rows are logged in narration order through
+    :meth:`~repro.sim.columnar.ColumnarOps.to_ops`, so the trace reads op
+    by op although narration arrives in batches; tracing is opt-in, so
+    only traced runs pay for the row objects.
     """
 
     def __init__(self, trace: "Trace", inner: Optional[Backend] = None) -> None:
         self.trace = trace
         self.inner = inner if inner is not None else DirectBackend()
 
-    def handle(self, op: Op, core: "Core") -> None:
-        self.trace.add(op.kind, op.describe(), op.trace_count)
-        self.inner.handle(op, core)
+    def flush(self, batch: columnar.FlushBatch, core: "Core") -> None:
+        for op in batch.cols.to_ops():
+            self.trace.add(op.kind, op.describe(), op.trace_count)
+        self.inner.flush(batch, core)
 
     def on_finalize(self, core: "Core", name: str, output: object) -> None:
         self.inner.on_finalize(core, name, output)
 
 
 #: integer counters that classify where each line access was served; their
-#: deltas must sum to the delta of ``mem_line_accesses`` on every op
+#: deltas must sum to the delta of ``mem_line_accesses`` on every flush
 _CACHE_LEVEL_FIELDS = ("l1_hits", "l2_hits", "l3_hits", "dram_fills")
 
 #: slack for float-accumulated counters (mispredicts, latencies)
@@ -201,8 +142,9 @@ _FLOAT_SLACK = 1e-9
 def _counters_violation(before: OpCounters, after: OpCounters) -> Optional[str]:
     """First conservation-law violation in a counter delta, or ``None``.
 
-    The laws checked are the ones every op must preserve regardless of its
-    kind — they are how :func:`repro.sim.core.build_result` prices results:
+    The laws checked are the ones every op (and so every batch of ops)
+    must preserve regardless of its kind — they are how
+    :func:`repro.sim.core.build_result` prices results:
 
     * every counter is monotone (ops only ever add work) and finite;
     * cache accounting conserves lines: each new line access is served by
@@ -253,7 +195,7 @@ def check_result_invariants(result: "KernelResult") -> "KernelResult":
     """Validate a finished :class:`~repro.sim.stats.KernelResult`.
 
     Used by validating replays (whose fast path is pure arithmetic over a
-    stored :class:`~repro.sim.ops.PricedState`, so there are no per-op
+    stored :class:`~repro.sim.ops.PricedState`, so there are no counter
     deltas to check) and by :meth:`InvariantBackend.on_finalize`: the
     cycle breakdown's priced components must all be finite and
     non-negative, and the total must dominate every component — the
@@ -294,45 +236,26 @@ def check_result_invariants(result: "KernelResult") -> "KernelResult":
 class InvariantBackend(Backend):
     """Delegate to ``inner``, then assert the model's conservation laws.
 
-    Stateless between ops: each :meth:`handle` snapshots the counters,
-    prices the op through the inner backend, and checks the delta — so the
-    first op that corrupts the model raises
-    :class:`~repro.errors.InvariantError` with itself attached, not some
-    later observer.  Batched narration validates at flush granularity:
-    :meth:`flush` first runs
+    Validation runs at flush granularity: :meth:`flush` first runs
     :func:`~repro.sim.columnar.check_columnar_invariants` over the batch's
-    columns (structural laws, SSPM footprint vs capacity), then checks the
-    same counter-delta laws over the whole batch.  Wrap any backend:
-    ``InvariantBackend()`` validates direct pricing,
+    columns (structural laws, SSPM footprint vs capacity), then prices the
+    batch through the inner backend and checks the counter-delta laws over
+    the whole batch — so the first flush that corrupts the model raises
+    :class:`~repro.errors.InvariantError`, not some later observer.  Wrap
+    any backend: ``InvariantBackend()`` validates direct pricing,
     ``InvariantBackend(RecorderBackend())`` validates while recording.
     """
 
     def __init__(self, inner: Optional[Backend] = None) -> None:
         self.inner = inner if inner is not None else DirectBackend()
-        # validate in whatever shape the inner backend consumes
-        self.batch_capable = self.inner.batch_capable
 
-    def handle(self, op: Op, core: "Core") -> None:
-        before = dataclasses.replace(core.counters)
-        self.inner.handle(op, core)
-        problem = _counters_violation(before, core.counters)
-        if problem is None:
-            problem = _sspm_violation(core)
-        if problem is not None:
-            raise InvariantError(
-                f"op {op.kind!r} violated a model invariant: {problem}",
-                op=op,
-            )
-
-    def flush(self, batch: "FlushBatch", core: "Core") -> None:
-        from repro.sim.columnar import check_columnar_invariants
-
+    def flush(self, batch: columnar.FlushBatch, core: "Core") -> None:
         n = len(batch.cols)
         try:
             capacity = (
                 core.via.config.cam_entries if core.via is not None else None
             )
-            check_columnar_invariants(batch.cols, capacity=capacity)
+            columnar.check_columnar_invariants(batch.cols, capacity=capacity)
         except InvariantError as exc:
             raise InvariantError(
                 f"flush of {n} narrated ops violated a model invariant: {exc}"
@@ -362,31 +285,20 @@ class InvariantBackend(Backend):
 #: threads, so the per-machine pricing memo is cross-thread shared state
 _MEMO_LOCK = threading.Lock()
 
-#: replay pricing engines: ``scalar`` walks :meth:`Op.apply` one record at
-#: a time; ``columnar`` prices whole streams as array arithmetic
-#: (:mod:`repro.sim.columnar`), bit-identical per its integral-latency
-#: contract
-REPLAY_ENGINES = ("scalar", "columnar")
-
-#: engine used when callers do not choose one; flipping this to
-#: ``columnar`` is gated on the differential CI matrix staying green
-DEFAULT_REPLAY_ENGINE = "scalar"
-
 
 def replay_recording(
     recording: Recording,
     *,
     machine: Optional[MachineConfig] = None,
     via_config: Optional["ViaConfig"] = None,
-    engine: Optional[str] = None,
     validate: bool = False,
 ) -> "KernelResult":
     """Re-price a recorded op stream under a target configuration.
 
-    No functional numpy runs: a fresh core (cold caches, same bump-allocated
-    address space) prices the recorded ops in order, and the recorded
-    functional output is attached to the result.  The target must be
-    stream-shape compatible with the recording (same vector lanes, L1
+    No functional numpy runs: the recorded columns are priced as if on a
+    fresh core (cold caches, same bump-allocated address space), and the
+    recorded functional output is attached to the result.  The target must
+    be stream-shape compatible with the recording (same vector lanes, L1
     latency, and SSPM capacity — see :func:`~repro.sim.ops.stream_shape_key`);
     anything else, notably SSPM *port* counts and all pure-pricing machine
     knobs, may differ freely.
@@ -398,54 +310,29 @@ def replay_recording(
 
     * **same machine** (the Fig. 9 port sweep): the record run's stored
       :class:`~repro.sim.ops.PricedState` already holds every counter the
-      ports cannot touch, so only the VIA ops are re-priced — pure
-      arithmetic, no cache simulation;
-    * **different machine**: the machine-dependent ops replay through the
-      detailed model on a fresh core (memoized per target machine on the
-      recording), and the VIA-op totals are added on top — VIA ops never
-      touch the memory hierarchy, so the split is exact.
+      ports cannot touch, so only the VIA ops are re-priced
+      (:func:`~repro.sim.columnar.columnar_via_totals`) — pure arithmetic,
+      no cache simulation;
+    * **different machine**: the machine-dependent ops are priced through
+      the detailed model (:func:`~repro.sim.columnar.price_columnar`,
+      memoized per target machine on the recording), and the VIA-op totals
+      are added on top — VIA ops never touch the memory hierarchy, so the
+      split is exact.
 
-    With ``validate=True`` the replay self-checks: a cross-machine memory
-    pass prices ops through an :class:`InvariantBackend` (scalar engine) or
-    :func:`repro.sim.columnar.check_columnar_invariants` (columnar engine),
-    and every path runs :func:`check_result_invariants` over the finished
-    result — so a corrupt or mis-priced artifact raises
-    :class:`~repro.errors.InvariantError` instead of producing a silently
-    wrong number.  Validation never changes the result.
-
-    ``engine`` selects the pricing implementation (default
-    :data:`DEFAULT_REPLAY_ENGINE`): ``columnar`` re-prices the stream as
-    whole-array NumPy kernels, bit-identical to ``scalar`` under the
-    integral-latency contract — a machine carrying fractional cache/DRAM
-    latencies falls back to the scalar engine *loudly*, via
-    :class:`~repro.sim.columnar.EngineFallbackWarning` (once per config)
-    and the process-wide
-    :func:`~repro.sim.columnar.engine_fallback_count` counter surfaced in
-    sweep and serve metrics (see DESIGN.md §9).
+    With ``validate=True`` the replay self-checks: the stream runs through
+    :func:`~repro.sim.columnar.check_columnar_invariants` (a cross-machine
+    memory pass checks its finished counters too), and every path runs
+    :func:`check_result_invariants` over the finished result — so a corrupt
+    or mis-priced artifact raises :class:`~repro.errors.InvariantError`
+    instead of producing a silently wrong number.  Validation never changes
+    the result.
     """
-    from repro.sim.core import Core, build_result
+    from repro.sim.core import build_result
 
     if machine is None:
         machine = recording.machine
     if via_config is None:
         via_config = recording.via_config
-    if engine is None:
-        engine = DEFAULT_REPLAY_ENGINE
-    if engine not in REPLAY_ENGINES:
-        raise SimulationError(
-            f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}"
-        )
-    if engine == "columnar":
-        from repro.sim.columnar import (
-            machine_latencies_integral,
-            note_engine_fallback,
-        )
-
-        if not machine_latencies_integral(machine):
-            # the bit-identity contract only covers integer cycle
-            # arithmetic; fractional latencies reorder float sums
-            note_engine_fallback(machine, context="replay")
-            engine = "scalar"
     target_key = stream_shape_key(machine, via_config)
     if target_key != recording.shape_key:
         raise ReplayMismatchError(
@@ -466,18 +353,10 @@ def replay_recording(
         via_leak = area.leakage_mw(via_config)
     else:
         via_leak = 0.0
-    if engine == "columnar":
-        from repro.sim.columnar import (
-            check_columnar_invariants,
-            columnar_via_totals,
-        )
-
-        cols = recording.columnar()
-        via_side = columnar_via_totals(cols, via_config)
-        if validate:
-            check_columnar_invariants(cols)
-    else:
-        via_side = via_totals(recording.ops, via_config)
+    cols = recording.columnar()
+    via_side = columnar.columnar_via_totals(cols, via_config)
+    if validate:
+        columnar.check_columnar_invariants(cols)
     if recording.priced is not None and machine == recording.machine:
         p = recording.priced
         counters = dataclasses.replace(p.counters)
@@ -494,50 +373,17 @@ def replay_recording(
             output=recording.output,
         )
         return check_result_invariants(result) if validate else result
-    if engine == "columnar":
-        from repro.sim.columnar import price_columnar
-
-        memo_key = ("columnar", machine)
-        with _MEMO_LOCK:
-            cp = recording._machine_memo.get(memo_key)
-        if cp is None:
-            cp = price_columnar(cols, machine, validate=validate)
-            with _MEMO_LOCK:
-                # same first-writer-wins discipline as the scalar core memo
-                cp = recording._machine_memo.setdefault(memo_key, cp)
-        counters = dataclasses.replace(cp.counters)
-        counters.via_instructions += via_side.via_instructions
-        counters.vector_uops += via_side.vector_uops
-        counters.sspm_accesses += via_side.sspm_accesses
-        counters.cam_searches += via_side.cam_searches
-        counters.sspm_busy_cycles += via_side.sspm_busy_cycles
-        result = build_result(
-            name=name,
-            machine=machine,
-            counters=counters,
-            dram_occupancy_cycles=cp.dram_occupancy_cycles,
-            dram_traffic_bytes=cp.dram_traffic_bytes,
-            dram_lines=cp.dram_lines,
-            cache_stats={k: dict(v) for k, v in cp.cache_stats.items()},
-            via_leakage_mw=via_leak,
-            output=recording.output,
-        )
-        return check_result_invariants(result) if validate else result
     with _MEMO_LOCK:
-        core = recording._machine_memo.get(machine)
-    if core is None:
-        backend = InvariantBackend() if validate else DirectBackend()
-        core = Core(machine, backend=backend)
-        for op in recording.ops:
-            if not isinstance(op, ViaOpRecord):
-                backend.handle(op, core)
+        cp = recording._machine_memo.get(machine)
+    if cp is None:
+        cp = columnar.price_columnar(cols, machine, validate=validate)
         with _MEMO_LOCK:
             # recordings are shared across serve executor threads via the
             # store's load memo; a concurrent pricer may have won the race
-            # to populate this machine's entry — keep the first core so
-            # every thread reads the same one
-            core = recording._machine_memo.setdefault(machine, core)
-    counters = dataclasses.replace(core.counters)
+            # to populate this machine's entry — keep the first one so
+            # every thread reads the same state
+            cp = recording._machine_memo.setdefault(machine, cp)
+    counters = dataclasses.replace(cp.counters)
     counters.via_instructions += via_side.via_instructions
     counters.vector_uops += via_side.vector_uops
     counters.sspm_accesses += via_side.sspm_accesses
@@ -547,10 +393,10 @@ def replay_recording(
         name=name,
         machine=machine,
         counters=counters,
-        dram_occupancy_cycles=core.memory.dram.occupancy_cycles(),
-        dram_traffic_bytes=core.memory.dram.traffic_bytes,
-        dram_lines=core.memory.dram.stats.lines,
-        cache_stats=core.memory.level_stats(),
+        dram_occupancy_cycles=cp.dram_occupancy_cycles,
+        dram_traffic_bytes=cp.dram_traffic_bytes,
+        dram_lines=cp.dram_lines,
+        cache_stats={k: dict(v) for k, v in cp.cache_stats.items()},
         via_leakage_mw=via_leak,
         output=recording.output,
     )

@@ -1,9 +1,8 @@
-"""Columnar (struct-of-arrays) op streams and the vectorized pricing engine.
+"""Columnar (struct-of-arrays) op streams and the pricing engine.
 
-The scalar pricing path walks a recorded stream one :class:`~repro.sim.ops.Op`
-object at a time.  This module re-expresses the same stream as per-field
-NumPy columns — mirroring the ``.npz`` artifact layout — and re-prices whole
-streams as array arithmetic:
+Every op stream is priced here.  The stream is held as per-field NumPy
+columns — mirroring the ``.npz`` artifact layout — and priced as array
+arithmetic:
 
 * :func:`columnar_via_totals` prices every :class:`~repro.sim.ops.ViaOpRecord`
   of a stream in one vectorized pass (the port-dependent side of replay);
@@ -11,35 +10,35 @@ streams as array arithmetic:
   from a cumulative sum, per-op counters from masked reductions, cache-level
   latencies from an ``np.take`` over the machine's latency table, and hit /
   mispredict attribution from per-kind masks;
-* :func:`check_columnar_invariants` re-expresses the PR-3
-  :class:`~repro.sim.backends.InvariantBackend` conservation laws as
+* :func:`check_columnar_invariants` expresses the model's conservation
+  laws (the ones :class:`~repro.sim.backends.InvariantBackend` checks) as
   whole-array assertions, including SSPM occupancy as a running prefix
   maximum;
 * :class:`ColumnarBuilder` / :func:`price_flush` run the same kernels on
-  the *record* path: a batched :class:`~repro.sim.core.Core` appends one
-  row per narration call (no ``Op`` object on the hot path) and flushes
-  batches through the pricing helpers against its live cache hierarchy —
-  op streams are born columnar and :func:`concat_columnar` stitches the
+  the *record* path: a :class:`~repro.sim.core.Core` appends one row per
+  narration call (no ``Op`` object on the hot path) and flushes batches
+  through the pricing helpers against its live cache hierarchy — op
+  streams are born columnar and :func:`concat_columnar` stitches the
   flushed batches back into one stream for the recorder.
 
 Bit-identity contract
 ---------------------
 
-Columnar replay is bit-identical to scalar replay because nothing about the
-arithmetic is reordered where order could matter:
+Pricing a stream in columns gives bit for bit the result of pricing it one
+op at a time (the per-op reference pricer under ``tests/`` pins this),
+because nothing about the arithmetic is reordered where order could matter:
 
 * integer counters commute exactly under any summation order;
 * the three float counters that accumulate op by op
   (``sspm_busy_cycles``, ``branch_mispredicts``,
   ``dependency_stall_cycles``) are summed with ``np.cumsum``, whose running
-  accumulation performs the same left-to-right float64 additions as the
-  scalar loop;
+  accumulation performs the same left-to-right float64 additions as a
+  per-op loop;
 * miss-latency sums stay exact under any order because cache and DRAM
-  latencies are integers (``CacheConfig.latency`` / ``dram_latency``), so
-  every per-line latency is an integer-valued float64.  When a machine
-  carries a non-integral latency, :func:`repro.sim.backends.replay_recording`
-  falls back to the scalar engine rather than risk reordered float error;
-* the stateful cache walk itself reuses the scalar model's
+  latencies are integers (``CacheConfig.latency`` / ``dram_latency``;
+  the configs reject anything else), so every per-line latency is an
+  integer-valued float64;
+* the stateful cache walk itself drives the model's
   :class:`~repro.sim.cache.Cache` objects in recorded op order — only the
   *attribution* of its outcomes is vectorized.
 
@@ -72,10 +71,8 @@ of int64 indices.  ``port_passes`` uses −1 for "not recorded",
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -84,7 +81,6 @@ from repro.errors import InvariantError, RecordingError, SimulationError
 from repro.sim import calibration as cal
 from repro.sim.cache import Cache, compress_lines, stream_lines
 from repro.sim.config import MachineConfig
-from repro.sim.core import stream_uop_count
 from repro.sim.dram import DRAMModel
 from repro.sim.ops import (
     VECTOR_OP_KINDS,
@@ -119,17 +115,14 @@ __all__ = [
     "ColumnarBuilder",
     "ColumnarOps",
     "ColumnarPriced",
-    "EngineFallbackWarning",
     "FlushBatch",
     "check_columnar_invariants",
     "columnar_via_totals",
     "concat_columnar",
-    "engine_fallback_count",
     "machine_latency_table",
-    "machine_latencies_integral",
-    "note_engine_fallback",
     "price_columnar",
     "price_flush",
+    "stream_uop_count",
 ]
 
 _LINE = cal.CACHE_LINE_BYTES
@@ -207,6 +200,12 @@ COLUMNS: Tuple[str, ...] = (
 
 _IntArray = npt.NDArray[np.int64]
 _FloatArray = npt.NDArray[np.float64]
+
+
+def stream_uop_count(machine: MachineConfig, count: int, elem_bytes: int) -> int:
+    """Issue cost of one contiguous vector access (VL elements per uop)."""
+    per_uop = max(1, (machine.vl * 8) // max(elem_bytes, 1))
+    return max(1, -(-int(count) // per_uop))
 
 
 def _as_column(
@@ -400,7 +399,7 @@ class ColumnarOps:
         )
 
     def to_ops(self) -> List[Op]:
-        """Materialize the columns back into op records (scalar engine)."""
+        """Materialize the columns back into op records (trace rows)."""
         ops: List[Op] = []
         names = self.names
         pool = self.pool
@@ -509,12 +508,14 @@ def _port_cycles_vec(
 def columnar_via_totals(
     cols: ColumnarOps, via_config: Optional["ViaConfig"]
 ) -> OpCounters:
-    """Vectorized twin of :func:`repro.sim.ops.via_totals`.
+    """Counter contributions of a stream's VIA ops under a port configuration.
 
-    The integer counters are plain masked sums (exact under any order);
+    This is the whole port-dependent side of pricing: replaying a recording
+    under a sibling port variant only needs this pass.  The integer
+    counters are plain masked sums (exact under any order);
     ``sspm_busy_cycles`` is the last element of an ``np.cumsum`` over the
     per-op busy terms, which performs the identical left-to-right float64
-    additions as the scalar accumulation loop — bit-identical, not merely
+    additions as a per-op accumulation loop — bit-identical, not merely
     close.
     """
     totals = OpCounters()
@@ -564,30 +565,14 @@ def machine_latency_table(machine: MachineConfig) -> _FloatArray:
     )
 
 
-def machine_latencies_integral(machine: MachineConfig) -> bool:
-    """Whether every memory latency is a whole number of cycles.
-
-    The columnar engine's miss-latency sums are order-free only because
-    per-line latencies are integer-valued; a machine configured with a
-    fractional latency must be priced by the scalar engine instead (see
-    the module docstring's bit-identity contract).
-    """
-    values = (
-        machine.l1.latency,
-        machine.l2.latency,
-        machine.l3.latency,
-        machine.dram_latency,
-    )
-    return all(float(v) == float(int(v)) for v in values)
-
-
 @dataclass
 class ColumnarPriced:
     """Output of :func:`price_columnar`: the machine-dependent pricing state.
 
     The exact shape :func:`repro.sim.core.build_result` consumes — the VIA
     side (:func:`columnar_via_totals`) is added on top by the replay
-    driver, mirroring the scalar memory-pass split.
+    driver (VIA ops never touch the memory hierarchy, so the split is
+    exact).
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
@@ -603,7 +588,7 @@ def _alloc_tables(
     """Vectorized bump allocation: per-alloc-row base/elem_bytes/nbytes.
 
     Returns ``(alloc_rows, bases, elem_bytes, nbytes)`` in stream order —
-    the cumulative sum over line-aligned sizes reproduces the scalar
+    the cumulative sum over line-aligned sizes reproduces the
     :class:`~repro.sim.core.AddressSpace` bases exactly.
     """
     alloc_rows = np.flatnonzero(cols.kinds == _ALLOC)
@@ -624,7 +609,7 @@ def _governing_alloc(
 ) -> _IntArray:
     """For each memory row, the index (into ``alloc_rows``) of the
     allocation in effect at that point of the stream (last one wins,
-    mirroring the scalar address-space dict)."""
+    mirroring the core's address-space dict)."""
     out = np.full(mem_rows.size, -1, dtype=np.int64)
     if mem_rows.size == 0:
         return out
@@ -666,8 +651,8 @@ def _seeded_cumsum(start: float, terms: _FloatArray) -> float:
 
     ``np.cumsum`` over ``[start, t0, t1, ...]`` performs the identical
     addition sequence as ``for t in terms: start += t``, so order-sensitive
-    float counters stay bit-identical to the scalar per-op walk even when
-    a stream is priced in several flush batches.
+    float counters stay bit-identical to a per-op walk even when a stream
+    is priced in several flush batches.
     """
     seeded = np.concatenate(
         (np.asarray([start], dtype=np.float64), np.asarray(terms, dtype=np.float64))
@@ -935,8 +920,8 @@ def price_columnar(
 
     The only sequential work is the cache walk itself — LRU state makes the
     per-line hit/miss classification order-dependent, so the walk drives
-    the scalar model's own :class:`~repro.sim.cache.Cache` objects in
-    recorded op order (identical call sequence, identical state).  Every
+    the model's own :class:`~repro.sim.cache.Cache` objects in recorded op
+    order (identical call sequence, identical state).  Every
     attribution step around it is whole-array: allocation bases by
     cumulative sum, per-access latency by ``np.take`` over the machine's
     latency table, per-op latency sums by ``np.bincount`` segments, hit
@@ -944,14 +929,8 @@ def price_columnar(
     ``np.cumsum`` in op order.
 
     With ``validate=True`` the stream and the finished counters are run
-    through :func:`check_columnar_invariants` (the whole-array twin of the
-    per-op :class:`~repro.sim.backends.InvariantBackend`).
+    through :func:`check_columnar_invariants`.
     """
-    if not machine_latencies_integral(machine):
-        raise SimulationError(
-            "columnar pricing requires integer cache/DRAM latencies "
-            "(use the scalar engine for fractional-latency machines)"
-        )
     counters = OpCounters()
     _accumulate_compute(cols, counters)
 
@@ -1045,9 +1024,9 @@ class ColumnarBuilder:
     core's address space, so :func:`price_flush` can price memory rows
     without re-deriving allocation tables.  Append methods validate
     exactly like the corresponding :class:`~repro.sim.ops.Op`
-    constructors — verbatim messages — so batched narration faults on the
-    same bad operands the scalar path would, just without ever building
-    the object.  The name-intern table persists across :meth:`take` calls;
+    constructors — verbatim messages — so narration faults on the same bad
+    operands an op record would reject, just without ever building the
+    object.  The name-intern table persists across :meth:`take` calls;
     batch pool offsets restart at zero each flush and
     :func:`concat_columnar` re-bases them when stitching.
     """
@@ -1365,12 +1344,11 @@ class ColumnarBuilder:
 def price_flush(batch: FlushBatch, core: "Core") -> None:
     """Price one flushed narration batch against a live core.
 
-    The batch-mode twin of walking ``Op.apply`` over the same ops:
-    compute counters through :func:`_accumulate_compute`, memory rows
+    Compute counters go through :func:`_accumulate_compute`, memory rows
     through :func:`_price_memory_rows` against the core's *own* cache
     hierarchy (LRU and DRAM state persist across flushes), VIA rows with
     port cycles derived from the core's attached device.  Alloc rows are
-    skipped — the batched core allocates eagerly at narration time so
+    skipped — the core allocates eagerly at narration time so
     kernels can keep using the returned handles.
     """
     cols = batch.cols
@@ -1479,60 +1457,7 @@ def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
 
 
 # ---------------------------------------------------------------------------
-# Engine-fallback accounting (the loud scalar fallback)
-# ---------------------------------------------------------------------------
-class EngineFallbackWarning(UserWarning):
-    """A record or replay path fell back to the scalar ``Op.apply`` engine."""
-
-
-_FALLBACK_LOCK = threading.Lock()
-_FALLBACK_WARNED: Set[Tuple[str, float, float, float, float]] = set()
-_FALLBACK_COUNT = 0
-
-
-def note_engine_fallback(machine: MachineConfig, *, context: str) -> None:
-    """Record (and warn once per configuration) a scalar-engine fallback.
-
-    The columnar engine refuses machines with fractional cache/DRAM
-    latencies (see the module docstring's bit-identity contract), so both
-    batched narration and columnar replay price such machines with the
-    scalar walk instead.  Every occurrence bumps a process-wide counter —
-    surfaced as ``engine_fallback`` in sweep counters and serve metrics —
-    and the first occurrence per (context, latency profile) emits an
-    :class:`EngineFallbackWarning` so users can tell which engine priced
-    their sweep.
-    """
-    global _FALLBACK_COUNT
-    key = (
-        context,
-        float(machine.l1.latency),
-        float(machine.l2.latency),
-        float(machine.l3.latency),
-        float(machine.dram_latency),
-    )
-    with _FALLBACK_LOCK:
-        _FALLBACK_COUNT += 1
-        first = key not in _FALLBACK_WARNED
-        if first:
-            _FALLBACK_WARNED.add(key)
-    if first:
-        warnings.warn(
-            f"non-integral cache/DRAM latency on {context}: pricing with "
-            "the scalar engine (columnar bit-identity requires integer "
-            "latencies); results are identical, just slower",
-            EngineFallbackWarning,
-            stacklevel=3,
-        )
-
-
-def engine_fallback_count() -> int:
-    """Process-wide count of scalar-engine fallback events (monotone)."""
-    with _FALLBACK_LOCK:
-        return _FALLBACK_COUNT
-
-
-# ---------------------------------------------------------------------------
-# Whole-array invariant checking (the PR-3 laws, vectorized)
+# Whole-array invariant checking
 # ---------------------------------------------------------------------------
 _FLOAT_SLACK = 1e-9
 
@@ -1568,8 +1493,8 @@ def check_columnar_invariants(
 ) -> None:
     """Assert the model's conservation laws over whole columns at once.
 
-    The vectorized twin of the per-op
-    :class:`~repro.sim.backends.InvariantBackend` checks:
+    The laws :class:`~repro.sim.backends.InvariantBackend` also checks on
+    counter deltas, expressed over the stream's columns:
 
     * every multiplicity column is non-negative and every float operand is
       finite, so no op can ever *decrease* a monotone counter;
@@ -1578,8 +1503,8 @@ def check_columnar_invariants(
     * with ``capacity`` given, the SSPM footprint law: the running prefix
       maximum (``np.maximum.accumulate``) of per-pass element counts never
       exceeds the scratchpad capacity — the whole-stream expression of the
-      live occupancy bound (checked only when a capacity is known,
-      mirroring how the scalar checker needs an attached VIA device);
+      live occupancy bound (checked only when a capacity is known, as the
+      live occupancy check needs an attached VIA device);
     * with ``counters`` given, the finished totals obey the zero-to-final
       delta laws: finite non-negative counters, cache-hit conservation
       (every line access served by exactly one level), and total

@@ -13,6 +13,17 @@ from repro.errors import ConfigError
 from repro.sim import calibration as cal
 
 
+def _require_whole_cycles(name: str, value: float) -> None:
+    """Latencies are whole cycles: the pricing engine's miss-latency sums
+    are exact under any summation order only for integer latencies."""
+    try:
+        whole = float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"{name} must be a whole number of cycles, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """One cache level."""
@@ -25,6 +36,7 @@ class CacheConfig:
     def __post_init__(self):
         if self.size_kb <= 0 or self.ways <= 0 or self.latency <= 0:
             raise ConfigError(f"invalid cache config: {self}")
+        _require_whole_cycles("cache latency", self.latency)
         size_bytes = self.size_kb * 1024
         if size_bytes % (self.ways * self.line_bytes):
             raise ConfigError(
@@ -75,6 +87,7 @@ class MachineConfig:
             raise ConfigError("vector_lanes must be positive")
         if self.dram_bw_bytes_per_cycle <= 0:
             raise ConfigError("DRAM bandwidth must be positive")
+        _require_whole_cycles("dram_latency", self.dram_latency)
 
     @property
     def vl(self) -> int:

@@ -3,17 +3,13 @@
 Kernels do not run real machine code; they *narrate* their execution to a
 :class:`Core` as a stream of coarse operations (one call per VL-wide vector
 instruction or scalar bookkeeping group) while computing their functional
-results in numpy.  Narration is **born columnar**: when the core's backend
-can consume batches (all pricing backends can), each narration call appends
-one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder` and the
-buffered rows flush through the columnar pricing kernels
-(:func:`~repro.sim.columnar.price_flush`) — no per-op
-:class:`~repro.sim.ops.Op` object is ever allocated on the hot path.  The
-scalar path (one ``Op`` per call, priced through :meth:`Op.apply`) is
-retained as the reference engine: it serves batch-incapable backends
-(tracing), machines whose latencies break the columnar bit-identity
-contract, and ``set_narration_mode("scalar")``.  Both paths produce
-bit-identical counters; the differential suite pins this.
+results in numpy.  Narration is **born columnar**: each narration call
+appends one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder`,
+and the buffered rows flush to the core's backend, which prices them
+through the columnar kernels (:func:`~repro.sim.columnar.price_flush`) — no
+per-op :class:`~repro.sim.ops.Op` object is ever allocated on the hot path.
+The differential suites pin the priced counters bit for bit against a
+per-op scalar reference pricer kept under ``tests/``.
 
 :meth:`Core.finalize` combines the counters into cycles with an
 interval-style overlap model:
@@ -47,79 +43,26 @@ import numpy.typing as npt
 from repro.errors import SimulationError
 from repro.sim import calibration as cal
 from repro.sim.backends import Backend, DirectBackend
+from repro.sim.columnar import ColumnarBuilder
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
-from repro.sim.hierarchy import AccessResult, MemoryHierarchy
-from repro.sim.ops import (
-    AllocOp,
-    BranchesOp,
-    BulkStreamOp,
-    DependencyStallOp,
-    GatherOp,
-    GatherSerialOp,
-    LoadStreamOp,
-    LoadWindowsOp,
-    Op,
-    ScalarLoadOp,
-    ScalarOpsOp,
-    ScalarStoreOp,
-    ScatterOp,
-    ScatterSerialOp,
-    StoreStreamOp,
-    VectorOpOp,
-    ViaOpRecord,
-)
+from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.stats import CycleBreakdown, KernelResult, OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.columnar import ColumnarBuilder
     from repro.via.engine import ViaDevice
 
 _LINE = cal.CACHE_LINE_BYTES
 
 # ---------------------------------------------------------------------------
-# Narration mode (process-wide)
+# Narration flushes
 # ---------------------------------------------------------------------------
 #: rows buffered core-side before a batch flushes through the columnar
 #: pricing kernels; large enough that flush overhead amortizes, small
 #: enough that a sweep's peak buffered state stays a few hundred KB
 DEFAULT_FLUSH_OPS = 8192
 
-_VALID_NARRATION_MODES = ("batched", "scalar")
-_narration_mode = "batched"
 _FLUSH_LOCK = threading.Lock()
 _flush_count = 0
-
-
-def set_narration_mode(mode: str) -> str:
-    """Select how cores buffer narration; returns the previous mode.
-
-    ``batched`` (the default) buffers rows in a
-    :class:`~repro.sim.columnar.ColumnarBuilder` and prices them in
-    batches; ``scalar`` restores the per-op ``Op.apply`` reference path.
-    Affects cores constructed *after* the call (each core binds its mode
-    in ``__init__``/backend swaps).  Benchmarks and the differential
-    suite flip this to compare engines::
-
-        previous = set_narration_mode("scalar")
-        try:
-            ...
-        finally:
-            set_narration_mode(previous)
-    """
-    global _narration_mode
-    if mode not in _VALID_NARRATION_MODES:
-        raise SimulationError(
-            f"unknown narration mode {mode!r}; "
-            f"expected one of {_VALID_NARRATION_MODES}"
-        )
-    previous = _narration_mode
-    _narration_mode = mode
-    return previous
-
-
-def narration_mode() -> str:
-    """The process-wide narration mode (``batched`` or ``scalar``)."""
-    return _narration_mode
 
 
 def narration_flush_count() -> int:
@@ -131,16 +74,6 @@ def _note_flush() -> None:
     global _flush_count
     with _FLUSH_LOCK:
         _flush_count += 1
-
-
-def stream_uop_count(machine: MachineConfig, count: int, elem_bytes: int) -> int:
-    """Issue cost of one contiguous vector access (VL elements per uop).
-
-    Shared by :meth:`Core._stream_uops` and the columnar engine
-    (:mod:`repro.sim.columnar`) so both price stream issue identically.
-    """
-    per_uop = max(1, (machine.vl * 8) // max(elem_bytes, 1))
-    return max(1, -(-int(count) // per_uop))
 
 
 def build_result(
@@ -282,10 +215,8 @@ class Core:
         present, VIA instructions report their SSPM occupancy here through
         :meth:`record_via_op`.
     backend:
-        Op-stream backend (defaults to :class:`~repro.sim.backends.DirectBackend`).
-        Backends advertising :attr:`~repro.sim.backends.Backend.batch_capable`
-        receive narration as columnar flush batches; others get one
-        :class:`~repro.sim.ops.Op` per call (the reference path).
+        Op-stream backend (defaults to :class:`~repro.sim.backends.DirectBackend`);
+        it receives narration as columnar flush batches.
     flush_ops:
         Buffered-row threshold at which the builder flushes
         (default :data:`DEFAULT_FLUSH_OPS`; keyword-only).
@@ -307,12 +238,10 @@ class Core:
             backend if backend is not None else DirectBackend()
         )
         self._flush_ops = max(1, int(flush_ops))
-        self._builder: Optional["ColumnarBuilder"] = None
-        self._fallback_pending = False
+        self._builder = ColumnarBuilder()
         self.via = via
         if via is not None:
             via.attach(self)
-        self._refresh_mode()
 
     # ------------------------------------------------------------------
     # Batched-narration plumbing
@@ -323,10 +252,9 @@ class Core:
 
         Reading them drains the narration buffer first, so mid-kernel
         observers (invariant checks, tests, the VIA engine) always see
-        totals identical to the scalar path's.
+        totals priced through every narrated op.
         """
-        b = self._builder
-        if b is not None and b.rows:
+        if self._builder.rows:
             self._flush()
         return self._counters
 
@@ -340,35 +268,15 @@ class Core:
 
     @backend.setter
     def backend(self, value: Backend) -> None:
-        # drain buffered narration into the backend that observed it, then
-        # rebind the mode to the new backend's capabilities (TracedCore
-        # swaps in a batch-incapable TraceBackend this way)
+        # drain buffered narration into the backend that observed it
+        # (TracedCore swaps in a TraceBackend this way)
         self._flush()
         self._backend = value
-        self._refresh_mode()
-
-    def _refresh_mode(self) -> None:
-        self._builder = None
-        self._fallback_pending = False
-        if not (self._backend.batch_capable and narration_mode() == "batched"):
-            return
-        from repro.sim.columnar import (
-            ColumnarBuilder,
-            machine_latencies_integral,
-        )
-
-        if not machine_latencies_integral(self.machine):
-            # columnar bit-identity needs integer cycle arithmetic; warn
-            # lazily at the first narrated op so cores that never narrate
-            # (replay memo cores) stay quiet
-            self._fallback_pending = True
-            return
-        self._builder = ColumnarBuilder()
 
     def _flush(self) -> None:
         """Price and hand off all buffered narration rows."""
         b = self._builder
-        if b is None or not b.rows:
+        if not b.rows:
             return
         # detach before dispatch: pricing reads ``core.counters``, which
         # must not re-enter the flush
@@ -376,30 +284,12 @@ class Core:
         _note_flush()
         self._backend.flush(batch, self)
 
-    def _emit(self, op: Op) -> None:
-        """Route one narrated op through the backend (the IR seam).
-
-        Batched cores flush first so a directly-injected op observes (and
-        is validated against) the same counter state as in scalar order.
-        """
-        if self._builder is not None:
-            self._flush()
-        elif self._fallback_pending:
-            self._fallback_pending = False
-            from repro.sim.columnar import note_engine_fallback
-
-            note_engine_fallback(self.machine, context="narration")
-        self._backend.handle(op, self)
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def alloc(self, name: str, num_elems: int, elem_bytes: int = 8) -> Array:
         """Allocate a simulated array (line-aligned)."""
         b = self._builder
-        if b is None:
-            self._emit(AllocOp(name, int(num_elems), int(elem_bytes)))
-            return self.mem[name]
         # eager allocation keeps handles usable immediately; the builder
         # row preserves the op in the stream so replays re-derive the
         # identical address space
@@ -415,9 +305,6 @@ class Core:
     def scalar_ops(self, count: int) -> None:
         """Record ``count`` scalar bookkeeping uops (loop control, etc.)."""
         b = self._builder
-        if b is None:
-            self._emit(ScalarOpsOp(int(count)))
-            return
         b.scalar_ops(int(count))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -429,9 +316,6 @@ class Core:
         ``reduce``, ``permute``, ``conflict``, ``mask``.
         """
         b = self._builder
-        if b is None:
-            self._emit(VectorOpOp(kind, int(count)))
-            return
         b.vector_op(kind, int(count))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -444,9 +328,6 @@ class Core:
         a front-end refill.
         """
         b = self._builder
-        if b is None:
-            self._emit(BranchesOp(int(count), float(mispredict_rate)))
-            return
         b.branches(int(count), float(mispredict_rate))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -459,9 +340,6 @@ class Core:
         address (scalar histogram bins).
         """
         b = self._builder
-        if b is None:
-            self._emit(DependencyStallOp(float(cycles)))
-            return
         b.dependency_stall(float(cycles))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -472,9 +350,6 @@ class Core:
     def load_stream(self, array: Array, start: int, count: int) -> None:
         """Contiguous load of ``count`` elements starting at ``start``."""
         b = self._builder
-        if b is None:
-            self._emit(LoadStreamOp(array.name, int(start), int(count)))
-            return
         b.load_stream(array, int(start), int(count))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -482,9 +357,6 @@ class Core:
     def store_stream(self, array: Array, start: int, count: int) -> None:
         """Contiguous store of ``count`` elements starting at ``start``."""
         b = self._builder
-        if b is None:
-            self._emit(StoreStreamOp(array.name, int(start), int(count)))
-            return
         b.store_stream(array, int(start), int(count))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -513,9 +385,6 @@ class Core:
         if n_instr is None:
             n_instr = (idx.size + vl - 1) // vl
         b = self._builder
-        if b is None:
-            self._emit(GatherOp(array.name, idx, int(n_instr)))
-            return
         b.gather(array, idx, int(n_instr))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -536,9 +405,6 @@ class Core:
         if n_instr is None:
             n_instr = (idx.size + vl - 1) // vl
         b = self._builder
-        if b is None:
-            self._emit(ScatterOp(array.name, idx, int(n_instr)))
-            return
         b.scatter(array, idx, int(n_instr))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -556,9 +422,6 @@ class Core:
         if n_instr <= 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(GatherSerialOp(n_instr, int(elements_per_instr)))
-            return
         b.gather_serial(n_instr, int(elements_per_instr))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -569,9 +432,6 @@ class Core:
         if n_instr <= 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(ScatterSerialOp(n_instr, int(elements_per_instr)))
-            return
         b.scatter_serial(n_instr, int(elements_per_instr))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -591,9 +451,6 @@ class Core:
         if start_idx.size == 0 or width <= 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(LoadWindowsOp(array.name, start_idx, int(width)))
-            return
         b.load_windows(array, start_idx, int(width))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -606,9 +463,6 @@ class Core:
         if idx.size == 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(ScalarLoadOp(array.name, idx, bool(dependent)))
-            return
         b.scalar_load(array, idx, bool(dependent))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -621,9 +475,6 @@ class Core:
         if idx.size == 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(ScalarStoreOp(array.name, idx, bool(dependent)))
-            return
         b.scalar_store(array, idx, bool(dependent))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -642,9 +493,6 @@ class Core:
         if passes <= 0:
             return
         b = self._builder
-        if b is None:
-            self._emit(BulkStreamOp(array.name, int(passes), bool(write)))
-            return
         b.bulk_stream(array, int(passes), bool(write))
         if b.rows >= self._flush_ops:
             self._flush()
@@ -676,17 +524,6 @@ class Core:
         timing, only the element counts do).
         """
         b = self._builder
-        if b is None:
-            self._emit(
-                ViaOpRecord(
-                    sspm_elements=int(sspm_elements),
-                    cam_searches=int(cam_searches),
-                    count=int(count),
-                    port_passes=None if port_passes is None else int(port_passes),
-                    port_cycles=None if port_cycles is None else float(port_cycles),
-                )
-            )
-            return
         b.record_via_op(
             sspm_elements=int(sspm_elements),
             cam_searches=int(cam_searches),
@@ -715,36 +552,3 @@ class Core:
             via_leakage_mw=self.via.leakage_mw if self.via is not None else 0.0,
             output=output,
         )
-
-    # ------------------------------------------------------------------
-    # Internals (shared by Op.apply implementations)
-    # ------------------------------------------------------------------
-    def _price_stream(
-        self, array: Array, start: int, count: int, *, write: bool
-    ) -> None:
-        """Detailed-model cost of one contiguous stream access."""
-        base, nbytes = array.addr_range(start, count)
-        res = self.memory.access_stream(base, nbytes, write=write)
-        self._record_mem(res, dependent=False)
-        self._stream_uops(count, array.elem_bytes)
-
-    def _stream_uops(self, count: int, elem_bytes: int) -> None:
-        """Issue cost of a contiguous vector access (VL elements per uop)."""
-        self._counters.vector_uops += stream_uop_count(
-            self.machine, count, elem_bytes
-        )
-
-    def _record_mem(self, res: AccessResult, *, dependent: bool) -> None:
-        c = self._counters
-        c.mem_line_accesses += res.line_accesses
-        c.l1_hits += res.l1_hits
-        c.l2_hits += res.l2_hits
-        c.l3_hits += res.l3_hits
-        c.dram_fills += res.dram_fills
-        # latency beyond the (pipelined) L1 hit cost is what stalls expose
-        miss_latency = res.latency_sum - res.line_accesses * self.machine.l1.latency
-        miss_latency = max(miss_latency, 0.0)
-        if dependent:
-            c.dependent_miss_latency += miss_latency
-        else:
-            c.stream_miss_latency += miss_latency

@@ -1,19 +1,23 @@
 """The typed operation-stream IR — the narration channel of the simulator.
 
 Kernels narrate their execution as coarse events (streaming loads, gathers,
-vector ALU groups, VIA instructions...).  Historically each narration call
-mutated :class:`~repro.sim.core.Core` counters directly; this module turns
-every event into an immutable :class:`Op` record so the *same* stream can be
+vector ALU groups, VIA instructions...).  This module defines the event
+vocabulary — one immutable :class:`Op` record type per kind — and the
+:class:`Recording` that lets the *same* stream be
 
-* priced immediately (the direct backend — today's behavior),
+* priced immediately (the direct backend),
 * captured to a compact on-disk artifact (the recorder backend), and
 * re-priced later under a different machine/VIA configuration without
   re-executing any functional numpy (replay).
 
 This is the trace-driven separation standard in vector-architecture
-simulators: the op stream is the functional/timing seam, and every backend
-prices ops through the single :meth:`Op.apply` path, which is what makes
-replayed timing bit-identical to direct execution by construction.
+simulators: the op stream is the functional/timing seam.  Streams live as
+struct-of-arrays columns (:class:`repro.sim.columnar.ColumnarOps`) and are
+priced by the columnar engine on the record and replay paths alike, which
+is what makes replayed timing bit-identical to direct execution by
+construction.  The op records are the stream's row view: execution traces
+log them, and ``ColumnarOps.to_ops`` / ``from_ops`` convert between the
+two shapes.
 
 Stream shape
 ------------
@@ -35,10 +39,9 @@ arrays — the op stream stored *columnar* (schema v2: one array per
 :data:`repro.sim.columnar.COLUMNS` field plus the shared int64 index pool,
 exactly the struct-of-arrays the vectorized engine prices), and the
 functional outputs.  Loading never materializes per-op Python objects:
-:class:`Recording` holds the columns and converts to an op list lazily only
-when the scalar engine asks.  Any truncation, tampering, or schema mismatch
-raises :class:`RecordingError` — callers treat that as a cache miss and
-re-record.
+:class:`Recording` holds the columns.  Any truncation, tampering, or schema
+mismatch raises :class:`RecordingError` — callers treat that as a cache miss
+and re-record.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import threading
 import zipfile
 from dataclasses import dataclass
 from typing import (
@@ -55,12 +57,10 @@ from typing import (
     Any,
     ClassVar,
     Dict,
-    List,
     Mapping,
     Optional,
     Tuple,
     Type,
-    cast,
 )
 
 import numpy as np
@@ -72,13 +72,11 @@ from repro.errors import (
     ReplayMismatchError,
     SimulationError,
 )
-from repro.sim import calibration as cal
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.stats import OpCounters
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports ops)
-    from repro.sim.columnar import ColumnarOps
-    from repro.sim.core import Core
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar imports ops)
+    from repro.sim.columnar import ColumnarOps, ColumnarPriced
     from repro.sim.stats import KernelResult
     from repro.via.config import ViaConfig
 
@@ -87,8 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports ops)
 #: v2: op streams persist as struct-of-arrays columns (repro.sim.columnar)
 #: instead of per-op JSON payloads
 OPS_SCHEMA_VERSION = 2
-
-_LINE = cal.CACHE_LINE_BYTES
 
 #: vector-op kinds the cycle model understands (see OpCounters)
 VECTOR_OP_KINDS = ("alu", "mask", "fma", "reduce", "permute", "conflict")
@@ -107,7 +103,6 @@ __all__ = [
     "machine_shape_key",
     "save_recordings",
     "stream_shape_key",
-    "via_totals",
 ]
 
 
@@ -195,8 +190,8 @@ def stream_shape_key(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Op:
-    """One narrated event.  Subclasses carry the event's parameters and
-    implement :meth:`apply`, the single pricing path every backend uses."""
+    """One narrated event.  Subclasses carry the event's parameters; the
+    constructors validate them (a negative multiplicity is rejected)."""
 
     #: registry key and trace-event kind (matches the Core method name)
     kind: ClassVar[str] = ""
@@ -204,9 +199,6 @@ class Op:
     _scalars: ClassVar[Tuple[str, ...]] = ()
     #: int64-ndarray payload fields, serialized through the index pool
     _arrays: ClassVar[Tuple[str, ...]] = ()
-
-    def apply(self, core: "Core") -> None:
-        raise NotImplementedError
 
     @property
     def trace_count(self) -> int:
@@ -246,9 +238,6 @@ class AllocOp(Op):
                 f"{self.kind}: elem_bytes must be > 0, got {self.elem_bytes!r}"
             )
 
-    def apply(self, core: "Core") -> None:
-        core.mem.alloc(self.name, self.num_elems, self.elem_bytes)
-
     @property
     def trace_count(self) -> int:
         return max(self.num_elems, 1)
@@ -265,9 +254,6 @@ class ScalarOpsOp(Op):
 
     def __post_init__(self) -> None:
         _require_non_negative(self.kind, count=self.count)
-
-    def apply(self, core: "Core") -> None:
-        core.counters.scalar_uops += self.count
 
     @property
     def trace_count(self) -> int:
@@ -288,18 +274,6 @@ class VectorOpOp(Op):
         if self.op_kind not in VECTOR_OP_KINDS:
             raise SimulationError(f"unknown vector op kind {self.op_kind!r}")
         _require_non_negative(self.kind, count=self.count)
-
-    def apply(self, core: "Core") -> None:
-        c = core.counters
-        c.vector_uops += self.count
-        if self.op_kind == "fma":
-            c.vector_fma += self.count
-        elif self.op_kind == "reduce":
-            c.vector_reduce += self.count
-        elif self.op_kind == "permute":
-            c.vector_permute += self.count
-        elif self.op_kind == "conflict":
-            c.vector_conflict += self.count
 
     @property
     def trace_count(self) -> int:
@@ -323,12 +297,6 @@ class BranchesOp(Op):
             )
         _require_non_negative(self.kind, count=self.count)
 
-    def apply(self, core: "Core") -> None:
-        c = core.counters
-        c.scalar_uops += self.count
-        c.branches += self.count
-        c.branch_mispredicts += self.count * self.mispredict_rate
-
     @property
     def trace_count(self) -> int:
         return max(self.count, 1)
@@ -349,9 +317,6 @@ class DependencyStallOp(Op):
                 f"stall cycles must be >= 0, got {self.cycles}"
             )
 
-    def apply(self, core: "Core") -> None:
-        core.counters.dependency_stall_cycles += self.cycles
-
 
 @dataclass(frozen=True)
 class _StreamOp(Op):
@@ -362,15 +327,9 @@ class _StreamOp(Op):
     count: int
 
     _scalars: ClassVar[Tuple[str, ...]] = ("array", "start", "count")
-    _write: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _require_non_negative(self.kind, start=self.start, count=self.count)
-
-    def apply(self, core: "Core") -> None:
-        core._price_stream(
-            core.mem[self.array], self.start, self.count, write=self._write
-        )
 
     @property
     def trace_count(self) -> int:
@@ -382,7 +341,6 @@ class LoadStreamOp(_StreamOp):
     """Contiguous load of ``count`` elements starting at ``start``."""
 
     kind: ClassVar[str] = "load_stream"
-    _write: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -390,7 +348,6 @@ class StoreStreamOp(_StreamOp):
     """Contiguous store of ``count`` elements starting at ``start``."""
 
     kind: ClassVar[str] = "store_stream"
-    _write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -403,23 +360,9 @@ class _IndexedVectorOp(Op):
 
     _scalars: ClassVar[Tuple[str, ...]] = ("array", "n_instr")
     _arrays: ClassVar[Tuple[str, ...]] = ("indices",)
-    _write: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _require_non_negative(self.kind, n_instr=self.n_instr)
-
-    def apply(self, core: "Core") -> None:
-        c = core.counters
-        if self._write:
-            c.scatters += self.n_instr
-            c.scatter_elements += int(self.indices.size)
-        else:
-            c.gathers += self.n_instr
-            c.gather_elements += int(self.indices.size)
-        c.vector_uops += self.n_instr
-        arr = core.mem[self.array]
-        res = core.memory.access_addresses(arr.addr(self.indices), write=self._write)
-        core._record_mem(res, dependent=True)
 
     @property
     def trace_count(self) -> int:
@@ -431,7 +374,6 @@ class GatherOp(_IndexedVectorOp):
     """Vector gather ``array[indices]`` (paper Challenge 1)."""
 
     kind: ClassVar[str] = "gather"
-    _write: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -439,7 +381,6 @@ class ScatterOp(_IndexedVectorOp):
     """Vector scatter to ``array[indices]``."""
 
     kind: ClassVar[str] = "scatter"
-    _write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -450,7 +391,6 @@ class _SerialIndexedOp(Op):
     elements_per_instr: int
 
     _scalars: ClassVar[Tuple[str, ...]] = ("n_instr", "elements_per_instr")
-    _write: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _require_non_negative(
@@ -458,16 +398,6 @@ class _SerialIndexedOp(Op):
             n_instr=self.n_instr,
             elements_per_instr=self.elements_per_instr,
         )
-
-    def apply(self, core: "Core") -> None:
-        c = core.counters
-        if self._write:
-            c.scatters += self.n_instr
-            c.scatter_elements += self.n_instr * self.elements_per_instr
-        else:
-            c.gathers += self.n_instr
-            c.gather_elements += self.n_instr * self.elements_per_instr
-        c.vector_uops += self.n_instr
 
     @property
     def trace_count(self) -> int:
@@ -477,13 +407,11 @@ class _SerialIndexedOp(Op):
 @dataclass(frozen=True)
 class GatherSerialOp(_SerialIndexedOp):
     kind: ClassVar[str] = "gather_serial"
-    _write: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
 class ScatterSerialOp(_SerialIndexedOp):
     kind: ClassVar[str] = "scatter_serial"
-    _write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -501,15 +429,6 @@ class LoadWindowsOp(Op):
     def __post_init__(self) -> None:
         _require_non_negative(self.kind, width=self.width)
 
-    def apply(self, core: "Core") -> None:
-        arr = core.mem[self.array]
-        core.counters.vector_uops += int(self.starts.size)
-        offsets = np.arange(self.width, dtype=np.int64)
-        addrs = (self.starts[:, None] + offsets[None, :]).ravel() * arr.elem_bytes
-        addrs += arr.base
-        res = core.memory.access_addresses(addrs, write=False)
-        core._record_mem(res, dependent=True)
-
     @property
     def trace_count(self) -> int:
         return max(int(self.starts.size), 1)
@@ -525,13 +444,6 @@ class _ScalarIndexedOp(Op):
 
     _scalars: ClassVar[Tuple[str, ...]] = ("array", "dependent")
     _arrays: ClassVar[Tuple[str, ...]] = ("indices",)
-    _write: ClassVar[bool] = False
-
-    def apply(self, core: "Core") -> None:
-        core.counters.scalar_uops += int(self.indices.size)
-        arr = core.mem[self.array]
-        res = core.memory.access_addresses(arr.addr(self.indices), write=self._write)
-        core._record_mem(res, dependent=self.dependent)
 
     @property
     def trace_count(self) -> int:
@@ -541,13 +453,11 @@ class _ScalarIndexedOp(Op):
 @dataclass(frozen=True)
 class ScalarLoadOp(_ScalarIndexedOp):
     kind: ClassVar[str] = "scalar_load"
-    _write: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
 class ScalarStoreOp(_ScalarIndexedOp):
     kind: ClassVar[str] = "scalar_store"
-    _write: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -570,40 +480,6 @@ class BulkStreamOp(Op):
 
     def __post_init__(self) -> None:
         _require_non_negative(self.kind, passes=self.passes)
-
-    def apply(self, core: "Core") -> None:
-        arr = core.mem[self.array]
-        core._price_stream(arr, 0, arr.num_elems, write=self.write)
-        extra = self.passes - 1
-        if extra <= 0:
-            return
-        m = core.machine
-        lines = -(-arr.nbytes // _LINE)
-        c = core.counters
-        # residency level: smallest cache whose capacity holds the array
-        if arr.nbytes <= m.l1.size_kb * 1024:
-            level_latency, level = 0.0, "l1"
-        elif arr.nbytes <= m.l2.size_kb * 1024:
-            level_latency, level = float(m.l2.latency), "l2"
-        elif arr.nbytes <= m.l3.size_kb * 1024:
-            level_latency, level = float(m.l2.latency + m.l3.latency), "l3"
-        else:
-            level_latency, level = (
-                float(m.l2.latency + m.l3.latency + m.dram_latency),
-                "dram",
-            )
-        c.mem_line_accesses += extra * lines
-        if level == "l1":
-            c.l1_hits += extra * lines
-        elif level == "l2":
-            c.l2_hits += extra * lines
-        elif level == "l3":
-            c.l3_hits += extra * lines
-        else:
-            c.dram_fills += extra * lines
-            core.memory.dram.read_lines(extra * lines)
-        c.stream_miss_latency += extra * lines * level_latency
-        core._stream_uops(arr.num_elems * extra, arr.elem_bytes)
 
     @property
     def trace_count(self) -> int:
@@ -652,30 +528,6 @@ class ViaOpRecord(Op):
             port_cycles=self.port_cycles,
         )
 
-    def apply(self, core: "Core") -> None:
-        port_cycles = self.port_cycles
-        if port_cycles is None:
-            if core.via is None:
-                raise SimulationError(
-                    "cannot price a VIA op on a core without a VIA device"
-                )
-            from repro.via.fivu import FivuTiming
-
-            port_cycles = FivuTiming(
-                sspm_elements=self.sspm_elements,
-                cam_searches=self.cam_searches,
-                # __post_init__ guarantees port_passes when port_cycles is None
-                port_passes=cast(int, self.port_passes),
-            ).port_cycles(core.via.config)
-        c = core.counters
-        c.via_instructions += self.count
-        c.vector_uops += self.count
-        c.sspm_accesses += self.sspm_elements * self.count
-        c.cam_searches += self.cam_searches * self.count
-        c.sspm_busy_cycles += (
-            float(port_cycles) + cal.COMMIT_ISSUE_OVERHEAD
-        ) * self.count
-
     @property
     def trace_count(self) -> int:
         return max(self.count, 1)
@@ -705,44 +557,6 @@ OP_CLASSES: Dict[str, Type[Op]] = {
 }
 
 
-def via_totals(ops: List[Op], via_config: Optional["ViaConfig"]) -> OpCounters:
-    """Counter contributions of a stream's VIA ops under a port configuration.
-
-    Accumulates exactly what each :class:`ViaOpRecord` would add to a live
-    core's counters, in stream order, starting from zero — so the sums are
-    bit-identical to direct execution's (``sspm_busy_cycles`` receives
-    contributions from VIA ops only, and integer counters commute exactly).
-    This is the whole port-dependent side of pricing: replaying a recording
-    under a sibling port variant only needs this pass.
-    """
-    totals = OpCounters()
-    for op in ops:
-        if not isinstance(op, ViaOpRecord):
-            continue
-        port_cycles = op.port_cycles
-        if port_cycles is None:
-            if via_config is None:
-                raise SimulationError(
-                    "cannot price a VIA op without a VIA configuration"
-                )
-            from repro.via.fivu import FivuTiming
-
-            port_cycles = FivuTiming(
-                sspm_elements=op.sspm_elements,
-                cam_searches=op.cam_searches,
-                # __post_init__ guarantees port_passes when port_cycles is None
-                port_passes=cast(int, op.port_passes),
-            ).port_cycles(via_config)
-        totals.via_instructions += op.count
-        totals.vector_uops += op.count
-        totals.sspm_accesses += op.sspm_elements * op.count
-        totals.cam_searches += op.cam_searches * op.count
-        totals.sspm_busy_cycles += (
-            float(port_cycles) + cal.COMMIT_ISSUE_OVERHEAD
-        ) * op.count
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # Recordings
 # ---------------------------------------------------------------------------
@@ -753,8 +567,9 @@ class PricedState:
     Everything :func:`repro.sim.core.build_result` needs, frozen at record
     time.  SSPM port counts touch exactly one of these numbers
     (``counters.sspm_busy_cycles``, recomputed per target by
-    :func:`via_totals`), so a same-machine replay is pure arithmetic over
-    this state — no cache re-simulation at all.
+    :func:`repro.sim.columnar.columnar_via_totals`), so a same-machine
+    replay is pure arithmetic over this state — no cache re-simulation at
+    all.
     """
 
     counters: OpCounters
@@ -791,14 +606,8 @@ class Recording:
     the stream under any shape-compatible pair.  ``priced`` is the record
     run's pricing state (same-machine replays reuse it instead of
     re-simulating memory); ``_machine_memo`` caches the one memory pass a
-    cross-machine replay needs, keyed by target machine (and engine).
-
-    The stream itself lives in whichever representation produced the
-    recording — an op list (recorder backend) or struct-of-arrays columns
-    (loaded v2 artifacts) — and converts to the other lazily, under a lock,
-    only when an engine asks: the columnar engine never materializes per-op
-    objects for a loaded artifact, and the scalar engine never pays for
-    columns it does not use.
+    cross-machine replay needs, keyed by target machine.  The stream itself
+    is held as struct-of-arrays columns, the shape the pricing engine reads.
     """
 
     def __init__(
@@ -806,72 +615,40 @@ class Recording:
         name: str,
         machine: MachineConfig,
         via_config: Optional["ViaConfig"],
-        ops: Optional[List[Op]] = None,
+        columnar: "ColumnarOps",
         output: Any = None,
         priced: Optional[PricedState] = None,
-        columnar: Optional["ColumnarOps"] = None,
     ) -> None:
-        if ops is None and columnar is None:
-            ops = []
         self.name = name
         self.machine = machine
         self.via_config = via_config
         self.output = output
         self.priced = priced
-        self._ops = ops
         self._columnar = columnar
-        #: per-(engine, machine) memoized memory passes; shared across serve
-        #: executor threads, guarded by backends._MEMO_LOCK
-        self._machine_memo: Dict[Any, Any] = {}
-        self._lock = threading.Lock()
+        #: per-machine memoized memory passes; shared across serve executor
+        #: threads, guarded by backends._MEMO_LOCK
+        self._machine_memo: Dict[MachineConfig, "ColumnarPriced"] = {}
 
     @property
     def shape_key(self) -> Dict[str, Any]:
         return stream_shape_key(self.machine, self.via_config)
 
-    @property
-    def ops(self) -> List[Op]:
-        """The op stream as records, materialized from columns on demand."""
-        ops = self._ops
-        if ops is None:
-            with self._lock:
-                if self._ops is None:
-                    self._ops = cast("ColumnarOps", self._columnar).to_ops()
-                ops = self._ops
-        return ops
-
     def columnar(self) -> "ColumnarOps":
-        """The op stream as struct-of-arrays columns, converted on demand."""
-        cols = self._columnar
-        if cols is None:
-            # deferred: columnar imports this module at load time
-            from repro.sim.columnar import ColumnarOps
-
-            with self._lock:
-                if self._columnar is None:
-                    self._columnar = ColumnarOps.from_ops(
-                        cast(List[Op], self._ops)
-                    )
-                cols = self._columnar
-        return cols
+        """The op stream as struct-of-arrays columns."""
+        return self._columnar
 
     def replay(
         self,
         machine: Optional[MachineConfig] = None,
         via_config: Optional["ViaConfig"] = None,
         *,
-        engine: Optional[str] = None,
         validate: bool = False,
     ) -> "KernelResult":
         """Re-price this stream; see :func:`repro.sim.backends.replay_recording`."""
         from repro.sim.backends import replay_recording
 
         return replay_recording(
-            self,
-            machine=machine,
-            via_config=via_config,
-            engine=engine,
-            validate=validate,
+            self, machine=machine, via_config=via_config, validate=validate
         )
 
 
@@ -996,8 +773,7 @@ def save_recordings(
     Schema v2 stores each entry's op stream as its struct-of-arrays columns
     (``ops{i}_<column>`` plus ``ops{i}_pool``; see
     :class:`repro.sim.columnar.ColumnarOps`) — the exact representation the
-    vectorized engine prices, so loading is zero-copy into the columnar
-    path and only the scalar engine ever pays per-op materialization.
+    pricing engine reads, so loading is zero-copy into the pricing path.
     """
     from repro.sim.columnar import COLUMNS
 

@@ -118,15 +118,11 @@ class SweepCounters:
     timeout, and ``worker_deaths`` worker processes that died (or were
     killed by the watchdog) and were replenished.
 
-    The engine-observability counters record which pricing path ran:
-    ``engine_fallback`` counts loud scalar fallbacks (non-integral
-    latency configs, see
-    :class:`~repro.sim.columnar.EngineFallbackWarning`) and
     ``narration_flushes`` counts builder flushes through the columnar
-    record path.  Both are process-wide deltas attributed to the sweep
-    that observed them; with parallel workers the narration happens in
-    worker processes and the in-process deltas under-count (workers do
-    not report them back).
+    record path.  It is a process-wide delta attributed to the sweep that
+    observed it; with parallel workers the narration happens in worker
+    processes and the in-process delta under-counts (workers do not report
+    it back).
     """
 
     units_total: int = 0
@@ -142,7 +138,6 @@ class SweepCounters:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_corrupt: int = 0
-    engine_fallback: int = 0
     narration_flushes: int = 0
     wall_seconds: float = 0.0
     workers: int = 1
@@ -169,11 +164,6 @@ class SweepCounters:
             + (f"[{self.units_retried} retried] " if self.units_retried else "")
             + (f"[{self.units_timeout} timed out] " if self.units_timeout else "")
             + (f"[{self.worker_deaths} worker death(s)] " if self.worker_deaths else "")
-            + (
-                f"[{self.engine_fallback} engine fallback(s)] "
-                if self.engine_fallback
-                else ""
-            )
             + f"(cache {self.cache_hits} hit / {self.cache_misses} miss"
             + (f" / {self.cache_corrupt} corrupt" if self.cache_corrupt else "")
             + f") in {self.wall_seconds:.2f}s with {self.workers} worker(s)"

@@ -11,9 +11,10 @@ and powers the instruction-mix reports in tests and examples::
 
 Tracing rides the op-stream IR seam: the proxy installs a
 :class:`~repro.sim.backends.TraceBackend` around the core's existing
-backend, so every :class:`~repro.sim.ops.Op` the core emits is logged
-before being priced (or recorded) exactly as it would have been untraced.
-Tracing is opt-in (kernels accept a plain ``Core``) so sweeps pay nothing.
+backend, so every narrated op is logged, row by row as an
+:class:`~repro.sim.ops.Op`, before being priced (or recorded) exactly as
+it would have been untraced.  Tracing is opt-in (kernels accept a plain
+``Core``) so sweeps pay nothing.
 """
 
 from __future__ import annotations
@@ -70,14 +71,25 @@ class TracedCore:
     Installs a :class:`~repro.sim.backends.TraceBackend` wrapping the
     core's current backend and forwards every attribute to the wrapped
     core.  Because kernels only ever call public ``Core`` methods — all of
-    which emit through the backend seam — the proxy is a drop-in
+    which narrate through the backend seam — the proxy is a drop-in
     replacement, and VIA-device calls into the core are traced too.
     """
 
     def __init__(self, core: Any):
         self._core = core
-        self.trace = Trace()
-        core.backend = TraceBackend(self.trace, inner=core.backend)
+        self._trace = Trace()
+        core.backend = TraceBackend(self._trace, inner=core.backend)
+
+    @property
+    def trace(self) -> Trace:
+        """The events narrated so far.
+
+        Narration reaches the backend in flushes; reading the trace drains
+        the core's buffer first, so a read in the middle of a kernel sees
+        every op narrated up to that point.
+        """
+        self._core._flush()
+        return self._trace
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._core, name)

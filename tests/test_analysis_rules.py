@@ -890,8 +890,8 @@ class TestHotpathRules:
         assert rules_of(hotpath(project)) == ["VIA401"]
 
     def test_op_outside_loop_is_clean(self, tmp_path):
-        # Core's scalar-fallback branches build one op per *call*, not
-        # per loop iteration — that is the supported slow path
+        # one op per *call*, not per loop iteration: VIA401 only guards
+        # loops (this scope is loop-only, so VIA402 does not apply)
         project = make_project(
             tmp_path,
             {
@@ -899,9 +899,8 @@ class TestHotpathRules:
                     from repro.sim.ops import ScalarOpsOp
 
 
-                    def scalar_ops(self, count):
-                        if self._builder is None:
-                            self._emit(ScalarOpsOp(int(count)))
+                    def scalar_row(count):
+                        return ScalarOpsOp(int(count))
                 """
             },
         )
@@ -972,6 +971,27 @@ class TestHotpathRules:
             },
         )
         assert hotpath(project) == []
+
+    def test_via402_covers_sim_core_by_default(self, tmp_path):
+        # Core buffers every narration call as a builder row, so with the
+        # default scopes an op built anywhere in repro/sim/core.py — loop
+        # or not — is a finding
+        project = make_project(
+            tmp_path,
+            {
+                "repro/sim/core.py": """
+                    from repro.sim.ops import ScalarOpsOp
+
+
+                    class Core:
+                        def scalar_ops(self, count):
+                            self.backend.flush(ScalarOpsOp(int(count)), self)
+                """
+            },
+        )
+        report = run_analysis(project, select=["hotpath"])
+        assert rules_of(report.findings) == ["VIA402"]
+        assert "ScalarOpsOp" in report.findings[0].message
 
     def test_ignore_comment_silences_via401(self, tmp_path):
         # default scopes: repro/kernels/ is a real hot-path prefix, so

@@ -1,28 +1,29 @@
 """Differential suite for batched (born-columnar) narration.
 
-The batched narration pipeline replaces per-op ``Op`` construction in
-``Core._emit`` with a :class:`~repro.sim.columnar.ColumnarBuilder` that
-buffers narration and prices whole flushes through the columnar kernels.
-The contract is the same as every other engine seam in this repo:
-**bit-identical results** to the scalar ``Op.apply`` walk — not close,
-identical.
+Every :class:`~repro.sim.core.Core` buffers narration in a
+:class:`~repro.sim.columnar.ColumnarBuilder` and prices whole flushes
+through the columnar kernels.  The contract is the same as every other
+engine seam in this repo: **bit-identical results** to the per-op scalar
+walk (:mod:`tests.scalar_oracle`, installed with ``scalar_pricing``) — not
+close, identical.
 
 Three layers of evidence:
 
 * the record-unit differential: recording every kernel family and SpMV
-  format under every Fig. 9 VIA config and two machines, once per
-  narration mode, must produce byte-equal sweep records (validation on,
-  so flush-granularity invariant checks ride along);
+  format under every Fig. 9 VIA config and two machines, once with
+  columnar pricing and once with the oracle pricing every flush op by op,
+  must produce byte-equal sweep records (validation on, so
+  flush-granularity invariant checks ride along);
 * direct-core narration across flush boundaries: flush sizes 1 (flush
   after every op), the builder's initial capacity (flush exactly as the
   buffer fills — never grows), and capacity+1 (one geometric growth,
   then flush), plus finalize-time partial flushes;
 * a hypothesis fuzz over random op sequences and flush sizes, comparing
-  finalized results between modes.
+  finalized results between the two pricers.
 
-Also pins the mode surface itself: ``set_narration_mode`` validates and
-round-trips, flushes are counted, and the recorder keeps artifacts
-replayable across modes.
+Also pins the narration surface itself: cores always buffer, flushes are
+counted, backend swaps drain pending rows, and the recorder keeps
+artifacts replayable by both pricers.
 """
 
 import numpy as np
@@ -30,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.eval.units import (
     compute_unit,
     record_units,
@@ -46,30 +46,17 @@ from repro.sim.backends import (
     replay_recording,
 )
 from repro.sim.config import DEFAULT_MACHINE
-from repro.sim.core import (
-    DEFAULT_FLUSH_OPS,
-    Core,
-    narration_flush_count,
-    narration_mode,
-    set_narration_mode,
-)
+from repro.sim.core import DEFAULT_FLUSH_OPS, Core, narration_flush_count
 from repro.via.config import VIA_4_2P, VIA_16_2P, VIA_16_4P
 from repro.via.engine import ViaDevice
 
+from tests import scalar_oracle
 from tests.test_ops_replay_differential import assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
 
 #: the builder's initial capacity; flush sizes at/over it exercise growth
 _BUILDER_CAPACITY = 1024
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    """Every test leaves the process-wide narration mode as it found it."""
-    prev = narration_mode()
-    yield
-    set_narration_mode(prev)
 
 
 # ----------------------------------------------------------------------
@@ -104,22 +91,17 @@ def _narrate_everything(core):
     return core.finalize("everything")
 
 
-def _run_stream(mode, *, flush_ops=DEFAULT_FLUSH_OPS, backend=None,
-                validate=False):
-    prev = set_narration_mode(mode)
-    try:
-        backend = backend if backend is not None else RecorderBackend()
-        if validate:
-            backend = InvariantBackend(backend)
-        core = Core(
-            DEFAULT_MACHINE,
-            via=ViaDevice(VIA_16_2P),
-            backend=backend,
-            flush_ops=flush_ops,
-        )
-        return _narrate_everything(core)
-    finally:
-        set_narration_mode(prev)
+def _run_stream(*, flush_ops=DEFAULT_FLUSH_OPS, backend=None, validate=False):
+    backend = backend if backend is not None else RecorderBackend()
+    if validate:
+        backend = InvariantBackend(backend)
+    core = Core(
+        DEFAULT_MACHINE,
+        via=ViaDevice(VIA_16_2P),
+        backend=backend,
+        flush_ops=flush_ops,
+    )
+    return _narrate_everything(core)
 
 
 class TestFlushBoundaries:
@@ -130,7 +112,8 @@ class TestFlushBoundaries:
     @pytest.fixture(autouse=True)
     def _scalar_reference(self):
         if TestFlushBoundaries.want is None:
-            TestFlushBoundaries.want = _run_stream("scalar")
+            with scalar_oracle.scalar_pricing():
+                TestFlushBoundaries.want = _run_stream(flush_ops=1)
 
     @pytest.mark.parametrize(
         "flush_ops",
@@ -138,30 +121,28 @@ class TestFlushBoundaries:
         ids=["every-op", "at-capacity", "one-growth", "default"],
     )
     def test_bit_identical_across_flush_sizes(self, flush_ops):
-        got = _run_stream("batched", flush_ops=flush_ops)
+        got = _run_stream(flush_ops=flush_ops)
         assert_result_identical(got, self.want)
 
     def test_flushes_are_counted(self):
         before = narration_flush_count()
-        _run_stream("batched", flush_ops=100)
+        _run_stream(flush_ops=100)
         assert narration_flush_count() > before
 
     def test_invariant_backend_validates_at_flush_granularity(self):
-        got = _run_stream("batched", flush_ops=64, validate=True)
+        got = _run_stream(flush_ops=64, validate=True)
         assert_result_identical(got, self.want)
 
     def test_direct_backend_matches_recorder(self):
-        got = _run_stream("batched", backend=DirectBackend())
+        got = _run_stream(backend=DirectBackend())
         assert_result_identical(got, self.want)
 
     def test_batched_recording_replays_identically(self):
         recorder = RecorderBackend()
-        got = _run_stream("batched", flush_ops=128, backend=recorder)
-        replayed = replay_recording(recorder.recording, engine="columnar")
+        got = _run_stream(flush_ops=128, backend=recorder)
+        replayed = replay_recording(recorder.recording)
         assert_result_identical(replayed, got)
-        assert_result_identical(
-            replay_recording(recorder.recording, engine="scalar"), got
-        )
+        assert_result_identical(scalar_oracle.replay(recorder.recording), got)
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +170,14 @@ def _unit_matrix(machine, via, collection):
     return units
 
 
-def _record_dicts(mode, machine, via, collection, record_dir):
-    prev = set_narration_mode(mode)
-    try:
-        units = record_units(
-            _unit_matrix(machine, via, collection), record_dir=record_dir
-        )
+def _record_dicts(pricer, machine, via, collection, record_dir):
+    units = record_units(
+        _unit_matrix(machine, via, collection), record_dir=record_dir
+    )
+    if pricer == "columnar":
         return [compute_unit(u).to_dict() for u in units]
-    finally:
-        set_narration_mode(prev)
+    with scalar_oracle.scalar_pricing():
+        return [compute_unit(u).to_dict() for u in units]
 
 
 class TestRecordUnitDifferential:
@@ -212,7 +192,7 @@ class TestRecordUnitDifferential:
             "scalar", DEFAULT_MACHINE, via, collection, str(tmp_path / "s")
         )
         batched = _record_dicts(
-            "batched", DEFAULT_MACHINE, via, collection, str(tmp_path / "b")
+            "columnar", DEFAULT_MACHINE, via, collection, str(tmp_path / "b")
         )
         assert scalar == batched
 
@@ -224,7 +204,7 @@ class TestRecordUnitDifferential:
             "scalar", machine, VIA_16_2P, collection, str(tmp_path / "s")
         )
         batched = _record_dicts(
-            "batched", machine, VIA_16_2P, collection, str(tmp_path / "b")
+            "columnar", machine, VIA_16_2P, collection, str(tmp_path / "b")
         )
         assert scalar == batched
 
@@ -285,47 +265,39 @@ def _apply(core, arr, op, seed):
     flush_ops=st.sampled_from([1, 2, 7, 1024, 1025]),
 )
 def test_fuzzed_streams_bit_identical(ops, flush_ops):
-    results = {}
-    for mode in ("scalar", "batched"):
-        prev = set_narration_mode(mode)
-        try:
-            core = Core(
-                DEFAULT_MACHINE,
-                via=ViaDevice(VIA_16_2P),
-                backend=RecorderBackend(),
-                flush_ops=flush_ops,
-            )
-            arr = core.alloc("buf", 1024, 8)
-            for i, op in enumerate(ops):
-                _apply(core, arr, op, i)
-            results[mode] = core.finalize("fuzz")
-        finally:
-            set_narration_mode(prev)
-    assert_result_identical(results["batched"], results["scalar"])
+    def run():
+        core = Core(
+            DEFAULT_MACHINE,
+            via=ViaDevice(VIA_16_2P),
+            backend=RecorderBackend(),
+            flush_ops=flush_ops,
+        )
+        arr = core.alloc("buf", 1024, 8)
+        for i, op in enumerate(ops):
+            _apply(core, arr, op, i)
+        return core.finalize("fuzz")
+
+    with scalar_oracle.scalar_pricing():
+        scalar = run()
+    assert_result_identical(run(), scalar)
 
 
 # ----------------------------------------------------------------------
-# the mode surface
+# the narration surface
 # ----------------------------------------------------------------------
 class TestModeSurface:
     def test_default_is_batched(self):
-        assert narration_mode() == "batched"
-
-    def test_set_returns_previous_and_round_trips(self):
-        assert set_narration_mode("scalar") == "batched"
-        assert narration_mode() == "scalar"
-        assert set_narration_mode("batched") == "scalar"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError, match="unknown narration mode"):
-            set_narration_mode("turbo")
+        """Narration always buffers: nothing is priced until a flush."""
+        core = Core(DEFAULT_MACHINE, flush_ops=10_000)
+        core.scalar_ops(5)
+        assert core._counters.scalar_uops == 0
+        assert core.counters.scalar_uops == 5  # reading drains the buffer
 
     def test_backend_swap_flushes_pending_rows(self):
-        set_narration_mode("batched")
         first = RecorderBackend()
         core = Core(DEFAULT_MACHINE, backend=first, flush_ops=10_000)
         core.alloc("a", 64, 8)
         core.scalar_ops(5)
         core.backend = RecorderBackend()
         # the pending rows landed in the *old* backend before the swap
-        assert sum(len(block) for block in first._events) == 2
+        assert sum(len(block) for block in first._chunks) == 2

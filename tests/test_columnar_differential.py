@@ -1,22 +1,21 @@
-"""Differential harness pinning the columnar engine to the scalar one.
+"""Differential harness pinning the columnar engine to the scalar oracle.
 
 The columnar pricing engine (:mod:`repro.sim.columnar`) promises
-*bit-identical* results to the scalar replay path — not approximately
-equal, identical down to the last float bit (DESIGN.md Section 9).  This
-suite enforces that contract over the same matrix as
+*bit-identical* results to the per-op scalar walk — not approximately
+equal, identical down to the last float bit (DESIGN.md Section 9).  The
+scalar walk lives on as a test oracle (:mod:`tests.scalar_oracle`).  This
+suite enforces the contract over the same matrix as
 ``test_ops_replay_differential.py``: every kernel family and SpMV format,
 the four Fig. 9 DSE configurations, cross-machine (memory-pass) replays,
 disk round-trips, the capacity-invariant SpMA/SpMM shared-baseline path,
 and the end-to-end Fig. 9 DSE.  Each case compares three ways — direct
-execution, scalar replay, and columnar replay — all under
-``validate=True`` so the whole-array invariant checks ride along and must
-never trip or perturb a bit.
+execution, oracle replay, and columnar replay — all under
+``validate=True`` so the invariant checks ride along and must never trip
+or perturb a bit.
 
-Also pins the engine-selection surface itself: the default engine stays
-scalar, unknown engines are rejected, fractional-latency machines fall
-back to the scalar path *loudly* (:class:`EngineFallbackWarning` plus the
-``engine_fallback`` counter), and the cross-machine memo keeps one entry
-per (engine, machine).
+Also pins the surface around the one engine: replay takes no engine
+choice, configs reject the fractional latencies the engine's exactness
+rests on, and the cross-machine memo keeps one entry per machine.
 """
 
 import dataclasses
@@ -25,7 +24,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.errors import ReplayMismatchError, SimulationError
+from repro.errors import ConfigError, ReplayMismatchError, ServeError
 from repro.eval import RunnerConfig, run_units
 from repro.eval.dse import run_dse
 from repro.eval.units import record_units, replay_units, spma_units, spmm_units
@@ -42,14 +41,9 @@ from repro.kernels.spmm import spmm_via
 from repro.kernels.spmv import SPMV_VARIANTS
 from repro.kernels.stencil import stencil_via
 from repro.matrices.collection import small_collection
-from repro.sim.backends import (
-    DEFAULT_REPLAY_ENGINE,
-    REPLAY_ENGINES,
-    RecorderBackend,
-    replay_recording,
-)
-from repro.sim.columnar import machine_latencies_integral
-from repro.sim.config import DEFAULT_MACHINE
+from repro.serve.jobs import JobSpec
+from repro.sim.backends import RecorderBackend, replay_recording
+from repro.sim.config import DEFAULT_MACHINE, CacheConfig, MachineConfig
 from repro.sim.ops import load_recordings, save_recordings
 from repro.via.config import (
     VIA_4_2P,
@@ -59,6 +53,7 @@ from repro.via.config import (
     dse_configs,
 )
 
+from tests import scalar_oracle
 from tests.test_ops_replay_differential import _bits, assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
@@ -82,17 +77,14 @@ def _record(run):
 
 
 def _replay_both(recording, **kwargs):
-    """Replay with both engines under validation; assert they agree.
+    """Replay with the engine and the oracle under validation; assert they
+    agree.
 
     Returns the columnar result for further comparison against direct
     execution — one call checks both halves of the contract.
     """
-    scalar = replay_recording(
-        recording, engine="scalar", validate=True, **kwargs
-    )
-    columnar = replay_recording(
-        recording, engine="columnar", validate=True, **kwargs
-    )
+    scalar = scalar_oracle.replay(recording, validate=True, **kwargs)
+    columnar = replay_recording(recording, validate=True, **kwargs)
     assert_result_identical(columnar, scalar)
     return columnar
 
@@ -172,7 +164,7 @@ class TestKernelFamilies:
 
 
 # ----------------------------------------------------------------------
-# the four Fig. 9 configurations, and the engine-selection surface
+# the four Fig. 9 configurations, and the surface around the one engine
 # ----------------------------------------------------------------------
 class TestDseConfigsAndEngines:
     def test_every_config_replays_from_its_shape_group(self, coo, x):
@@ -200,11 +192,24 @@ class TestDseConfigsAndEngines:
         )
         for cfg in (VIA_4_2P, VIA_4_4P):
             with pytest.raises(ReplayMismatchError):
-                replay_recording(recording, via_config=cfg, engine="columnar")
+                replay_recording(recording, via_config=cfg)
 
-    def test_default_engine_is_scalar(self):
-        assert DEFAULT_REPLAY_ENGINE == "scalar"
-        assert REPLAY_ENGINES == ("scalar", "columnar")
+    def test_replay_entry_points_take_no_engine(self, tmp_path):
+        """There is one pricing engine: no replay entry point, work unit or
+        job spec accepts an engine choice, and a client that still sends
+        one gets the strict validator's unknown-field ``bad_request``."""
+        coll = small_collection(1, seed=3, max_n=64)
+        units = spma_units(coll, via_config=VIA_16_2P)
+        with pytest.raises(TypeError):
+            replay_units(units, record_dir=str(tmp_path), engine="columnar")
+        with pytest.raises(TypeError):
+            run_dse(coll, record_dir=str(tmp_path), engine="columnar")
+        with pytest.raises(TypeError):
+            dataclasses.replace(units[0], engine="columnar")
+        with pytest.raises(ServeError, match="unknown job spec field"):
+            JobSpec.from_payload(
+                {"kind": "replay", "kernel": "spma", "engine": "columnar"}
+            )
 
     def test_unknown_engine_is_rejected(self, coo, x):
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
@@ -213,39 +218,24 @@ class TestDseConfigsAndEngines:
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             replay_recording(recording, via_config=VIA_16_4P, engine="simd")
+        with pytest.raises(TypeError):
+            recording.replay(via_config=VIA_16_4P, engine="columnar")
 
-    def test_fractional_latency_falls_back_to_scalar(self, coo, x):
-        """Fractional DRAM latency voids the integer-arithmetic guarantee;
-        the engine must take the scalar path *loudly* — once-per-config
-        :class:`EngineFallbackWarning` plus the monotone
-        ``engine_fallback_count`` — and stay bit-identical, not drift."""
-        from repro.sim import columnar as columnar_mod
-        from repro.sim.columnar import (
-            EngineFallbackWarning,
-            engine_fallback_count,
-        )
-
-        frac = dataclasses.replace(DEFAULT_MACHINE, dram_latency=100.5)
-        assert not machine_latencies_integral(frac)
-        assert machine_latencies_integral(DEFAULT_MACHINE)
-        csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
-        _, recording = _record(
-            lambda backend=None: SPMV_VARIANTS["csb"][1](
-                csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
-            )
-        )
-        # re-arm the once-per-config dedupe so this test is order-independent
-        with columnar_mod._FALLBACK_LOCK:
-            columnar_mod._FALLBACK_WARNED.clear()
-        before = engine_fallback_count()
-        with pytest.warns(EngineFallbackWarning, match="narration"):
-            want = SPMV_VARIANTS["csb"][1](csb, x, frac, VIA_16_4P)
-        with pytest.warns(EngineFallbackWarning, match="replay"):
-            got = _replay_both(recording, machine=frac, via_config=VIA_16_4P)
-        assert engine_fallback_count() > before
-        assert_result_identical(got, want)
+    def test_fractional_latency_is_rejected(self):
+        """The columnar engine is exact because every latency is a whole
+        number of cycles (integer-valued latency sums commute); the configs
+        enforce that, so no machine reaches the engine outside its
+        contract."""
+        with pytest.raises(ConfigError, match="whole number"):
+            MachineConfig(dram_latency=100.5)
+        with pytest.raises(ConfigError, match="whole number"):
+            dataclasses.replace(DEFAULT_MACHINE, dram_latency=100.5)
+        with pytest.raises(ConfigError, match="whole number"):
+            CacheConfig(32, 8, 4.5)
+        # whole-valued floats are still whole cycles
+        MachineConfig(dram_latency=150.0)
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +275,14 @@ class TestRoundTripAndMachines:
         got = _replay_both(recording, machine=target, via_config=VIA_16_4P)
         assert_result_identical(got, want)
 
-    def test_cross_machine_memo_is_per_engine(self, coo, x):
-        """One memo entry per (engine, machine): repeated columnar replays
-        reuse theirs, and the scalar memo entry stays separate."""
+    def test_cross_machine_memo_is_per_machine(self, coo, x):
+        """Repeated replays onto one target machine reuse its memo entry;
+        a second target machine adds exactly one more."""
         target = dataclasses.replace(
             DEFAULT_MACHINE,
             dram_latency=DEFAULT_MACHINE.dram_latency + 60,
         )
+        other = dataclasses.replace(target, mlp_stream=target.mlp_stream / 2)
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
         _, recording = _record(
             lambda backend=None: SPMV_VARIANTS["csb"][1](
@@ -299,14 +290,9 @@ class TestRoundTripAndMachines:
             )
         )
         for _ in range(3):
-            replay_recording(
-                recording, machine=target, via_config=VIA_16_4P,
-                engine="columnar",
-            )
+            replay_recording(recording, machine=target, via_config=VIA_16_4P)
         assert len(recording._machine_memo) == 1
-        replay_recording(
-            recording, machine=target, via_config=VIA_16_4P, engine="scalar"
-        )
+        replay_recording(recording, machine=other, via_config=VIA_16_4P)
         assert len(recording._machine_memo) == 2
 
 
@@ -319,9 +305,9 @@ class TestSharedBaseline:
         self, make_units, tmp_path
     ):
         """SpMA/SpMM baselines drop the SSPM capacity from their key: the
-        4KB group's baseline replays the 16KB group's artifact.  Routing
-        that replay through the columnar engine must reproduce the direct
-        run bit for bit."""
+        4KB group's baseline replays the 16KB group's artifact.  That
+        replay must reproduce the direct run bit for bit, through the
+        columnar engine and through the oracle alike."""
         coll = small_collection(2, seed=41, max_n=128)
         rdir = str(tmp_path / "rec")
         direct = run_units(
@@ -332,14 +318,14 @@ class TestSharedBaseline:
             make_units(coll, via_config=VIA_16_2P), record_dir=rdir
         )
         run_units(warm, RunnerConfig())
-        for engine in REPLAY_ENGINES:
-            replays = replay_units(
-                make_units(coll, via_config=VIA_4_2P),
-                record_dir=rdir,
-                engine=engine,
-            )
-            got = run_units(replays, RunnerConfig())
-            assert got.records == direct.records, engine
+        replays = replay_units(
+            make_units(coll, via_config=VIA_4_2P), record_dir=rdir
+        )
+        got = run_units(replays, RunnerConfig())
+        assert got.records == direct.records
+        with scalar_oracle.scalar_pricing():
+            scalar = run_units(replays, RunnerConfig())
+        assert scalar.records == direct.records
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +336,9 @@ class TestDseEndToEnd:
         coll = small_collection(3, seed=9, max_n=128)
         direct = run_dse(coll)
         with tempfile.TemporaryDirectory() as td:
-            scalar = run_dse(coll, record_dir=td, engine="scalar")
-            columnar = run_dse(
-                coll, record_dir=td, engine="columnar", validate=True
-            )
+            with scalar_oracle.scalar_pricing():
+                scalar = run_dse(coll, record_dir=td)
+            columnar = run_dse(coll, record_dir=td, validate=True)
         for kernel, per_config in direct.cycles.items():
             for cfg_name, want in per_config.items():
                 assert _bits(scalar.cycles[kernel][cfg_name]) == _bits(want)

@@ -13,13 +13,14 @@ table (L1-resident through DRAM-spilling).
 Three properties, each fuzzed independently:
 
 * replaying a synthetic recording (no stored ``PricedState``, so both
-  engines take the full memory pass) is bit-identical between the scalar
-  and columnar engines, with validation riding both;
+  pricers take the full memory pass) is bit-identical between the
+  columnar engine and the scalar oracle (:mod:`tests.scalar_oracle`),
+  with validation riding both;
 * ``ColumnarOps.from_ops`` → ``to_ops`` is a lossless round trip,
   compared field by field (``np.array_equal`` for index arrays);
-* :func:`check_columnar_invariants` agrees with the scalar
-  :class:`~repro.sim.backends.InvariantBackend`: both accept every
-  well-formed stream, and both reject the same seeded violations.
+* :func:`check_columnar_invariants` agrees with the oracle's per-op
+  invariant checks: both accept every well-formed stream, and both
+  reject the same seeded violations.
 """
 
 import dataclasses
@@ -48,7 +49,6 @@ from repro.sim.ops import (
     GatherSerialOp,
     LoadStreamOp,
     LoadWindowsOp,
-    Recording,
     ScalarLoadOp,
     ScalarOpsOp,
     ScalarStoreOp,
@@ -57,10 +57,10 @@ from repro.sim.ops import (
     StoreStreamOp,
     VectorOpOp,
     ViaOpRecord,
-    via_totals,
 )
 from repro.via.config import VIA_16_2P
 
+from tests import scalar_oracle
 from tests.test_ops_replay_differential import assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
@@ -217,13 +217,17 @@ def op_streams(draw):
 
 def _recording(ops):
     """A synthetic recording with no stored PricedState, so replay takes
-    the full memory pass under both engines."""
-    return Recording(
-        name=f"prop_{_CFG.name}",
-        machine=DEFAULT_MACHINE,
-        via_config=_CFG,
-        ops=list(ops),
+    the full memory pass under both pricers."""
+    return scalar_oracle.make_recording(
+        f"prop_{_CFG.name}", DEFAULT_MACHINE, _CFG, list(ops)
     )
+
+
+def _replay_both(rec):
+    """Oracle and columnar replay, both validating; assert they agree."""
+    scalar = scalar_oracle.replay(rec, validate=True)
+    columnar = replay_recording(rec, validate=True)
+    assert_result_identical(columnar, scalar)
 
 
 def _ops_equal(a, b):
@@ -246,9 +250,7 @@ def _ops_equal(a, b):
 @settings(max_examples=50, deadline=None)
 def test_replay_engines_are_bit_identical(ops):
     rec = _recording(ops)
-    scalar = replay_recording(rec, engine="scalar", validate=True)
-    columnar = replay_recording(rec, engine="columnar", validate=True)
-    assert_result_identical(columnar, scalar)
+    _replay_both(rec)
 
 
 @given(op_streams())
@@ -272,7 +274,7 @@ def test_from_ops_to_ops_roundtrip_is_lossless(ops):
 @settings(max_examples=50, deadline=None)
 def test_via_totals_match_bitwise(ops):
     cols = ColumnarOps.from_ops(ops)
-    want = via_totals(ops, _CFG)
+    want = scalar_oracle.via_totals(ops, _CFG)
     got = columnar_via_totals(cols, _CFG)
     for name, w in want.as_dict().items():
         g = got.as_dict()[name]
@@ -285,8 +287,8 @@ def test_via_totals_match_bitwise(ops):
 @given(op_streams())
 @settings(max_examples=50, deadline=None)
 def test_invariants_accept_every_well_formed_stream(ops):
-    """Agreement, accepting half: the scalar InvariantBackend rides the
-    validated scalar replay above; here the columnar checker must also
+    """Agreement, accepting half: the oracle's per-op checks ride the
+    validated oracle replay above; here the columnar checker must also
     pass every law — structure, occupancy at capacity, and final-counter
     conservation — on the same streams."""
     cols = ColumnarOps.from_ops(ops)
@@ -302,9 +304,7 @@ def test_invariants_accept_every_well_formed_stream(ops):
 class TestBoundaries:
     def test_zero_length_stream(self):
         rec = _recording([])
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        _replay_both(rec)
         assert len(ColumnarOps.from_ops([])) == 0
 
     @pytest.mark.parametrize(
@@ -324,9 +324,7 @@ class TestBoundaries:
     def test_single_op_stream(self, op):
         ops = [op] if isinstance(op, AllocOp) else [AllocOp("a", 16, 8), op]
         rec = _recording(ops)
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        _replay_both(rec)
 
     def test_occupancy_exactly_at_capacity_passes(self):
         cols = ColumnarOps.from_ops(
@@ -353,9 +351,7 @@ class TestBoundaries:
             LoadStreamOp("a", 0, elems),  # second pass: warm-cache row
         ]
         rec = _recording(ops)
-        scalar = replay_recording(rec, engine="scalar", validate=True)
-        columnar = replay_recording(rec, engine="columnar", validate=True)
-        assert_result_identical(columnar, scalar)
+        _replay_both(rec)
 
 
 # ----------------------------------------------------------------------
@@ -387,10 +383,10 @@ class TestInvariantAgreement:
     def test_both_engines_reject(self, make_bad, match):
         rec = _recording([make_bad()])
         with pytest.raises(InvariantError, match=match):
-            replay_recording(rec, engine="scalar", validate=True)
+            scalar_oracle.replay(rec, validate=True)
         rec = _recording([make_bad()])
         with pytest.raises(InvariantError, match=match):
-            replay_recording(rec, engine="columnar", validate=True)
+            replay_recording(rec, validate=True)
 
     def test_via_op_without_timing_rejected(self):
         bad = _corrupt(

@@ -1,30 +1,37 @@
-"""Regressions for the thread-safety bugs the static checker's audit found.
+"""Regressions for concurrency bugs: the static checker's audit and the
+benchmark's serve runs found them.
 
-Two fixes are pinned here:
+Three fixes are pinned here:
 
 * the per-recording machine memo in :func:`repro.sim.backends.replay_recording`
   was a check-then-act on a plain dict; concurrent cross-machine replays of
   one shared :class:`~repro.sim.ops.Recording` (the recording store hands the
-  same object to every executor thread) could double-build cores and race the
-  dict.  Now a lock plus ``setdefault`` makes the first core win: concurrent
-  replays stay bit-identical to direct execution and exactly one core is
-  memoized per target machine;
+  same object to every executor thread) could double-build the memory pass
+  and race the dict.  Now a lock plus ``setdefault`` makes the first pricing
+  win: concurrent replays stay bit-identical to direct execution and exactly
+  one entry is memoized per target machine;
 * :class:`~repro.serve.scheduler.Scheduler` once mutated
   ``Job.cancel_requested`` and ``Job.abandoned`` across the loop↔executor
   boundary with no lock.  Execution now lives in subprocess pool workers
   (:mod:`repro.serve.pool`), and the observable contract got stronger:
   cancelling a *running* sleep job SIGKILLs its worker and resolves the
   job ``cancelled`` promptly instead of sleeping out the full duration —
-  and the pool respawns the slot, so the service keeps serving.
+  and the pool respawns the slot, so the service keeps serving;
+* :meth:`~repro.eval.runner.ResultCache.put` wrote every entry through the
+  fixed temp name ``<key>.tmp``, so two serve pool workers storing the
+  same unit at once raced, and the loser's ``os.replace`` failed with
+  ``FileNotFoundError``.  Each writer now gets its own temp file.
 """
 
 import asyncio
 import dataclasses
+import multiprocessing
 import threading
 import time
 
 import numpy as np
 
+from repro.eval.runner import ResultCache
 from repro.formats.csr import CSRMatrix
 from repro.kernels.spmv import SPMV_VARIANTS
 from repro.matrices.collection import small_collection
@@ -48,7 +55,7 @@ def test_concurrent_cross_machine_replay_shares_one_memo_entry():
     recording = backend.recording
 
     # a pure-pricing knob: stream-shape compatible, so replay takes the
-    # cross-machine path that builds and memoizes a fresh core
+    # cross-machine path that prices and memoizes a memory pass
     target = dataclasses.replace(
         DEFAULT_MACHINE, dram_latency=DEFAULT_MACHINE.dram_latency + 40
     )
@@ -76,7 +83,7 @@ def test_concurrent_cross_machine_replay_shares_one_memo_entry():
     for got in results:
         assert got is not None
         assert_result_identical(got, want)
-    # check-then-act would have installed whichever duplicate core lost
+    # check-then-act would have installed whichever duplicate pass lost
     # the race; setdefault-under-lock leaves exactly one per machine
     assert len(recording._machine_memo) == 1
 
@@ -113,3 +120,46 @@ def test_cancel_while_running_kills_the_worker_promptly():
         await s.stop()
 
     asyncio.run(case())
+
+
+def _put_repeatedly(root, key, payload, rounds, barrier, failures):
+    cache = ResultCache(root)
+    barrier.wait(timeout=30)  # start both writers together
+    for _ in range(rounds):
+        try:
+            cache.put(key, payload)
+        except OSError:
+            with failures.get_lock():
+                failures.value += 1
+
+
+def test_concurrent_puts_of_one_key_never_fail(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    failures = ctx.Value("i", 0)
+    key = "c" * 64
+    payload = {"name": "unit", "cycles": [float(i) for i in range(2000)]}
+    writers = [
+        ctx.Process(
+            target=_put_repeatedly,
+            args=(str(tmp_path), key, payload, 300, barrier, failures),
+        )
+        for _ in range(2)
+    ]
+    try:
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=120)
+    finally:
+        for proc in writers:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+    assert [proc.exitcode for proc in writers] == [0, 0]
+    assert failures.value == 0
+    cache = ResultCache(str(tmp_path))
+    assert cache.get(key)[1] == "hit"
+    assert len(cache) == 1
+    # no writer left a temp file behind
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [f"{key}.json"]

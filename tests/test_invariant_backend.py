@@ -5,10 +5,12 @@ Two halves, mirroring the contract of
 
 * **clean pass** — validation wrapped around real kernels (including the
   Fig. 9 DSE sweep) never trips and never perturbs a result bit;
-* **provable trip** — an injected mis-priced op (counter decrement,
+* **provable trip** — a mis-priced narration flush (counter decrement,
   cache-conservation break, phantom mispredicts, non-finite accumulation,
   SSPM over-occupancy) raises :class:`~repro.errors.InvariantError` at
-  *that* op, with the offending op attached.
+  *that* flush.  Each trip wraps an inner backend that prices the flush
+  correctly and then corrupts the core the way a buggy pricer would, so
+  every conservation law stays pinned.
 
 Plus the per-op constructor validators in :mod:`repro.sim.ops` and the
 finished-result checks in
@@ -26,6 +28,7 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.spmv import SPMV_VARIANTS
 from repro.matrices import small_collection
 from repro.sim.backends import (
+    DirectBackend,
     InvariantBackend,
     RecorderBackend,
     check_result_invariants,
@@ -36,7 +39,6 @@ from repro.sim.core import Core
 from repro.sim.ops import (
     AllocOp,
     BranchesOp,
-    GatherOp,
     LoadStreamOp,
     ScalarOpsOp,
     VectorOpOp,
@@ -52,102 +54,116 @@ def _bits(value) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# injected mis-priced ops: each breaks exactly one conservation law
+# mis-priced flushes: each corruption breaks exactly one conservation law
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class _DecrementOp(ScalarOpsOp):
+class _Mispriced:
+    """Backend mixin: price each flush correctly, then apply ``corrupt``
+    to the core — after the first ``clean`` flushes, which stay honest."""
+
+    def __init__(self, corrupt, *, clean=0):
+        super().__init__()
+        self._corrupt = corrupt
+        self._clean = clean
+
+    def flush(self, batch, core):
+        super().flush(batch, core)
+        if self._clean:
+            self._clean -= 1
+        else:
+            self._corrupt(core)
+
+
+class _MispricedDirect(_Mispriced, DirectBackend):
+    pass
+
+
+class _MispricedRecorder(_Mispriced, RecorderBackend):
+    pass
+
+
+def _decrement(core):
     """Prices negative work — monotonicity violation."""
-
-    def apply(self, core):
-        core.counters.scalar_uops -= 1
+    core.counters.scalar_uops -= 10
 
 
-@dataclasses.dataclass(frozen=True)
-class _PhantomAccessOp(ScalarOpsOp):
+def _phantom_access(core):
     """A line access served by no cache level — conservation violation."""
-
-    def apply(self, core):
-        core.counters.mem_line_accesses += 1
+    core.counters.mem_line_accesses += 1
 
 
-@dataclasses.dataclass(frozen=True)
-class _PhantomMispredictOp(ScalarOpsOp):
+def _phantom_mispredicts(core):
     """Mispredicts without branches."""
-
-    def apply(self, core):
-        core.counters.branch_mispredicts += 2.0
+    core.counters.branch_mispredicts += 2.0
 
 
-@dataclasses.dataclass(frozen=True)
-class _InfiniteLatencyOp(ScalarOpsOp):
+def _infinite_latency(core):
     """A non-finite accumulation."""
-
-    def apply(self, core):
-        core.counters.stream_miss_latency = float("inf")
+    core.counters.stream_miss_latency = float("inf")
 
 
-@dataclasses.dataclass(frozen=True)
-class _OverfillSspmOp(ScalarOpsOp):
+def _overfill_sspm(core):
     """Pushes SSPM occupancy past the CAM capacity."""
-
-    def apply(self, core):
-        core.via.sspm._element_count = core.via.config.cam_entries + 1
+    core.via.sspm._element_count = core.via.config.cam_entries + 1
 
 
 class TestTripsOnMispricedOps:
-    def _core(self, via=None):
-        return Core(DEFAULT_MACHINE, via=via, backend=InvariantBackend())
+    def _core(self, corrupt, *, clean=0, via=None):
+        # flush after every narrated op, so each trip names one flush
+        return Core(
+            DEFAULT_MACHINE,
+            via=via,
+            backend=InvariantBackend(_MispricedDirect(corrupt, clean=clean)),
+            flush_ops=1,
+        )
 
-    def test_counter_decrement_trips_with_op_attached(self):
-        core = self._core()
-        core._emit(ScalarOpsOp(4))  # clean op first: checker is per-delta
-        bad = _DecrementOp(1)
-        with pytest.raises(InvariantError, match="decreased") as excinfo:
-            core._emit(bad)
-        assert excinfo.value.op is bad
+    def test_counter_decrement_trips_at_the_flush(self):
+        core = self._core(_decrement, clean=1)
+        core.scalar_ops(4)  # clean flush first: the checker is per-delta
+        with pytest.raises(InvariantError, match="flush of 1 .* decreased"):
+            core.scalar_ops(1)
 
     def test_cache_conservation_trips(self):
-        core = self._core()
+        core = self._core(_phantom_access)
         with pytest.raises(InvariantError, match="cache conservation"):
-            core._emit(_PhantomAccessOp(1))
+            core.scalar_ops(1)
 
     def test_phantom_mispredicts_trip(self):
-        core = self._core()
+        core = self._core(_phantom_mispredicts)
         with pytest.raises(InvariantError, match="mispredicts"):
-            core._emit(_PhantomMispredictOp(1))
+            core.scalar_ops(1)
 
     def test_non_finite_counter_trips(self):
-        core = self._core()
+        core = self._core(_infinite_latency)
         with pytest.raises(InvariantError, match="non-finite"):
-            core._emit(_InfiniteLatencyOp(1))
+            core.scalar_ops(1)
 
     def test_sspm_over_occupancy_trips(self):
-        device = ViaDevice(VIA_16_2P)
-        core = self._core(via=device)
+        core = self._core(_overfill_sspm, via=ViaDevice(VIA_16_2P))
         with pytest.raises(InvariantError, match="SSPM occupancy"):
-            core._emit(_OverfillSspmOp(1))
+            core.scalar_ops(1)
 
     def test_real_ops_pass_clean(self):
-        core = self._core()
+        core = Core(DEFAULT_MACHINE, backend=InvariantBackend(), flush_ops=1)
         arr = core.alloc("a", 1024)
-        core._emit(LoadStreamOp("a", 0, 1024))
-        core._emit(VectorOpOp("fma", 8))
-        core._emit(BranchesOp(16, 0.05))
-        idx = np.arange(0, 64, 2)
-        core._emit(GatherOp("a", idx, 4))
+        core.load_stream(arr, 0, 1024)
+        core.vector_op("fma", 8)
+        core.branches(16, 0.05)
+        core.gather(arr, np.arange(0, 64, 2), n_instr=4)
         result = core.finalize("clean", output=None)
         assert result.cycles > 0
         assert arr is core.mem["a"]
 
     def test_validating_recorder_trips_too(self):
-        """InvariantBackend composes around the recorder: a bad op is
+        """InvariantBackend composes around the recorder: a bad flush is
         caught while recording, before a poisoned artifact can be saved."""
+        recorder = _MispricedRecorder(_decrement, clean=1)
         core = Core(
-            DEFAULT_MACHINE, backend=InvariantBackend(RecorderBackend())
+            DEFAULT_MACHINE, backend=InvariantBackend(recorder), flush_ops=1
         )
-        core._emit(ScalarOpsOp(2))
+        core.scalar_ops(2)
         with pytest.raises(InvariantError):
-            core._emit(_DecrementOp(1))
+            core.scalar_ops(1)
+        assert recorder.recording is None
 
 
 # ----------------------------------------------------------------------

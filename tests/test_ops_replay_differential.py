@@ -9,7 +9,10 @@ DRAM traffic, and the cache statistics.
 
 Covers every kernel family (the four SpMV formats, SpMA, SpMM, histogram,
 stencil, CSR5), the four Fig. 9 ``dse_configs`` shape groups, disk
-round-trips of the artifacts, and the end-to-end record/replay DSE.
+round-trips of the artifacts, and the end-to-end record/replay DSE.  The
+direct-execution reference is priced op by op by the scalar oracle
+(:mod:`tests.scalar_oracle`), so every case pins the columnar record and
+replay path against the per-op walk.
 """
 
 import dataclasses
@@ -43,6 +46,8 @@ from repro.via.config import (
     VIA_16_4P,
     dse_configs,
 )
+
+from tests import scalar_oracle
 
 pytestmark = pytest.mark.smoke
 
@@ -103,7 +108,8 @@ class TestKernelFamilies:
         must pass clean on every kernel family and never perturb results.
         """
         _, recording = _record(make_run(self.REC))
-        want = make_run(self.TGT)(None)
+        with scalar_oracle.scalar_pricing():
+            want = make_run(self.TGT)(None)
         got = replay_recording(recording, via_config=self.TGT, validate=True)
         assert_result_identical(got, want)
 
@@ -185,7 +191,8 @@ class TestDseConfigs:
                     csb, x, DEFAULT_MACHINE, rep, backend=backend
                 )
             )
-            want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, cfg)
+            with scalar_oracle.scalar_pricing():
+                want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, cfg)
             got = replay_recording(recording, via_config=cfg, validate=True)
             assert_result_identical(got, want)
 
@@ -224,7 +231,8 @@ class TestRoundTripAndMachines:
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
         )
-        want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, VIA_16_4P)
+        with scalar_oracle.scalar_pricing():
+            want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, VIA_16_4P)
         path = tmp_path / "rec.npz"
         save_recordings(path, {"k": recording})
         loaded, _ = load_recordings(path)
@@ -246,8 +254,9 @@ class TestRoundTripAndMachines:
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
         )
-        want = SPMV_VARIANTS["csb"][1](csb, x, target, VIA_16_4P)
-        # validate=True exercises InvariantBackend on the memory-pass path
+        with scalar_oracle.scalar_pricing():
+            want = SPMV_VARIANTS["csb"][1](csb, x, target, VIA_16_4P)
+        # validate=True runs the invariant checks on the memory-pass path
         got = replay_recording(
             recording, machine=target, via_config=VIA_16_4P, validate=True
         )
@@ -273,7 +282,8 @@ class TestRoundTripAndMachines:
 class TestDseEndToEnd:
     def test_record_replay_dse_matches_direct(self):
         coll = small_collection(3, seed=9, max_n=128)
-        direct = run_dse(coll)
+        with scalar_oracle.scalar_pricing():
+            direct = run_dse(coll)
         with tempfile.TemporaryDirectory() as td:
             # validated record/replay: invariant checks ride every op and
             # must neither trip nor change a single bit of Fig. 9

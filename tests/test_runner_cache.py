@@ -209,8 +209,6 @@ def test_runner_config_validation():
     with pytest.raises(SweepError):
         RunnerConfig(workers=0)
     with pytest.raises(SweepError):
-        RunnerConfig(chunksize=0)
-    with pytest.raises(SweepError):
         RunnerConfig(timeout_s=0)
     with pytest.raises(SweepError):
         RunnerConfig(retries=-1)

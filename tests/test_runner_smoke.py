@@ -77,12 +77,10 @@ def test_progress_callback_fires_for_cached_units(demo_collection, tmp_path):
     assert seen == [u.spec.name for u in units]
 
 
-def test_explicit_chunksize_preserves_order(demo_collection):
+def test_two_workers_preserve_order(demo_collection):
     units = spmv_units(demo_collection, formats=("csr",))
-    a = run_units(units, RunnerConfig(workers=2, chunksize=1))
-    b = run_units(units, RunnerConfig(workers=2, chunksize=4))
-    assert a.records == b.records
-    assert [r.name for r in a.records] == [u.spec.name for u in units]
+    result = run_units(units, RunnerConfig(workers=2))
+    assert [r.name for r in result.records] == [u.spec.name for u in units]
 
 
 def test_sweep_counters_merge_and_summary():

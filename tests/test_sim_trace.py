@@ -97,22 +97,6 @@ class TestReportCli:
             assert marker in text
         assert "Figure 10" in text
 
-    def test_old_module_name_still_imports_with_a_warning(self):
-        import importlib
-        import warnings
-
-        import repro.eval.report as shim
-        import repro.eval.report_cli as cli
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert shim.build_report is cli.build_report
-        assert shim.main is cli.main
-
     def test_cli_main_writes_file(self, tmp_path, capsys):
         from repro.eval.report_cli import main
 
