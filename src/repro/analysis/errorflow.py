@@ -10,9 +10,10 @@ retry vs. give-up, and the admission/poison machinery loses its signal.
 Like VIA100 cross-checks the cache-key builders, this family
 cross-checks the serve layer against its own boundary function:
 
-* ``VIA601`` (error) — a ``raise`` in ``repro/serve/`` whose exception
-  type is resolvable but **not** mapped by ``error_payload`` (directly
-  or via a subclass of a mapped type).  Raise helpers
+* ``VIA601`` (error) — a ``raise`` in ``repro/serve/`` or in the worker
+  pool serving shares with sweeps (``repro/eval/supervisor.py``) whose
+  exception type is resolvable but **not** mapped by ``error_payload``
+  (directly or via a subclass of a mapped type).  Raise helpers
   (``raise _bad_spec(...)``) are resolved one level deep, ``raise exc``
   resolves through ``except X as exc`` bindings and local
   ``exc = Cls(...)`` assignments; anything unresolvable is skipped —
@@ -68,8 +69,9 @@ VIA603 = rule(
     "error_payload anchor exists but its mapping cannot be extracted",
 )
 
-#: path fragment this family scans
-ERRORFLOW_PREFIX = "repro/serve/"
+#: path fragments this family scans: the serve tier and the worker pool
+#: whose errors it hands to clients
+ERRORFLOW_PREFIXES: Tuple[str, ...] = ("repro/serve/", "repro/eval/supervisor.py")
 
 #: the module holding the boundary mapping
 ANCHOR_MODULE = "repro.serve.jobs"
@@ -356,7 +358,7 @@ def _handler_engages(handler: ast.ExceptHandler) -> bool:
 @family_checker("errorflow")
 def check_errorflow(
     project: Project,
-    prefix: str = ERRORFLOW_PREFIX,
+    prefixes: Sequence[str] = ERRORFLOW_PREFIXES,
 ) -> List[Finding]:
     anchor = project.module(ANCHOR_MODULE)
     if anchor is None:
@@ -378,7 +380,7 @@ def check_errorflow(
         return findings
     closure = _subclass_closure(project, mapped)
 
-    for src in project.iter_files([prefix]):
+    for src in project.iter_files(list(prefixes)):
         tree = src.tree
         if tree is None:
             continue

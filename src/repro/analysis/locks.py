@@ -1,10 +1,11 @@
 """Lock-discipline rules (family ``locks``).
 
 :mod:`repro.serve` runs an asyncio event loop next to a thread-pool
-executor: the scheduler hands jobs to executor threads and both sides
-mutate job and scheduler state.  The convention is an instance lock
-(``self._lock``) around every touch of state that crosses the thread
-boundary — a convention this module turns into a checkable rule.
+executor, and the worker pool it shares with the sweep runner
+(:mod:`repro.eval.supervisor`) runs a supervisor thread next to its
+callers: both sides mutate shared state.  The convention is an instance
+lock (``self._lock``) around every touch of state that crosses the
+thread boundary — a convention this module turns into a checkable rule.
 
 Per class, the checker derives:
 
@@ -28,10 +29,10 @@ touches it — in either direction.  For shared attributes:
 * ``VIA302`` (error) — an executor-reachable method touches
   loop-written shared state without holding the lock;
 * ``VIA303`` (error) — the mirror image: a loop-side method touches
-  executor-written shared state without holding the lock.  The serve
-  worker-pool supervisor (:mod:`repro.serve.pool`) is the motivating
-  case: its supervisor thread mutates the worker table and crash
-  counters, and every loop-side reader (``submit``/``cancel``/
+  executor-written shared state without holding the lock.  The worker
+  pool shared by sweeps and serving (:mod:`repro.eval.supervisor`) is
+  the motivating case: its supervisor thread mutates the worker table
+  and crash counters, and every loop-side reader (``submit``/``cancel``/
   ``health``) must hold the supervisor lock to see a consistent view.
 
 ``__init__`` writes are exempt (no second thread exists yet).  Classes
@@ -71,8 +72,9 @@ VIA303 = rule(
     "loop-side code touches executor-written shared state without the lock",
 )
 
-#: path fragments selecting the threaded-serving scope
-LOCK_PREFIXES: Tuple[str, ...] = ("repro/serve/",)
+#: path fragments selecting the threaded scope: the serve tier and the
+#: supervised worker pool it shares with the sweep runner
+LOCK_PREFIXES: Tuple[str, ...] = ("repro/serve/", "repro/eval/supervisor.py")
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 

@@ -5,22 +5,26 @@ over the three sparse kernels and reports each kernel's speedup normalized
 to its own 4_2p configuration.  Table II pairs those configurations with
 their synthesized area and leakage (see :mod:`repro.via.area`).
 
-With ``record_dir`` set, the sweep runs in record/replay mode over the
-op-stream IR (:mod:`repro.sim.ops`): each matrix×kernel executes *once per
-stream-shape group* (the four configurations collapse into two — SSPM
-ports never shape the op stream), and every configuration re-prices the
-recorded streams.  Results are bit-identical to direct execution; only the
-wall time changes, from O(configs × full runs) to
-O(shape groups × full runs + configs × cheap replays).
+A DSE is a list of (kernel, configuration) cells — every cell for the
+exhaustive sweep, the model-ranked survivors for the guided one — and one
+function, :func:`_simulate`, runs the list.  Without ``record_dir`` the
+cells run as one direct batch.  With it, the sweep runs in record/replay
+mode over the op-stream IR (:mod:`repro.sim.ops`): SSPM ports never shape
+an op stream, so the cells split into SSPM-capacity groups, and each group
+is one batch that records a representative per kernel followed by one
+batch that re-prices every cell by replaying those recordings.  Results
+are bit-identical to direct execution; only the wall time changes, from
+O(configs × full runs) to O(capacity groups × full runs + configs × cheap
+replays).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.eval.harness import geomean, sweep_spma, sweep_spmm, sweep_spmv
+from repro.eval.harness import geomean
 from repro.matrices.collection import MatrixCollection
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.via.config import ViaConfig, dse_configs
@@ -78,46 +82,6 @@ class DseResult:
         return done / total if total else 1.0
 
 
-def _dse_unit_lists(
-    kernel: str,
-    collection: MatrixCollection,
-    cfg: ViaConfig,
-    machine: MachineConfig,
-    limit: Optional[int],
-    spmm_collection: Optional[MatrixCollection],
-    spmm_max_n: int,
-    validate: bool = False,
-):
-    """The work-unit list and metric format for one kernel×config cell."""
-    from repro.eval.units import spma_units, spmm_units, spmv_units
-
-    if kernel == "spmv":
-        units = spmv_units(
-            collection,
-            formats=("csb",),
-            machine=machine,
-            via_config=cfg,
-            limit=limit,
-            validate=validate,
-        )
-        return units, "csb"
-    if kernel == "spma":
-        units = spma_units(
-            collection, machine=machine, via_config=cfg, limit=limit,
-            validate=validate,
-        )
-        return units, "csr"
-    units = spmm_units(
-        spmm_collection if spmm_collection is not None else collection,
-        machine=machine,
-        via_config=cfg,
-        limit=limit,
-        max_n=spmm_max_n,
-        validate=validate,
-    )
-    return units, "csr"
-
-
 def run_dse(
     collection: MatrixCollection,
     *,
@@ -140,8 +104,9 @@ def run_dse(
     configuration (half the SSPM), so the sweep captures the capacity
     effect as well as the port effect.
 
-    ``runner`` is forwarded to every underlying sweep — the DSE re-sweeps
-    the same collection once per configuration, so a cached parallel
+    ``runner`` executes every batch: one direct batch, or a record and a
+    replay batch per SSPM-capacity group.  A DSE re-sweeps the same
+    collection once per configuration, so a cached parallel
     :class:`~repro.eval.runner.RunnerConfig` pays off most here.
 
     ``record_dir`` switches to record/replay mode: each matrix×kernel runs
@@ -171,112 +136,96 @@ def run_dse(
             f"unknown DSE strategy {strategy!r}; "
             "expected 'exhaustive' or 'guided'"
         )
-    if strategy == "guided":
-        return _run_dse_guided(
-            collection,
-            configs=configs,
-            machine=machine,
-            limit=limit,
-            spmm_collection=spmm_collection,
-            spmm_max_n=spmm_max_n,
-            runner=runner,
-            record_dir=record_dir,
-            validate=validate,
-            model=model,
-            keep=guided_keep,
-        )
-    if record_dir is not None:
-        return _run_dse_replay(
-            collection,
-            configs=configs,
-            machine=machine,
-            limit=limit,
-            spmm_collection=spmm_collection,
-            spmm_max_n=spmm_max_n,
-            runner=runner,
-            record_dir=record_dir,
-            validate=validate,
-        )
-    cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
-    for cfg in configs:
-        spmv_recs = sweep_spmv(
-            collection,
-            formats=("csb",),
-            machine=machine,
-            via_config=cfg,
-            limit=limit,
-            runner=runner,
-            validate=validate,
-        )
-        cycles["spmv"][cfg.name] = geomean(
-            r.via_cycles["csb"] for r in spmv_recs
-        )
-        spma_recs = sweep_spma(
-            collection, machine=machine, via_config=cfg, limit=limit,
-            runner=runner, validate=validate,
-        )
-        cycles["spma"][cfg.name] = geomean(
-            r.via_cycles["csr"] for r in spma_recs
-        )
-        spmm_recs = sweep_spmm(
-            spmm_collection if spmm_collection is not None else collection,
-            machine=machine,
-            via_config=cfg,
-            limit=limit,
-            max_n=spmm_max_n,
-            runner=runner,
-            validate=validate,
-        )
-        cycles["spmm"][cfg.name] = geomean(
-            r.via_cycles["csr"] for r in spmm_recs
-        )
-    return DseResult(cycles=cycles)
+
+    def unit_lists(kernel: str, cfg: ViaConfig) -> Tuple[List[Any], str]:
+        """One cell's work units and the format its metric reads."""
+        from repro.eval.units import spma_units, spmm_units, spmv_units
+
+        hw = dict(machine=machine, via_config=cfg, limit=limit, validate=validate)
+        if kernel == "spmv":
+            return spmv_units(collection, formats=("csb",), **hw), "csb"
+        if kernel == "spma":
+            return spma_units(collection, **hw), "csr"
+        source = spmm_collection if spmm_collection is not None else collection
+        return spmm_units(source, max_n=spmm_max_n, **hw), "csr"
+
+    if strategy == "exhaustive":
+        cells = [(kernel, cfg) for cfg in configs for kernel in DSE_KERNELS]
+        return DseResult(cycles=_simulate(cells, unit_lists, runner, record_dir))
+    predicted, survivors = _guided_survivors(
+        collection,
+        configs=configs,
+        machine=machine,
+        limit=limit,
+        spmm_collection=spmm_collection,
+        spmm_max_n=spmm_max_n,
+        model=model,
+        keep=guided_keep,
+    )
+    cells = [(kernel, cfg) for kernel in DSE_KERNELS for cfg in survivors[kernel]]
+    return DseResult(
+        cycles=_simulate(cells, unit_lists, runner, record_dir),
+        strategy="guided",
+        candidates=tuple(cfg.name for cfg in configs),
+        simulated={
+            k: tuple(cfg.name for cfg in v) for k, v in survivors.items()
+        },
+        predicted=predicted,
+    )
 
 
-def _run_dse_replay(
-    collection: MatrixCollection,
-    *,
-    configs: List[ViaConfig],
-    machine: MachineConfig,
-    limit: Optional[int],
-    spmm_collection: Optional[MatrixCollection],
-    spmm_max_n: int,
+def _simulate(
+    cells: List[Tuple[str, ViaConfig]],
+    unit_lists: Callable[[str, ViaConfig], Tuple[List[Any], str]],
     runner: Optional["RunnerConfig"],
-    record_dir: str,
-    validate: bool = False,
-) -> DseResult:
-    """Record once per stream-shape group, replay once per configuration."""
-    from repro.eval.harness import _run
+    record_dir: Optional[str],
+) -> Dict[str, Dict[str, float]]:
+    """Geomean VIA cycles of every (kernel, config) cell, in cell order.
+
+    Without ``record_dir`` the cells run as one direct batch.  With it,
+    they split into SSPM-capacity groups in the order their configs first
+    appear.  Each group records the units of its first cell per kernel,
+    then replays all its cells; groups run one after another, so a later
+    group's record batch replays the capacity-free baselines
+    (:data:`~repro.eval.recordings.SHARED_BASELINE_KERNELS`) an earlier
+    group stored.  One batch per group, not one for the whole DSE, keeps
+    each worker's artifact memo to one group's recordings.
+
+    A batch's per-unit records split back into cells by position; a unit
+    that self-filters (SpMM above ``spmm_max_n``) or fails holds ``None``.
+    """
+    from repro.eval.runner import RunnerConfig, run_units
     from repro.eval.units import record_units, replay_units
 
-    # one representative per shape group: ports never shape the op stream,
-    # so configs differing only in ports share recordings
-    representatives: Dict[int, ViaConfig] = {}
-    for cfg in configs:
-        representatives.setdefault(cfg.sram_kb, cfg)
-    for rep in representatives.values():
-        for kernel in DSE_KERNELS:
-            units, _ = _dse_unit_lists(
-                kernel, collection, rep, machine, limit,
-                spmm_collection, spmm_max_n, validate,
+    config = runner if runner is not None else RunnerConfig(capture_errors=False)
+    groups: Dict[Optional[int], List[Tuple[str, ViaConfig]]] = {}
+    for kernel, cfg in cells:
+        kb = cfg.sram_kb if record_dir is not None else None
+        groups.setdefault(kb, []).append((kernel, cfg))
+    means: Dict[Tuple[str, str], float] = {}
+    for group in groups.values():
+        lists = [unit_lists(kernel, cfg) for kernel, cfg in group]
+        batch = [unit for units, _ in lists for unit in units]
+        if record_dir is not None:
+            reps: Dict[str, List[Any]] = {}
+            for (kernel, _), (units, _) in zip(group, lists):
+                reps.setdefault(kernel, units)
+            run_units(
+                [u for units in reps.values()
+                 for u in record_units(units, record_dir=record_dir)],
+                config,
             )
-            _run(record_units(units, record_dir=record_dir), runner, None)
+            batch = replay_units(batch, record_dir=record_dir)
+        records = iter(run_units(batch, config).unit_records)
+        for (kernel, cfg), (units, fmt) in zip(group, lists):
+            cell = [next(records) for _ in units]
+            means[kernel, cfg.name] = geomean(
+                r.via_cycles[fmt] for r in cell if r is not None
+            )
     cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
-    for cfg in configs:
-        for kernel in DSE_KERNELS:
-            units, fmt = _dse_unit_lists(
-                kernel, collection, cfg, machine, limit,
-                spmm_collection, spmm_max_n, validate,
-            )
-            recs = _run(
-                replay_units(units, record_dir=record_dir),
-                runner,
-                None,
-            )
-            cycles[kernel][cfg.name] = geomean(
-                r.via_cycles[fmt] for r in recs
-            )
-    return DseResult(cycles=cycles)
+    for kernel, cfg in cells:
+        cycles[kernel][cfg.name] = means[kernel, cfg.name]
+    return cycles
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +298,7 @@ def _predicted_geomean(
     return geomean(cycles, warn_label=f"guided DSE predict {kernel}")
 
 
-def _run_dse_guided(
+def _guided_survivors(
     collection: MatrixCollection,
     *,
     configs: List[ViaConfig],
@@ -357,26 +306,21 @@ def _run_dse_guided(
     limit: Optional[int],
     spmm_collection: Optional[MatrixCollection],
     spmm_max_n: int,
-    runner: Optional["RunnerConfig"],
-    record_dir: Optional[str],
-    validate: bool,
     model: Any,
     keep: float,
-) -> DseResult:
-    """Rank by predicted cycles, halve to survivors, simulate survivors.
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, List[ViaConfig]]]:
+    """Rank by predicted cycles and halve to survivors, per kernel.
 
-    The halving schedule: per kernel, the candidate pool (ordered by
-    predicted geomean cycles, best first) is cut in half each rung until
-    it reaches ``ceil(len(configs) × keep)``.  With the paper's four
-    Figure 9 configurations and the default ``keep=0.5`` that is one
-    rung to two survivors — half the simulation work of the exhaustive
-    sweep, per kernel.
+    Returns the model's scores for every candidate and the survivors in
+    sweep order.  The halving schedule: per kernel, the candidate pool
+    (ordered by predicted geomean cycles, best first) is cut in half each
+    rung until it reaches ``ceil(len(configs) × keep)``.  With the
+    paper's four Figure 9 configurations and the default ``keep=0.5``
+    that is one rung to two survivors — half the simulation work of the
+    exhaustive sweep, per kernel.
     """
     if not (0.0 < keep <= 1.0):
         raise ValueError(f"guided_keep must be in (0, 1], got {keep}")
-    from repro.eval.harness import _run
-    from repro.eval.units import record_units, replay_units
-
     estimator = _resolve_estimator(model)
     target = max(1, math.ceil(len(configs) * keep))
     predicted: Dict[str, Dict[str, float]] = {}
@@ -400,40 +344,4 @@ def _run_dse_guided(
         while len(pool) > target:
             pool = pool[: max(target, (len(pool) + 1) // 2)]
         survivors[kernel] = sorted(pool, key=lambda c: order[c.name])
-
-    cycles: Dict[str, Dict[str, float]] = {k: {} for k in DSE_KERNELS}
-    for kernel in DSE_KERNELS:
-        fmt = "csb" if kernel == "spmv" else "csr"
-        if record_dir is not None:
-            # record once per surviving capacity group, then replay
-            reps: Dict[int, ViaConfig] = {}
-            for cfg in survivors[kernel]:
-                reps.setdefault(cfg.sram_kb, cfg)
-            for rep in reps.values():
-                units, _ = _dse_unit_lists(
-                    kernel, collection, rep, machine, limit,
-                    spmm_collection, spmm_max_n, validate,
-                )
-                _run(
-                    record_units(units, record_dir=record_dir), runner, None
-                )
-        for cfg in survivors[kernel]:
-            units, _ = _dse_unit_lists(
-                kernel, collection, cfg, machine, limit,
-                spmm_collection, spmm_max_n, validate,
-            )
-            if record_dir is not None:
-                units = replay_units(units, record_dir=record_dir)
-            recs = _run(units, runner, None)
-            cycles[kernel][cfg.name] = geomean(
-                r.via_cycles[fmt] for r in recs
-            )
-    return DseResult(
-        cycles=cycles,
-        strategy="guided",
-        candidates=tuple(cfg.name for cfg in configs),
-        simulated={
-            k: tuple(cfg.name for cfg in v) for k, v in survivors.items()
-        },
-        predicted=predicted,
-    )
+    return predicted, survivors

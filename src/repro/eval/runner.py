@@ -7,9 +7,9 @@ kernel, OOM-killed worker, or Ctrl-C must not lose the run.  This module
 turns a list of :class:`~repro.eval.units.WorkUnit` into
 :class:`SweepRecord` results with four defenses:
 
-* **parallelism** — units fan out over a watchdog-supervised worker pool
-  (:mod:`repro.eval.supervisor`); results keep unit order, so a parallel
-  sweep is bit-identical to a sequential one;
+* **parallelism** — units fan out over the supervised worker pool the
+  serve tier also runs on (:mod:`repro.eval.supervisor`); results keep
+  unit order, so a parallel sweep is bit-identical to a sequential one;
 * **supervision** — a per-unit wall-clock ``timeout_s`` kills hung
   kernels, dead workers (crash, OOM kill) are detected and replenished,
   and transient failures retry with bounded exponential backoff
@@ -176,9 +176,15 @@ class UnitFailure:
 
 @dataclass
 class SweepResult:
-    """Everything one runner invocation produced."""
+    """Everything one runner invocation produced.
+
+    ``records`` holds the completed records in unit order; ``unit_records``
+    is aligned with the input units, ``None`` where a unit failed, filtered
+    itself out, or never ran.
+    """
 
     records: List[SweepRecord] = field(default_factory=list)
+    unit_records: List[Optional[SweepRecord]] = field(default_factory=list)
     failures: List[UnitFailure] = field(default_factory=list)
     counters: SweepCounters = field(default_factory=SweepCounters)
     journal_path: Optional[str] = None
@@ -435,6 +441,7 @@ class _SweepState:
             entry["retry_history"] = list(outcome.history)
         if outcome.attempts > 1:
             self.counters.units_retried += 1
+        self.counters.narration_flushes += outcome.narration_flushes
         if status == "failed":
             error, tb = outcome.payload
             self.counters.units_failed += 1
@@ -499,10 +506,12 @@ class _SweepState:
 
     def assemble(self) -> SweepResult:
         """Collect records in unit order from whatever slots completed."""
-        self.result.records = [
-            slot[1]
+        self.result.unit_records = [
+            slot[1] if slot is not None and slot[0] == "done" else None
             for slot in self.slots
-            if slot is not None and slot[0] == "done" and slot[1] is not None
+        ]
+        self.result.records = [
+            r for r in self.result.unit_records if r is not None
         ]
         return self.result
 
@@ -587,12 +596,6 @@ def run_units(
     state = _SweepState(units, config, journal, cache, progress)
     counters = state.counters
     run_start = time.perf_counter()
-    # attribute in-process builder flushes to this sweep (a delta of a
-    # process-wide counter; parallel workers narrate in their own
-    # processes and under-count)
-    from repro.sim.core import narration_flush_count
-
-    flush_start = narration_flush_count()
     my_pid = os.getpid()
     pending: List[Tuple[int, WorkUnit]] = []
 
@@ -665,14 +668,17 @@ def run_units(
                 for index, unit in pending:
                     if flag.set:
                         break
-                    outcome = execute_unit((index, unit))
+                    _, status, payload, wall_s, pid, flushes = execute_unit(
+                        (index, unit)
+                    )
                     state.finish(
                         UnitOutcome(
-                            index=outcome[0],
-                            status=outcome[1],
-                            payload=outcome[2],
-                            wall_s=outcome[3],
-                            worker=outcome[4],
+                            index=index,
+                            status=status,
+                            payload=payload,
+                            wall_s=wall_s,
+                            worker=pid,
+                            narration_flushes=flushes,
                         )
                     )
 
@@ -693,7 +699,6 @@ def run_units(
                 )
     finally:
         counters.wall_seconds = time.perf_counter() - run_start
-        counters.narration_flushes = narration_flush_count() - flush_start
         journal.close()
     return state.assemble()
 

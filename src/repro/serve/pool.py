@@ -1,45 +1,25 @@
-"""Supervised subprocess worker pool: crash-isolated serve execution.
+"""The serve tier's worker pool: crash-isolated execution of jobs.
 
-Through PR 4 the scheduler executed jobs on an in-process
-``ThreadPoolExecutor``: a worker that segfaulted, was OOM-killed, or
-wedged inside a NumPy kernel took the whole scheduler with it, and a
-timed-out job merely *abandoned* its thread — the thread kept running
-and the slot was lost.  This module is the serve-side analogue of the
-sweep runner's :mod:`repro.eval.supervisor` watchdog: a pool of
-long-lived worker **subprocesses**, each owning a private duplex pipe,
-dispatched futures-over-pipes and supervised from one background thread.
+Jobs run on the one supervised pool the sweep runner also uses,
+:class:`repro.eval.supervisor.SupervisedPool` — death detection, deadline
+kills, respawn with backoff, bounded retries and the poison circuit
+breaker live there.  This module adds what only serving needs:
 
-The supervisor guarantees:
+* the worker entry point — warm imports before the ready handshake, then
+  :func:`repro.serve.execution.execute_request` per job, with in-worker
+  failures mapped to structured error payloads;
+* the :class:`repro.serve.chaos.ChaosConfig` fault plan, honoured at two
+  injection points (bootstrap, job dispatch) and given a shared token
+  directory when the plan names none;
+* the serve :class:`~repro.serve.metrics.MetricsRegistry`
+  (``pool_worker_restarts``, ``pool_retries``, …);
+* the start method: ``fork`` where available, else ``spawn``, or
+  whatever ``REPRO_SERVE_MP_CONTEXT`` names.
 
-* **death detection** — a worker that exits or is killed is noticed via
-  pipe EOF (no polling races); its job is retried or failed, never lost;
-* **timeout reclamation** — a job past its ``timeout_s`` gets its worker
-  SIGKILLed and a structured ``timeout`` error; the slot is respawned,
-  not abandoned (timeouts are deterministic and are *not* retried);
-* **replenishment** — the pool always respawns back to size, with
-  exponential backoff on consecutive spawn failures so a broken
-  environment cannot fork-bomb the host;
-* **bounded retries** — a job whose worker died (crash, OOM kill,
-  protocol corruption) is transient and re-queued with exponential
-  backoff up to ``retries`` extra attempts;
-* **poison quarantine** — a job key that keeps killing workers trips a
-  per-key circuit breaker after ``poison_threshold`` crashes: the job
-  (and every later submission with the same key) fails fast with a
-  structured ``poison_job`` error instead of grinding the pool down;
-* **graceful stop** — idle workers get a sentinel and a join; busy ones
-  are killed; every outstanding future resolves (``stopped``), so no
-  caller is left waiting and no process outlives :meth:`WorkerPool.stop`.
-
-Workers run :func:`repro.serve.execution.execute_request` after warm
-imports, and honour a :class:`repro.serve.chaos.ChaosConfig` fault plan
-at two injection points (bootstrap, job dispatch) so the chaos suites and
-``bench_serve`` can exercise every failure path deterministically.
-
-Thread discipline: loop-side methods (``submit``/``cancel``/``stop``/
-``health``) only flip state under ``self._lock``; *all* process
-lifecycle — spawn, kill, pipe close — happens in the supervisor thread,
-so no pipe fd is ever closed while another thread selects on it.  The
-``repro.analysis`` locks family (VIA301-VIA303) checks this convention.
+Serving's rules ride on the pool's defaults: a job past its timeout fails
+at once with code ``timeout`` (a timeout is deterministic, so it is not
+retried), a worker death is retried up to ``PoolConfig.retries`` times,
+and the scheduler passes a poison key with every job.
 """
 
 from __future__ import annotations
@@ -47,200 +27,79 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import tempfile
-import threading
 import time
-from collections import deque
-from concurrent.futures import Future
-from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.errors import JobCancelled, ServeError
+from repro.eval.supervisor import (
+    PoisonJobError,
+    PoolConfig,
+    PoolTask,
+    SupervisedPool,
+    WorkerCrashError,
+    WorkerJobError,
+    ignore_sigint,
+    worker_loop,
+)
 from repro.serve.chaos import CHAOS_CRASH_EXIT, ChaosConfig, apply_start_fault
 from repro.serve.metrics import MetricsRegistry
 
-#: supervisor scheduling quantum (seconds): the longest the loop waits
-#: before re-checking deadlines, retries, respawns, and the stop flag
-_TICK = 0.05
-
-#: retry backoff is capped so a long chain cannot stall the service
-_BACKOFF_CAP = 30.0
-
-#: consecutive-spawn-failure backoff cap (crash-loop protection)
-_SPAWN_BACKOFF_CAP = 5.0
+__all__ = [
+    "ENV_MP_CONTEXT",
+    "PoisonJobError",
+    "PoolConfig",
+    "PoolTask",
+    "WorkerCrashError",
+    "WorkerJobError",
+    "WorkerPool",
+]
 
 #: multiprocessing start-method override (``fork``/``spawn``/``forkserver``)
 ENV_MP_CONTEXT = "REPRO_SERVE_MP_CONTEXT"
 
 
-class WorkerCrashError(ServeError):
-    """A job lost its worker (crash/OOM/corruption) on every attempt."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, code="worker_crash", retry_after_s=1.0)
-
-
-class PoisonJobError(ServeError):
-    """A job key crossed the crash threshold and is quarantined."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, code="poison_job")
-
-
-class WorkerJobError(ServeError):
-    """A job failed *inside* a worker; carries the worker's structured
-    error payload (code + retry hint) across the pipe unchanged."""
-
-    def __init__(self, payload: Dict[str, Any]) -> None:
-        super().__init__(
-            str(payload.get("reason", "job failed in worker")),
-            code=str(payload.get("code", "internal")),
-            retry_after_s=payload.get("retry_after_s"),
-        )
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Operating envelope of one worker pool.
-
-    ``retries`` bounds extra attempts for transient (worker-death)
-    failures; ``poison_threshold`` is the per-key crash budget before the
-    circuit breaker opens; ``spawn_timeout_s`` bounds worker bootstrap
-    (warm imports + ready handshake); ``mp_context`` picks the start
-    method (default: ``fork`` where available, else ``spawn``; override
-    with ``REPRO_SERVE_MP_CONTEXT``).
-    """
-
-    workers: int = 2
-    retries: int = 2
-    backoff_s: float = 0.05
-    poison_threshold: int = 3
-    spawn_timeout_s: float = 60.0
-    mp_context: Optional[str] = None
-    chaos: Optional[ChaosConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ServeError(f"workers must be >= 1, got {self.workers}")
-        if self.retries < 0:
-            raise ServeError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_s < 0:
-            raise ServeError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.poison_threshold < 1:
-            raise ServeError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold}"
-            )
-        if self.spawn_timeout_s <= 0:
-            raise ServeError(
-                f"spawn_timeout_s must be > 0, got {self.spawn_timeout_s}"
-            )
-
-
-@dataclass
-class PoolTask:
-    """One job's dispatch state, carried across retries.
-
-    ``future`` resolves exactly once with the worker's result dict
-    (``{"payload", "metrics"}``) or an exception; callers bridge it into
-    asyncio with :func:`asyncio.wrap_future`.
-    """
-
-    request: Dict[str, Any]
-    future: "Future[Dict[str, Any]]"
-    timeout_s: Optional[float] = None
-    poison_key: Optional[str] = None
-    kind: str = "job"
-    attempt: int = 1
-    ready_at: float = 0.0
-    started_at: float = 0.0
-    cancelled: bool = False
-    history: List[str] = field(default_factory=list)
-
-
-@dataclass
-class _Worker:
-    """Supervisor-side view of one worker subprocess."""
-
-    slot: int
-    proc: Any
-    conn: Any
-    spawned_at: float
-    ready: bool = False
-    task: Optional[PoolTask] = None
-    deadline: Optional[float] = None
-    jobs_done: int = 0
-
-
 def _worker_main(conn: Any, chaos: Optional[ChaosConfig]) -> None:
-    """Worker process: warm imports, ready handshake, one job at a time.
-
-    SIGINT is ignored so a terminal Ctrl-C (delivered to the process
-    group) cannot kill workers behind the supervisor's back — shutdown is
-    always the supervisor's decision (sentinel, EOF, or SIGKILL).
-    """
-    try:
-        import signal
-
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        pass
+    """Serve worker process: warm imports, ready handshake, one job at a
+    time, with the chaos plan's faults injected before each job."""
+    ignore_sigint()
     from repro.serve.execution import execute_request, warm_imports
     from repro.serve.jobs import error_payload
 
     warm_imports()
     apply_start_fault(chaos)
-    try:
-        conn.send(("ready", os.getpid()))
-    except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-        return
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg is None:
-            conn.close()
-            return
-        request = msg
+
+    def handle(request: Dict[str, Any]) -> Any:
         if chaos is not None:
-            kind = str(request.get("spec", {}).get("kind", ""))
-            rule = chaos.job_fault(kind)
+            rule = chaos.job_fault(str(request.get("spec", {}).get("kind", "")))
             if rule is not None:
                 if rule.fault == "crash":
                     os._exit(CHAOS_CRASH_EXIT)
                 elif rule.fault == "hang":
                     time.sleep(rule.delay_s)
                 elif rule.fault == "corrupt":
-                    try:
-                        conn.send("chaos-corrupt-reply")
-                    except (BrokenPipeError, OSError):
-                        return
-                    continue
+                    return "chaos-corrupt-reply"
         try:
-            reply = ("ok", execute_request(request))
+            return ("ok", execute_request(request))
         except Exception as exc:  # per-job fault isolation
-            reply = ("error", error_payload(exc))
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # supervisor went away
-            return
+            return ("error", error_payload(exc))
+
+    worker_loop(conn, handle)
 
 
 def _resolve_context(name: Optional[str]) -> Any:
     name = name or os.environ.get(ENV_MP_CONTEXT) or None
     if name is None:
-        name = (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
+        name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(name)
 
 
-class WorkerPool:
-    """Supervised pool of long-lived worker subprocesses.
+class WorkerPool(SupervisedPool):
+    """The serve worker pool (see the module docstring).
 
-    See the module docstring for the policy.  Lifecycle:
-    :meth:`start` → :meth:`submit`/:meth:`cancel` → :meth:`stop`.
+    Lifecycle: :meth:`start` → :meth:`submit`/:meth:`cancel` →
+    :meth:`stop`; :meth:`health` feeds the ``stats`` verb.
     """
+
+    thread_name = "repro-serve-pool"
 
     def __init__(
         self,
@@ -248,561 +107,25 @@ class WorkerPool:
         *,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.config = config or PoolConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self._ctx = _resolve_context(self.config.mp_context)
-        self._chaos = self.config.chaos
+        config = config or PoolConfig()
+        chaos = config.chaos
         self._chaos_tmp: Optional[tempfile.TemporaryDirectory] = None
-        if self._chaos is not None and self._chaos.state_dir is None:
+        if chaos is not None and chaos.state_dir is None:
             # the token directory must be shared by every worker process
             self._chaos_tmp = tempfile.TemporaryDirectory(
                 prefix="repro-serve-chaos-"
             )
-            self._chaos = self._chaos.with_state_dir(self._chaos_tmp.name)
-        #: guards every piece of supervisor state shared between the
-        #: asyncio loop (submit/cancel/stop/health) and the supervisor
-        #: thread; re-entrant so helpers compose without hand-off rules
-        self._lock = threading.RLock()
-        self._workers: Dict[int, Optional[_Worker]] = {}
-        self._respawn_at: Dict[int, float] = {}
-        self._spawn_failures = 0
-        self._queue: Deque[PoolTask] = deque()
-        self._waiting: List[PoolTask] = []
-        self._crash_counts: Dict[str, int] = {}
-        self._quarantined: Dict[str, int] = {}
-        self._started = False
-        self._stopped = False
-        self._thread: Optional[threading.Thread] = None
-        m = self.metrics
-        self._m_restarts = m.counter(
-            "pool_worker_restarts",
-            "pool workers respawned after death, kill, or spawn failure",
+            chaos = chaos.with_state_dir(self._chaos_tmp.name)
+        super().__init__(
+            config,
+            ctx=_resolve_context(config.mp_context),
+            target=_worker_main,
+            args=(chaos,),
+            metrics=metrics or MetricsRegistry(),
         )
-        self._m_timeout_kills = m.counter(
-            "pool_timeout_kills", "workers SIGKILLed on per-job timeout"
-        )
-        self._m_retries = m.counter(
-            "pool_retries", "job attempts re-queued after worker death"
-        )
-        self._m_corrupt = m.counter(
-            "pool_corrupt_replies",
-            "protocol-violating worker replies (worker replaced)",
-        )
-        self._m_poison = m.counter(
-            "pool_poison_jobs", "jobs refused by the poison circuit breaker"
-        )
-        self._m_alive = m.gauge(
-            "pool_workers_alive", "workers past the ready handshake"
-        )
-        self._m_respawn = m.histogram(
-            "pool_respawn_seconds", "worker spawn-to-ready latency"
-        )
-        self._g_inflight = [
-            m.gauge(
-                f"pool_worker_{slot}_inflight",
-                f"jobs in flight on pool worker slot {slot}",
-            )
-            for slot in range(self.config.workers)
-        ]
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def start(self) -> None:
-        """Spawn the workers and the supervisor thread (idempotent)."""
-        with self._lock:
-            if self._started:
-                return
-            self._started = True
-            for slot in range(self.config.workers):
-                self._spawn(slot)
-            self._thread = threading.Thread(
-                target=self._supervise, name="repro-serve-pool", daemon=True
-            )
-            self._thread.start()
 
     def stop(self, timeout_s: float = 10.0) -> None:
-        """Stop the pool: resolve every outstanding future, reap every
-        worker process.  Safe to call twice; blocks until the supervisor
-        thread has torn everything down (bounded by ``timeout_s``)."""
-        with self._lock:
-            self._stopped = True
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout_s)
-        with self._lock:
-            if self._workers:  # never started, or the join timed out
-                self._teardown()
-            if self._chaos_tmp is not None:
-                self._chaos_tmp.cleanup()
-                self._chaos_tmp = None
-
-    # ------------------------------------------------------------------
-    # loop-side API
-
-    def submit(
-        self,
-        request: Dict[str, Any],
-        *,
-        timeout_s: Optional[float] = None,
-        poison_key: Optional[str] = None,
-        kind: str = "job",
-    ) -> PoolTask:
-        """Queue one job; returns its :class:`PoolTask` immediately.
-
-        The task's future may already be resolved on return: a stopped
-        pool fails with ``stopped``, a quarantined key with
-        ``poison_job`` (the circuit breaker rejecting without dispatch).
-        """
-        task = PoolTask(
-            request=request,
-            future=Future(),
-            timeout_s=timeout_s,
-            poison_key=poison_key,
-            kind=kind,
-        )
-        with self._lock:
-            if self._stopped or not self._started:
-                task.future.set_exception(
-                    ServeError(
-                        "worker pool is not accepting jobs", code="stopped"
-                    )
-                )
-                return task
-            if poison_key is not None and poison_key in self._quarantined:
-                self._m_poison.inc()
-                task.future.set_exception(
-                    PoisonJobError(
-                        f"job key {poison_key} is quarantined after "
-                        f"{self._quarantined[poison_key]} worker crash(es)"
-                    )
-                )
-                return task
-            self._queue.append(task)
-        return task
-
-    def cancel(self, task: PoolTask) -> bool:
-        """Cancel a task: queued tasks resolve immediately; a running
-        task's worker is killed by the supervisor within one tick.
-
-        Returns ``False`` when the task already reached a terminal state.
-        """
-        with self._lock:
-            if task.future.done():
-                return False
-            if task in self._queue:
-                self._queue.remove(task)
-            elif task in self._waiting:
-                self._waiting.remove(task)
-            task.cancelled = True
-            task.future.set_exception(
-                JobCancelled("job cancelled while in the worker pool")
-            )
-            return True
-
-    def health(self) -> Dict[str, Any]:
-        """Point-in-time worker table + supervisor state snapshot."""
-        with self._lock:
-            workers = []
-            for slot in sorted(self._workers):
-                worker = self._workers[slot]
-                if worker is None:
-                    workers.append({"slot": slot, "state": "respawning"})
-                    continue
-                if not worker.ready:
-                    state = "spawning"
-                elif worker.task is not None:
-                    state = "busy"
-                else:
-                    state = "idle"
-                workers.append(
-                    {
-                        "slot": slot,
-                        "pid": worker.proc.pid,
-                        "state": state,
-                        "jobs_done": worker.jobs_done,
-                    }
-                )
-            return {
-                "workers": workers,
-                "queued": len(self._queue),
-                "retry_waiting": len(self._waiting),
-                "restarts": int(self._m_restarts.value),
-                "quarantined_keys": sorted(self._quarantined),
-            }
-
-    # ------------------------------------------------------------------
-    # supervisor thread
-
-    def _supervise(self) -> None:
-        while not self._stop_requested():
-            self._check_spawns()
-            self._promote_retries()
-            self._reap_cancelled()
-            self._assign()
-            conns = self._wait_set()
-            if conns:
-                try:
-                    readable = mp_connection.wait(conns, timeout=_TICK)
-                except OSError:  # pragma: no cover - fd raced a respawn
-                    readable = []
-                for conn in readable:
-                    self._on_readable(conn)
-            else:
-                time.sleep(_TICK)
-            self._enforce_deadlines()
-        self._teardown()
-
-    def _stop_requested(self) -> bool:
-        with self._lock:
-            return self._stopped
-
-    def _wait_set(self) -> List[Any]:
-        with self._lock:
-            return [
-                worker.conn
-                for worker in self._workers.values()
-                if worker is not None
-            ]
-
-    # -- spawning ------------------------------------------------------
-
-    def _spawn(self, slot: int) -> None:
-        """Start a fresh worker in ``slot`` (or schedule a retry)."""
-        with self._lock:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            try:
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn, self._chaos),
-                    daemon=True,
-                )
-                proc.start()
-            except OSError:
-                # spawn failed (fd/process exhaustion): back off before
-                # retrying so a broken environment cannot crash-loop
-                parent_conn.close()
-                child_conn.close()
-                self._spawn_failures += 1
-                backoff = min(
-                    0.1 * (2 ** (self._spawn_failures - 1)),
-                    _SPAWN_BACKOFF_CAP,
-                )
-                self._workers[slot] = None
-                self._respawn_at[slot] = time.monotonic() + backoff
-                return
-            except BaseException:
-                # anything else (pickling errors, interpreter shutdown) is
-                # not retryable — propagate, but never strand the pipe fds
-                parent_conn.close()
-                child_conn.close()
-                raise
-            # close our copy of the child end or EOF detection never fires
-            child_conn.close()
-            self._workers[slot] = _Worker(
-                slot=slot,
-                proc=proc,
-                conn=parent_conn,
-                spawned_at=time.monotonic(),
-            )
-            self._respawn_at.pop(slot, None)
-
-    def _check_spawns(self) -> None:
-        """Respawn empty slots whose backoff expired; kill stuck spawns."""
-        with self._lock:
-            now = time.monotonic()
-            for slot in list(self._respawn_at):
-                if self._workers.get(slot) is None and now >= self._respawn_at[slot]:
-                    self._spawn(slot)
-            for slot, worker in list(self._workers.items()):
-                if worker is None or worker.ready:
-                    continue
-                if now - worker.spawned_at > self.config.spawn_timeout_s:
-                    # bootstrap wedged (import deadlock, chaos slow_start
-                    # past the budget): reclaim the slot
-                    self._replace(worker, reason="spawn timeout")
-
-    # -- dispatch ------------------------------------------------------
-
-    def _promote_retries(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            ready = [t for t in self._waiting if t.ready_at <= now]
-            if ready:
-                self._waiting = [
-                    t for t in self._waiting if t.ready_at > now
-                ]
-                self._queue.extend(ready)
-
-    def _reap_cancelled(self) -> None:
-        """Kill workers whose running task was cancelled loop-side."""
-        with self._lock:
-            for worker in self._workers.values():
-                if (
-                    worker is not None
-                    and worker.task is not None
-                    and worker.task.cancelled
-                ):
-                    self._replace(worker, reason="job cancelled")
-
-    def _assign(self) -> None:
-        with self._lock:
-            for worker in self._workers.values():
-                if (
-                    worker is None
-                    or not worker.ready
-                    or worker.task is not None
-                ):
-                    continue
-                task = self._next_task()
-                if task is None:
-                    return
-                task.started_at = time.monotonic()
-                try:
-                    worker.conn.send(task.request)
-                except (BrokenPipeError, OSError):
-                    # the idle worker died between jobs; requeue + replace
-                    self._queue.appendleft(task)
-                    self._replace(worker, reason="idle worker died")
-                    continue
-                worker.task = task
-                worker.deadline = (
-                    task.started_at + task.timeout_s
-                    if task.timeout_s is not None
-                    else None
-                )
-                self._g_inflight[worker.slot].set(1)
-
-    def _next_task(self) -> Optional[PoolTask]:
-        with self._lock:
-            while self._queue:
-                task = self._queue.popleft()
-                if not task.future.done():
-                    return task
-            return None
-
-    # -- collection ----------------------------------------------------
-
-    def _on_readable(self, conn: Any) -> None:
-        with self._lock:
-            worker = None
-            for candidate in self._workers.values():
-                if candidate is not None and candidate.conn is conn:
-                    worker = candidate
-                    break
-            if worker is None:  # pragma: no cover - slot already respawned
-                return
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                self._on_death(worker)
-                return
-            if not worker.ready:
-                if (
-                    isinstance(msg, tuple)
-                    and len(msg) == 2
-                    and msg[0] == "ready"
-                ):
-                    worker.ready = True
-                    self._spawn_failures = 0
-                    self._m_alive.add(1)
-                    self._m_respawn.observe(
-                        time.monotonic() - worker.spawned_at
-                    )
-                else:  # pragma: no cover - garbled handshake
-                    self._replace(worker, reason="bad ready handshake")
-                return
-            task = worker.task
-            if (
-                not isinstance(msg, tuple)
-                or len(msg) != 2
-                or msg[0] not in ("ok", "error")
-            ):
-                # corrupted reply: the worker cannot be trusted any more —
-                # replace it and retry the job as a transient failure
-                self._m_corrupt.inc()
-                self._replace(worker, reason="corrupt reply")
-                if task is not None and not task.cancelled:
-                    self._score_transient(
-                        task,
-                        reason=(
-                            f"attempt {task.attempt}: worker returned a "
-                            "corrupted reply"
-                        ),
-                    )
-                return
-            worker.task = None
-            worker.deadline = None
-            worker.jobs_done += 1
-            self._g_inflight[worker.slot].set(0)
-            if task is None or task.future.done():
-                # cancelled while the result was in the pipe: the future
-                # is already resolved; the late result is discarded
-                return
-            status, payload = msg
-            if status == "ok":
-                if task.poison_key is not None:
-                    # an eventual success is not poison: forgive history
-                    self._crash_counts.pop(task.poison_key, None)
-                task.future.set_result(payload)
-            else:
-                # deterministic in-worker failure: no retry, pass the
-                # structured payload through unchanged
-                task.future.set_exception(WorkerJobError(payload))
-
-    def _on_death(self, worker: _Worker) -> None:
-        """A worker's pipe hit EOF — it exited or was killed externally."""
-        with self._lock:
-            task = worker.task
-            pid = worker.proc.pid
-            self._replace(worker, reason="worker died")
-            if task is None or task.future.done():
-                return
-            exitcode = worker.proc.exitcode
-            self._score_crash(
-                task,
-                reason=(
-                    f"attempt {task.attempt}: worker {pid} died mid-job "
-                    f"(exitcode {exitcode})"
-                ),
-            )
-
-    def _enforce_deadlines(self) -> None:
-        with self._lock:
-            now = time.monotonic()
-            for worker in self._workers.values():
-                if (
-                    worker is None
-                    or worker.task is None
-                    or worker.deadline is None
-                    or now < worker.deadline
-                ):
-                    continue
-                if worker.conn.poll():  # result raced the deadline
-                    continue
-                task = worker.task
-                pid = worker.proc.pid
-                self._m_timeout_kills.inc()
-                self._replace(worker, reason="job timeout")
-                if task.future.done():
-                    continue
-                # a timeout is deterministic (the job would time out
-                # again); fail it now instead of burning retries
-                task.future.set_exception(
-                    ServeError(
-                        f"job exceeded its {task.timeout_s:.4g}s execution "
-                        f"timeout (worker {pid} killed)",
-                        code="timeout",
-                        retry_after_s=1.0,
-                    )
-                )
-
-    # -- failure scoring -----------------------------------------------
-
-    def _score_crash(self, task: PoolTask, *, reason: str) -> None:
-        """A worker died under ``task``: poison-check, then retry."""
-        with self._lock:
-            if task.poison_key is not None:
-                crashes = self._crash_counts.get(task.poison_key, 0) + 1
-                self._crash_counts[task.poison_key] = crashes
-                if crashes >= self.config.poison_threshold:
-                    # circuit breaker: this job reliably kills workers
-                    self._quarantined[task.poison_key] = crashes
-                    self._m_poison.inc()
-                    task.history.append(reason)
-                    task.future.set_exception(
-                        PoisonJobError(
-                            f"job quarantined after {crashes} worker "
-                            f"crash(es): {'; '.join(task.history)}"
-                        )
-                    )
-                    return
-            self._score_transient(task, reason=reason)
-
-    def _score_transient(self, task: PoolTask, *, reason: str) -> None:
-        """Retry a transiently-failed task, or fail it for good."""
-        with self._lock:
-            task.history.append(reason)
-            if task.attempt <= self.config.retries:
-                backoff = min(
-                    self.config.backoff_s * (2 ** (task.attempt - 1)),
-                    _BACKOFF_CAP,
-                )
-                task.attempt += 1
-                task.ready_at = time.monotonic() + backoff
-                self._waiting.append(task)
-                self._m_retries.inc()
-                return
-            task.future.set_exception(
-                WorkerCrashError(
-                    f"job lost its worker on all {task.attempt} "
-                    f"attempt(s): {'; '.join(task.history)}"
-                )
-            )
-
-    # -- worker replacement --------------------------------------------
-
-    def _replace(self, worker: _Worker, *, reason: str) -> None:
-        """Kill + reap ``worker`` and spawn a successor in its slot."""
-        with self._lock:
-            if worker.ready:
-                self._m_alive.add(-1)
-            worker.task = None
-            worker.deadline = None
-            self._g_inflight[worker.slot].set(0)
-            self._m_restarts.inc()
-            try:
-                worker.proc.kill()
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-            worker.proc.join(timeout=2.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._spawn(worker.slot)
-
-    # -- teardown ------------------------------------------------------
-
-    def _teardown(self) -> None:
-        """Resolve every outstanding future; reap every worker process."""
-        with self._lock:
-            stopped = ServeError("worker pool stopped", code="stopped")
-            for task in list(self._queue) + list(self._waiting):
-                if not task.future.done():
-                    task.future.set_exception(stopped)
-            self._queue.clear()
-            self._waiting.clear()
-            for worker in self._workers.values():
-                if worker is None:
-                    continue
-                task = worker.task
-                if task is not None and not task.future.done():
-                    task.future.set_exception(stopped)
-                if worker.task is not None or not worker.ready:
-                    # busy or mid-bootstrap: no point being gentle
-                    try:
-                        worker.proc.kill()
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
-                else:
-                    try:
-                        worker.conn.send(None)  # idle: polite sentinel
-                    except (BrokenPipeError, OSError):
-                        pass
-                worker.proc.join(timeout=2.0)
-                if worker.proc.is_alive():  # pragma: no cover - stuck
-                    try:
-                        worker.proc.kill()
-                    except (OSError, ValueError):
-                        pass
-                    worker.proc.join(timeout=2.0)
-                try:
-                    worker.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            self._workers.clear()
-            self._respawn_at.clear()
-            self._m_alive.set(0)
-            for gauge in self._g_inflight:
-                gauge.set(0)
+        super().stop(timeout_s)
+        if self._chaos_tmp is not None:
+            self._chaos_tmp.cleanup()
+            self._chaos_tmp = None

@@ -450,7 +450,7 @@ class Scheduler:
         elif job.state == JobState.RUNNING:
             task = self._pool_tasks.get(job_id)
             if task is not None:
-                self.pool.cancel(task)  # kills the worker within a tick
+                self.pool.cancel(task)  # wakes the pool, which kills the worker
         return job
 
     async def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:

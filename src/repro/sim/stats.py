@@ -119,10 +119,9 @@ class SweepCounters:
     killed by the watchdog) and were replenished.
 
     ``narration_flushes`` counts builder flushes through the columnar
-    record path.  It is a process-wide delta attributed to the sweep that
-    observed it; with parallel workers the narration happens in worker
-    processes and the in-process delta under-counts (workers do not report
-    it back).
+    record path: each unit measures its own flushes wherever it runs and
+    reports them with its outcome, so the total does not depend on the
+    worker count.
     """
 
     units_total: int = 0

@@ -588,6 +588,15 @@ class TestLockRules:
             (False, True),
         }
 
+    def test_shared_worker_pool_is_in_the_default_scope(self, tmp_path):
+        # the supervised pool sweeps and serving share lives outside
+        # repro/serve/; the default scope must still check its discipline
+        project = make_project(
+            tmp_path, {"repro/eval/supervisor.py": LOCKED_RACY}
+        )
+        findings = check_locks(project)
+        assert rules_of(findings) == ["VIA301", "VIA301", "VIA302", "VIA302"]
+
     def test_consistent_locking_is_clean(self, tmp_path):
         project = make_project(
             tmp_path,
@@ -1442,6 +1451,23 @@ class TestErrorflowRules:
         findings = check_errorflow(project)
         assert rules_of(findings) == ["VIA601"]
         assert "ValueError" in findings[0].message
+
+    def test_shared_worker_pool_is_in_the_default_scope(self, tmp_path):
+        # the pool's errors reach serve clients too
+        project = make_project(
+            tmp_path,
+            {
+                "repro/serve/jobs.py": JOBS_ANCHOR,
+                "repro/eval/supervisor.py": """
+                    def spawn(slot):
+                        if slot < 0:
+                            raise ValueError("negative slot")
+                """,
+            },
+        )
+        findings = check_errorflow(project)
+        assert rules_of(findings) == ["VIA601"]
+        assert findings[0].path.endswith("repro/eval/supervisor.py")
 
     def test_mapped_subclass_and_helper_raises_are_clean(self, tmp_path):
         project = make_project(

@@ -1,45 +1,40 @@
-"""Regression pins for the leaks the lifecycle analysis surfaced.
+"""Regression pins for the spawn-path leaks the lifecycle analysis found.
 
-The VIA501/VIA502 audit over the serve pool and the eval supervisor
-found three spawn-failure paths that stranded pipe file descriptors:
+The VIA501/VIA502 audit found three spawn-failure paths that stranded
+pipe file descriptors: a spawn that closed its pipe ends only on
+``OSError``, a worker handle with no guard at all around process
+construction, and a pool built in a list comprehension, so a failure on
+the Nth spawn left the N-1 live workers unreachable by teardown.
 
-* ``WorkerPool._spawn`` closed its pipe ends only on ``OSError`` — any
-  other exception out of ``Process(...)``/``start()`` leaked both;
-* ``_WorkerHandle.__init__`` had no guard at all around process
-  construction;
-* ``Supervisor.run`` built its pool in a list comprehension, so a
-  failure on the Nth spawn left the N-1 live workers unreachable by the
-  ``finally: _shutdown()``.
-
-Each test drives the real production code through the failing path with
-real pipes and scripted processes, and asserts every descriptor ends up
-closed.  Leaked fds compound: under fd exhaustion (the very condition
-that makes spawns fail) a leak per retry turns a transient stall into a
-permanent one.
+Sweeps and serving now share one pool, and every worker is spawned by
+``_WorkerHandle.__init__``; these tests pin each behaviour of that one
+path exactly once.  They drive the real pool with real pipes and
+scripted processes and assert every descriptor ends up closed.  Leaked
+fds compound: under fd exhaustion (the very condition that makes spawns
+fail) a leak per retry turns a transient stall into a permanent one.
 """
 
 import multiprocessing as mp
 
 import pytest
 
-from repro.eval.supervisor import Supervisor, _WorkerHandle
-from repro.serve.pool import WorkerPool
+from repro.errors import ServeError
+from repro.eval.supervisor import PoolConfig, SupervisedPool, _WorkerHandle
 
 
 class _InertProc:
     """A process double: records lifecycle calls, runs nothing."""
 
+    pid = 0
+    exitcode = None
+
     def __init__(self):
-        self.started = False
         self.reaped = False
 
     def start(self):
-        self.started = True
+        pass
 
     def kill(self):
-        self.reaped = True
-
-    def terminate(self):
         self.reaped = True
 
     def join(self, timeout=None):
@@ -85,46 +80,33 @@ class _RecordingCtx:
         return all(conn.closed for pair in self.pipes for conn in pair)
 
 
+def _pool(outcomes, workers=1):
+    ctx = _RecordingCtx(outcomes)
+    return SupervisedPool(
+        PoolConfig(workers=workers), ctx=ctx, target=lambda conn: None
+    ), ctx
+
+
 class TestPoolSpawn:
     def test_non_oserror_from_start_closes_both_pipe_ends(self):
-        pool = WorkerPool()
-        pool._ctx = _RecordingCtx(["start-fail"])
+        pool, ctx = _pool(["start-fail"])
         with pytest.raises(RuntimeError):
             pool._spawn(0)
-        assert pool._ctx.all_pipe_ends_closed()
-
-    def test_non_oserror_from_process_ctor_closes_both_pipe_ends(self):
-        pool = WorkerPool()
-        pool._ctx = _RecordingCtx([RuntimeError("unpicklable target")])
-        with pytest.raises(RuntimeError):
-            pool._spawn(0)
-        assert pool._ctx.all_pipe_ends_closed()
+        assert ctx.all_pipe_ends_closed()
+        assert 0 not in pool._workers
 
     def test_oserror_still_backs_off_and_closes_pipes(self):
-        pool = WorkerPool()
-        pool._ctx = _RecordingCtx([OSError(24, "too many open files")])
+        pool, ctx = _pool([OSError(24, "too many open files")])
         pool._spawn(0)  # retryable: schedules a respawn, does not raise
-        assert pool._ctx.all_pipe_ends_closed()
+        assert ctx.all_pipe_ends_closed()
         assert pool._workers[0] is None
         assert 0 in pool._respawn_at
 
 
 class TestWorkerHandleSpawn:
-    def test_failed_process_ctor_closes_both_pipe_ends(self):
-        ctx = _RecordingCtx([RuntimeError("spawn refused")])
-        with pytest.raises(RuntimeError):
-            _WorkerHandle(ctx)
-        assert ctx.all_pipe_ends_closed()
-
-    def test_failed_start_closes_both_pipe_ends(self):
-        ctx = _RecordingCtx(["start-fail"])
-        with pytest.raises(RuntimeError):
-            _WorkerHandle(ctx)
-        assert ctx.all_pipe_ends_closed()
-
     def test_successful_spawn_keeps_only_the_parent_end(self):
         ctx = _RecordingCtx(["ok"])
-        handle = _WorkerHandle(ctx)
+        handle = _WorkerHandle(ctx, target=lambda conn: None)
         ((parent, child),) = ctx.pipes
         assert not parent.closed and child.closed
         handle.kill()
@@ -133,17 +115,17 @@ class TestWorkerHandleSpawn:
 
 class TestSupervisorPartialPool:
     def test_nth_spawn_failure_reaps_the_live_workers(self):
-        ctx = _RecordingCtx(["ok", "ok", RuntimeError("third spawn fails")])
-        supervisor = Supervisor(
-            ctx,
-            workers=3,
-            timeout_s=None,
-            retries=0,
-            backoff_s=0.0,
-            on_outcome=lambda outcome: None,
+        pool, ctx = _pool(
+            ["ok", "ok", RuntimeError("third spawn fails")], workers=3
         )
         with pytest.raises(RuntimeError):
-            supervisor.run([(i, object()) for i in range(3)])
-        assert supervisor.handles == []
+            pool.start()
+        assert pool._workers == {}
         assert ctx.all_pipe_ends_closed()
-        assert all(proc.reaped for proc in ctx.procs)
+        assert len(ctx.procs) == 2 and all(proc.reaped for proc in ctx.procs)
+        # the failed start left a stopped pool, not a half-started one
+        assert pool._thread is None
+        task = pool.submit("job")
+        with pytest.raises(ServeError) as info:
+            task.future.result(timeout=5)
+        assert info.value.code == "stopped"

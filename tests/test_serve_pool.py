@@ -18,8 +18,10 @@ through the :mod:`repro.serve.chaos` fault plan:
 
 import asyncio
 import os
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -100,6 +102,50 @@ class TestDispatch:
         with pytest.raises(ServeError) as info:
             task.future.result(timeout=5)
         assert info.value.code == "stopped"
+
+
+class TestWake:
+    def test_submit_dispatches_to_an_idle_pool_without_a_poll_tick(
+        self, make_pool, monkeypatch
+    ):
+        """``submit`` wakes the supervisor itself: with every idle-wait
+        bound stretched to 10 s, a job sent to an idle pool still
+        completes at once."""
+        from repro.eval import supervisor
+        from repro.serve import pool as pool_mod
+
+        for module in (supervisor, pool_mod):
+            monkeypatch.setattr(module, "_TICK", 10.0, raising=False)
+        pool = make_pool(workers=1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if [w.get("state") for w in pool.health()["workers"]] == ["idle"]:
+                break
+            time.sleep(0.01)
+        begin = time.monotonic()
+        task = pool.submit(_request("sleep", duration_s=0.01))
+        assert task.future.result(timeout=30)["payload"] == {"slept_s": 0.01}
+        assert time.monotonic() - begin < 2.0
+
+    def test_concurrent_submits_never_lose_a_wakeup(self, make_pool):
+        """Eight threads submit at once with a tiny switch interval to
+        shake out interleavings.  The supervisor has no poll tick, so a
+        lost wakeup would strand a job until the result timeout."""
+        pool = make_pool(workers=3)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as submitters:
+                tasks = list(
+                    submitters.map(
+                        lambda _: pool.submit(_request("sleep", duration_s=0.0)),
+                        range(200),
+                    )
+                )
+        finally:
+            sys.setswitchinterval(previous)
+        for task in tasks:
+            assert task.future.result(timeout=60)["payload"] == {"slept_s": 0.0}
 
 
 class TestCrashRecovery:

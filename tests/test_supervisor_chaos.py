@@ -248,6 +248,21 @@ class TestSupervisedEquivalence:
             r.to_dict() for r in inline.records
         ]
 
+    def test_counters_match_across_worker_counts(self):
+        """Each unit's counters travel back from its worker, so one and
+        two workers report the same sweep counters."""
+        coll = small_collection(3, seed=37, max_n=128)
+        units = spmv_units(coll, formats=("csr", "csb"))
+
+        def counters(workers):
+            out = run_units(units, RunnerConfig(workers=workers)).counters.as_dict()
+            del out["wall_seconds"], out["workers"]
+            return out
+
+        one = counters(1)
+        assert one["narration_flushes"] > 0
+        assert counters(2) == one
+
     def test_fork_context_available(self):
         # the chaos suite assumes fork; make the assumption explicit
         assert multiprocessing.get_context("fork") is not None
