@@ -1,8 +1,9 @@
 """Dtype-hygiene rules (family ``dtypes``).
 
 The columnar pricing engine's contract is *bit-identity*: replay through
-:mod:`repro.sim.columnar` must produce exactly the cycle counts that
-``Op.apply`` produces, across interpreter versions and numpy builds.
+:mod:`repro.sim.columnar` must produce exactly the cycle counts that the
+per-op reference pricer under ``tests/`` produces, across interpreter
+versions and numpy builds.
 Integer cycle arithmetic is what makes that promise cheap to keep —
 int64 adds are associative and exact, float64 adds are neither.  One
 ``/`` where ``//`` was meant, one ``np.mean`` (which always promotes to

@@ -41,7 +41,6 @@ from repro.sim.dram import DRAMModel, DRAMStats
 from repro.sim.hierarchy import AccessResult, MemoryHierarchy
 from repro.sim.ops import (
     OPS_SCHEMA_VERSION,
-    Op,
     Recording,
     load_recordings,
     save_recordings,
@@ -69,7 +68,6 @@ __all__ = [
     "price_columnar",
     "price_flush",
     "OPS_SCHEMA_VERSION",
-    "Op",
     "Recording",
     "load_recordings",
     "save_recordings",

@@ -13,8 +13,8 @@ wraps:
   pass.  The stream is captured as the flushed column blocks themselves:
   the recording is born columnar;
 * :class:`TraceBackend` — log a :class:`~repro.sim.trace.TraceEvent` per
-  flushed row, then delegate to an inner backend (installed by
-  :class:`~repro.sim.trace.TracedCore`);
+  flushed row, rendered from the op-kind table, then delegate to an inner
+  backend (installed by :class:`~repro.sim.trace.TracedCore`);
 * :class:`InvariantBackend` — delegate, then assert the model's
   conservation laws (gem5-style runtime self-checking) at flush
   granularity: structurally via
@@ -79,8 +79,7 @@ class RecorderBackend(Backend):
     functional output), ready for :func:`~repro.sim.ops.save_recordings`.
     Flushed column blocks are stitched with
     :func:`~repro.sim.columnar.concat_columnar` at finalize, so the
-    recording carries native struct-of-arrays columns end to end — no
-    ``Op`` object is ever built on this path.
+    recording carries native struct-of-arrays columns end to end.
     """
 
     def __init__(self) -> None:
@@ -112,10 +111,11 @@ class TraceBackend(Backend):
     """Log every flushed row to a :class:`~repro.sim.trace.Trace`, then
     delegate.
 
-    Rows are logged in narration order through
-    :meth:`~repro.sim.columnar.ColumnarOps.to_ops`, so the trace reads op
-    by op although narration arrives in batches; tracing is opt-in, so
-    only traced runs pay for the row objects.
+    Rows are logged in narration order, each read back with
+    :func:`~repro.sim.columnar.decode_row` and rendered by its
+    :class:`~repro.sim.columnar.OpKind`, so the trace reads op by op
+    although narration arrives in batches; tracing is opt-in, so only
+    traced runs pay for the decoding.
     """
 
     def __init__(self, trace: "Trace", inner: Optional[Backend] = None) -> None:
@@ -123,8 +123,10 @@ class TraceBackend(Backend):
         self.inner = inner if inner is not None else DirectBackend()
 
     def flush(self, batch: columnar.FlushBatch, core: "Core") -> None:
-        for op in batch.cols.to_ops():
-            self.trace.add(op.kind, op.describe(), op.trace_count)
+        cols = batch.cols
+        for i in range(len(cols)):
+            kind, values = columnar.decode_row(cols, i)
+            self.trace.add(kind.name, *kind.render(values))
         self.inner.flush(batch, core)
 
     def on_finalize(self, core: "Core", name: str, output: object) -> None:

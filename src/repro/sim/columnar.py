@@ -1,11 +1,24 @@
-"""Columnar (struct-of-arrays) op streams and the pricing engine.
+"""Columnar (struct-of-arrays) op streams, the op-kind table, and pricing.
 
-Every op stream is priced here.  The stream is held as per-field NumPy
-columns — mirroring the ``.npz`` artifact layout — and priced as array
-arithmetic:
+An op stream is held as per-field NumPy columns — mirroring the ``.npz``
+artifact layout — and every op kind is one row of :data:`OP_KINDS`: its
+name and kind id, the column each operand fills and how that column reads
+back, which operands must be non-negative, its other checks with their
+messages, and its trace rendering.  Everything per-kind is read from that
+table:
 
-* :func:`columnar_via_totals` prices every :class:`~repro.sim.ops.ViaOpRecord`
-  of a stream in one vectorized pass (the port-dependent side of replay);
+* :class:`ColumnarBuilder` appends narration rows through :data:`APPEND`,
+  one straight-line function per kind generated from the table (checks,
+  then one store per column);
+* :func:`decode_row` reads a row back into its operand values, and
+  :meth:`OpKind.render` turns them into a trace event;
+* :class:`ColumnarOps` validation and :func:`check_columnar_invariants`
+  take the array, pool and non-negative roles from the table.
+
+Pricing is array arithmetic over the columns:
+
+* :func:`columnar_via_totals` prices every ``record_via_op`` row of a
+  stream in one vectorized pass (the port-dependent side of replay);
 * :func:`price_columnar` is the cross-machine memory pass: allocation bases
   from a cumulative sum, per-op counters from masked reductions, cache-level
   latencies from an ``np.take`` over the machine's latency table, and hit /
@@ -16,10 +29,10 @@ arithmetic:
   maximum;
 * :class:`ColumnarBuilder` / :func:`price_flush` run the same kernels on
   the *record* path: a :class:`~repro.sim.core.Core` appends one row per
-  narration call (no ``Op`` object on the hot path) and flushes batches
-  through the pricing helpers against its live cache hierarchy — op
-  streams are born columnar and :func:`concat_columnar` stitches the
-  flushed batches back into one stream for the recorder.
+  narration call (no per-op object) and flushes batches through the
+  pricing helpers against its live cache hierarchy — op streams are born
+  columnar and :func:`concat_columnar` stitches the flushed batches back
+  into one stream for the recorder.
 
 Bit-identity contract
 ---------------------
@@ -42,37 +55,35 @@ because nothing about the arithmetic is reordered where order could matter:
   :class:`~repro.sim.cache.Cache` objects in recorded op order — only the
   *attribution* of its outcomes is vectorized.
 
-Column layout (one row per op; roles depend on the ``kinds`` discriminator)
----------------------------------------------------------------------------
+Columns
+-------
 
-===============  =========  =====================  ==========  ==================  ==========
-kind             ``count``  ``aux``                ``misc``    ``extra``/``fval``  pool window
-===============  =========  =====================  ==========  ==================  ==========
-alloc            num_elems  elem_bytes             —           —                   —
-scalar_ops       count      —                      —           —                   —
-vector_op        count      op-kind id             —           —                   —
-branches         count      —                      —           fval=rate           —
-dependency_stall —          —                      —           fval=cycles         —
-load/store_stream count     start                  —           —                   —
-gather/scatter   n_instr    —                      —           —                   indices
-*_serial         n_instr    elements_per_instr     —           —                   —
-load_windows     width      —                      —           —                   starts
-scalar_load/store —         dependent flag         —           —                   indices
-bulk_stream      passes     write flag             —           —                   —
-record_via_op    count      sspm_elements          cam_search  extra=port_passes   —
-                                                               fval=port_cycles
-===============  =========  =====================  ==========  ==================  ==========
-
-``array_id`` indexes the ``names`` table for ops naming a simulated array
-(−1 otherwise); ``off``/``num`` reference a window of the shared ``pool``
-of int64 indices.  ``port_passes`` uses −1 for "not recorded",
-``port_cycles`` uses NaN.
+One row per op; the ``kinds`` discriminator says which :data:`OP_KINDS`
+row gives the other columns their roles.  ``count``, ``aux``, ``misc`` and
+``extra`` are int64 and ``fval`` float64; an unused ``extra`` holds −1 and
+an unused ``fval`` NaN, which is how an omitted optional operand
+(``port_passes``, ``port_cycles``) reads back as ``None``.  ``array_id``
+indexes the ``names`` table for ops naming a simulated array (−1
+otherwise); ``off``/``num`` reference a window of the shared ``pool`` of
+int64 indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, cast
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -82,26 +93,6 @@ from repro.sim import calibration as cal
 from repro.sim.cache import Cache, compress_lines, stream_lines
 from repro.sim.config import MachineConfig
 from repro.sim.dram import DRAMModel
-from repro.sim.ops import (
-    VECTOR_OP_KINDS,
-    AllocOp,
-    BranchesOp,
-    BulkStreamOp,
-    DependencyStallOp,
-    GatherOp,
-    GatherSerialOp,
-    LoadStreamOp,
-    LoadWindowsOp,
-    Op,
-    ScalarLoadOp,
-    ScalarOpsOp,
-    ScalarStoreOp,
-    ScatterOp,
-    ScatterSerialOp,
-    StoreStreamOp,
-    VectorOpOp,
-    ViaOpRecord,
-)
 from repro.sim.stats import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -109,16 +100,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.via.config import ViaConfig
 
 __all__ = [
+    "APPEND",
     "COLUMNS",
     "KIND_IDS",
     "KIND_ORDER",
+    "OP_KINDS",
+    "VALIDATE",
+    "VECTOR_OP_KINDS",
     "ColumnarBuilder",
     "ColumnarOps",
     "ColumnarPriced",
     "FlushBatch",
+    "OpKind",
+    "Operand",
     "check_columnar_invariants",
     "columnar_via_totals",
     "concat_columnar",
+    "decode_row",
     "machine_latency_table",
     "price_columnar",
     "price_flush",
@@ -128,26 +126,169 @@ __all__ = [
 _LINE = cal.CACHE_LINE_BYTES
 _ALLOC_BASE = 0x1000_0000
 
-#: op-kind discriminator values, in schema order — stable across sessions
-#: because the artifact format depends on it (``kinds`` stores these ids)
-KIND_ORDER: Tuple[str, ...] = (
-    "alloc",
-    "scalar_ops",
-    "vector_op",
-    "branches",
-    "dependency_stall",
-    "load_stream",
-    "store_stream",
-    "gather",
-    "scatter",
-    "gather_serial",
-    "scatter_serial",
-    "load_windows",
-    "scalar_load",
-    "scalar_store",
-    "bulk_stream",
-    "record_via_op",
+#: vector-op kinds the cycle model understands (see OpCounters)
+VECTOR_OP_KINDS = ("alu", "mask", "fma", "reduce", "permute", "conflict")
+
+
+# ---------------------------------------------------------------------------
+# The op-kind table
+# ---------------------------------------------------------------------------
+class Operand(NamedTuple):
+    """One narration operand: the column it fills and how it reads back."""
+
+    name: str
+    #: a numeric column of :data:`COLUMNS`; ``"array"`` for a simulated
+    #: array (``array_id`` into the name table), ``"pool"`` for a window of
+    #: the index pool (``off``/``num``)
+    column: str
+    #: ``">= 0"`` or ``"> 0"``; a value outside raises
+    #: ``"<kind>: <name> must be <bound>, got <value>"``
+    bound: Optional[str] = None
+    #: ``None`` is accepted and stored as the column default (−1 or NaN)
+    optional: bool = False
+    #: stored as 0/1, read back as a ``bool``
+    flag: bool = False
+    #: stored as the index into these names, read back as the name
+    choices: Tuple[str, ...] = ()
+
+
+class OpKind(NamedTuple):
+    """One op kind: its operands in ``Core`` narration order and its checks."""
+
+    name: str
+    operands: Tuple[Operand, ...]
+    #: ``(failing condition, message)``, Python source over the operand
+    #: names (``VECTOR_OP_KINDS`` in scope); they run in order, before the
+    #: operand bounds
+    checks: Tuple[Tuple[str, str], ...] = ()
+    #: the operand whose value (for an index window, its length) is the
+    #: trace multiplicity, at least 1; without one an event counts 1
+    trace: Optional[str] = None
+
+    def render(self, values: Sequence[Any]) -> Tuple[str, int]:
+        """Trace detail and multiplicity of one row's operand values.
+
+        The detail lists the scalar operands as ``name=repr`` in order,
+        then each index window by its length.
+        """
+        named = list(zip(self.operands, values))
+        detail = [f"{o.name}={v!r}" for o, v in named if o.column != "pool"]
+        detail += [f"{o.name}=<{v.size} elems>" for o, v in named if o.column == "pool"]
+        count = 1
+        for o, v in named:
+            if o.name == self.trace:
+                count = max(int(v.size) if o.column == "pool" else int(v), 1)
+        return ", ".join(detail), count
+
+
+_STREAM = (
+    Operand("array", "array"),
+    Operand("start", "aux", ">= 0"),
+    Operand("count", "count", ">= 0"),
 )
+_INDEXED = (
+    Operand("array", "array"),
+    Operand("indices", "pool"),
+    Operand("n_instr", "count", ">= 0"),
+)
+_SERIAL = (
+    Operand("n_instr", "count", ">= 0"),
+    Operand("elements_per_instr", "aux", ">= 0"),
+)
+_SCALAR_INDEXED = (
+    Operand("array", "array"),
+    Operand("indices", "pool"),
+    Operand("dependent", "aux", flag=True),
+)
+
+#: every op kind, in kind-id order — the ``kinds`` column stores the index
+#: into this table, so the order is part of the artifact format
+OP_KINDS: Tuple[OpKind, ...] = (
+    OpKind(
+        "alloc",
+        (
+            Operand("name", "array"),
+            Operand("num_elems", "count", ">= 0"),
+            Operand("elem_bytes", "aux", "> 0"),
+        ),
+        trace="num_elems",
+    ),
+    OpKind("scalar_ops", (Operand("count", "count", ">= 0"),), trace="count"),
+    OpKind(
+        "vector_op",
+        (
+            Operand("op_kind", "aux", choices=VECTOR_OP_KINDS),
+            Operand("count", "count", ">= 0"),
+        ),
+        checks=(
+            ("op_kind not in VECTOR_OP_KINDS", "unknown vector op kind {op_kind!r}"),
+        ),
+        trace="count",
+    ),
+    OpKind(
+        "branches",
+        (Operand("count", "count", ">= 0"), Operand("mispredict_rate", "fval")),
+        checks=(
+            (
+                "not (0.0 <= mispredict_rate <= 1.0)",
+                "mispredict_rate must be in [0, 1], got {mispredict_rate}",
+            ),
+        ),
+        trace="count",
+    ),
+    OpKind(
+        "dependency_stall",
+        (Operand("cycles", "fval"),),
+        checks=(("cycles < 0", "stall cycles must be >= 0, got {cycles}"),),
+    ),
+    OpKind("load_stream", _STREAM, trace="count"),
+    OpKind("store_stream", _STREAM, trace="count"),
+    OpKind("gather", _INDEXED, trace="indices"),
+    OpKind("scatter", _INDEXED, trace="indices"),
+    OpKind("gather_serial", _SERIAL, trace="n_instr"),
+    OpKind("scatter_serial", _SERIAL, trace="n_instr"),
+    OpKind(
+        "load_windows",
+        (
+            Operand("array", "array"),
+            Operand("starts", "pool"),
+            Operand("width", "count", ">= 0"),
+        ),
+        trace="starts",
+    ),
+    OpKind("scalar_load", _SCALAR_INDEXED, trace="indices"),
+    OpKind("scalar_store", _SCALAR_INDEXED, trace="indices"),
+    OpKind(
+        "bulk_stream",
+        (
+            Operand("array", "array"),
+            Operand("passes", "count", ">= 0"),
+            Operand("write", "aux", flag=True),
+        ),
+        trace="passes",
+    ),
+    OpKind(
+        "record_via_op",
+        (
+            Operand("sspm_elements", "aux", ">= 0"),
+            Operand("cam_searches", "misc", ">= 0"),
+            Operand("count", "count", ">= 0"),
+            Operand("port_passes", "extra", ">= 0", optional=True),
+            Operand("port_cycles", "fval", ">= 0", optional=True),
+        ),
+        checks=(
+            (
+                "port_passes is None and port_cycles is None",
+                "record_via_op needs port_passes (FIVU profile) or "
+                "port_cycles (pre-computed cost)",
+            ),
+        ),
+        trace="count",
+    ),
+)
+
+#: op-kind names in kind-id order (the ``kinds`` column stores the index)
+KIND_ORDER: Tuple[str, ...] = tuple(kind.name for kind in OP_KINDS)
 
 KIND_IDS: Dict[str, int] = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
@@ -168,21 +309,19 @@ _SCALAR_STORE = KIND_IDS["scalar_store"]
 _BULK_STREAM = KIND_IDS["bulk_stream"]
 _VIA = KIND_IDS["record_via_op"]
 
+
+def _kinds_with(column: str) -> Tuple[int, ...]:
+    return tuple(
+        i for i, kind in enumerate(OP_KINDS)
+        if any(o.column == column for o in kind.operands)
+    )
+
+
 #: kinds that name a simulated array (``array_id`` must be valid)
-_ARRAY_KINDS = (
-    _ALLOC,
-    _LOAD_STREAM,
-    _STORE_STREAM,
-    _GATHER,
-    _SCATTER,
-    _LOAD_WINDOWS,
-    _SCALAR_LOAD,
-    _SCALAR_STORE,
-    _BULK_STREAM,
-)
+_ARRAY_KINDS = _kinds_with("array")
 
 #: kinds that reference a window of the index pool
-_POOL_KINDS = (_GATHER, _SCATTER, _LOAD_WINDOWS, _SCALAR_LOAD, _SCALAR_STORE)
+_POOL_KINDS = _kinds_with("pool")
 
 #: serialized column names (the ``pool`` array and ``names`` table ride
 #: alongside; see :func:`repro.sim.ops.save_recordings`)
@@ -303,192 +442,38 @@ class ColumnarOps:
     def __len__(self) -> int:
         return int(self.kinds.size)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_ops(cls, ops: List[Op]) -> "ColumnarOps":
-        """Convert a list of op records into columns (one pass)."""
-        n = len(ops)
-        kinds = np.zeros(n, dtype=np.uint8)
-        count = np.zeros(n, dtype=np.int64)
-        aux = np.zeros(n, dtype=np.int64)
-        misc = np.zeros(n, dtype=np.int64)
-        extra = np.full(n, -1, dtype=np.int64)
-        fval = np.full(n, np.nan, dtype=np.float64)
-        array_id = np.full(n, -1, dtype=np.int64)
-        off = np.zeros(n, dtype=np.int64)
-        num = np.zeros(n, dtype=np.int64)
-        name_ids: Dict[str, int] = {}
-        chunks: List[_IntArray] = []
-        pool_size = 0
 
-        def intern(name: str) -> int:
-            return name_ids.setdefault(name, len(name_ids))
+def decode_row(cols: ColumnarOps, i: int) -> Tuple[OpKind, Tuple[Any, ...]]:
+    """Row ``i`` of a stream read back as its kind and operand values.
 
-        def pooled(i: int, arr: npt.NDArray[np.int64]) -> None:
-            nonlocal pool_size
-            data = np.ascontiguousarray(arr, dtype=np.int64)
-            off[i] = pool_size
-            num[i] = int(data.size)
-            chunks.append(data)
-            pool_size += int(data.size)
-
-        for i, op in enumerate(ops):
-            kinds[i] = KIND_IDS[op.kind]
-            if isinstance(op, AllocOp):
-                count[i] = op.num_elems
-                aux[i] = op.elem_bytes
-                array_id[i] = intern(op.name)
-            elif isinstance(op, ScalarOpsOp):
-                count[i] = op.count
-            elif isinstance(op, VectorOpOp):
-                count[i] = op.count
-                aux[i] = VECTOR_OP_KINDS.index(op.op_kind)
-            elif isinstance(op, BranchesOp):
-                count[i] = op.count
-                fval[i] = op.mispredict_rate
-            elif isinstance(op, DependencyStallOp):
-                fval[i] = op.cycles
-            elif isinstance(op, (LoadStreamOp, StoreStreamOp)):
-                count[i] = op.count
-                aux[i] = op.start
-                array_id[i] = intern(op.array)
-            elif isinstance(op, (GatherOp, ScatterOp)):
-                count[i] = op.n_instr
-                array_id[i] = intern(op.array)
-                pooled(i, op.indices)
-            elif isinstance(op, (GatherSerialOp, ScatterSerialOp)):
-                count[i] = op.n_instr
-                aux[i] = op.elements_per_instr
-            elif isinstance(op, LoadWindowsOp):
-                count[i] = op.width
-                array_id[i] = intern(op.array)
-                pooled(i, op.starts)
-            elif isinstance(op, (ScalarLoadOp, ScalarStoreOp)):
-                aux[i] = int(op.dependent)
-                array_id[i] = intern(op.array)
-                pooled(i, op.indices)
-            elif isinstance(op, BulkStreamOp):
-                count[i] = op.passes
-                aux[i] = int(op.write)
-                array_id[i] = intern(op.array)
-            elif isinstance(op, ViaOpRecord):
-                count[i] = op.count
-                aux[i] = op.sspm_elements
-                misc[i] = op.cam_searches
-                extra[i] = -1 if op.port_passes is None else op.port_passes
-                fval[i] = np.nan if op.port_cycles is None else op.port_cycles
-            else:  # pragma: no cover - new op kinds must extend this table
-                raise RecordingError(
-                    f"no columnar encoding for op kind {op.kind!r}"
-                )
-        pool = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
-        return cls(
-            kinds=kinds,
-            count=count,
-            aux=aux,
-            misc=misc,
-            extra=extra,
-            fval=fval,
-            array_id=array_id,
-            off=off,
-            num=num,
-            pool=pool,
-            names=tuple(name_ids),
-        )
-
-    def to_ops(self) -> List[Op]:
-        """Materialize the columns back into op records (trace rows)."""
-        ops: List[Op] = []
-        names = self.names
-        pool = self.pool
-        for i in range(len(self)):
-            k = int(self.kinds[i])
-            if k == _ALLOC:
-                ops.append(
-                    AllocOp(
-                        names[int(self.array_id[i])],
-                        int(self.count[i]),
-                        int(self.aux[i]),
-                    )
-                )
-            elif k == _SCALAR_OPS:
-                ops.append(ScalarOpsOp(int(self.count[i])))
-            elif k == _VECTOR_OP:
-                ops.append(
-                    VectorOpOp(
-                        VECTOR_OP_KINDS[int(self.aux[i])], int(self.count[i])
-                    )
-                )
-            elif k == _BRANCHES:
-                ops.append(
-                    BranchesOp(int(self.count[i]), float(self.fval[i]))
-                )
-            elif k == _DEP_STALL:
-                ops.append(DependencyStallOp(float(self.fval[i])))
-            elif k in (_LOAD_STREAM, _STORE_STREAM):
-                cls = LoadStreamOp if k == _LOAD_STREAM else StoreStreamOp
-                ops.append(
-                    cls(
-                        names[int(self.array_id[i])],
-                        int(self.aux[i]),
-                        int(self.count[i]),
-                    )
-                )
-            elif k in (_GATHER, _SCATTER):
-                icls = GatherOp if k == _GATHER else ScatterOp
-                window = pool[int(self.off[i]) : int(self.off[i] + self.num[i])]
-                ops.append(
-                    icls(
-                        names[int(self.array_id[i])],
-                        window,
-                        int(self.count[i]),
-                    )
-                )
-            elif k in (_GATHER_SERIAL, _SCATTER_SERIAL):
-                scls = GatherSerialOp if k == _GATHER_SERIAL else ScatterSerialOp
-                ops.append(scls(int(self.count[i]), int(self.aux[i])))
-            elif k == _LOAD_WINDOWS:
-                window = pool[int(self.off[i]) : int(self.off[i] + self.num[i])]
-                ops.append(
-                    LoadWindowsOp(
-                        names[int(self.array_id[i])],
-                        window,
-                        int(self.count[i]),
-                    )
-                )
-            elif k in (_SCALAR_LOAD, _SCALAR_STORE):
-                mcls = ScalarLoadOp if k == _SCALAR_LOAD else ScalarStoreOp
-                window = pool[int(self.off[i]) : int(self.off[i] + self.num[i])]
-                ops.append(
-                    mcls(
-                        names[int(self.array_id[i])],
-                        window,
-                        bool(self.aux[i]),
-                    )
-                )
-            elif k == _BULK_STREAM:
-                ops.append(
-                    BulkStreamOp(
-                        names[int(self.array_id[i])],
-                        int(self.count[i]),
-                        bool(self.aux[i]),
-                    )
-                )
-            else:
-                pp = int(self.extra[i])
-                pc = float(self.fval[i])
-                ops.append(
-                    ViaOpRecord(
-                        sspm_elements=int(self.aux[i]),
-                        cam_searches=int(self.misc[i]),
-                        count=int(self.count[i]),
-                        port_passes=None if pp < 0 else pp,
-                        port_cycles=None if np.isnan(pc) else pc,
-                    )
-                )
-        return ops
+    Values come back in narration order, decoded the way the table says:
+    array names from the name table, index windows as pool slices, flags
+    as ``bool``, choices as names, and an unused optional column as
+    ``None``.
+    """
+    kind = OP_KINDS[int(cols.kinds[i])]
+    values: List[Any] = []
+    for o in kind.operands:
+        value: Any
+        if o.column == "array":
+            value = cols.names[int(cols.array_id[i])]
+        elif o.column == "pool":
+            off = int(cols.off[i])
+            value = cols.pool[off : off + int(cols.num[i])]
+        elif o.column == "fval":
+            value = float(cols.fval[i])
+            if o.optional and math.isnan(value):
+                value = None
+        else:
+            value = int(getattr(cols, o.column)[i])
+            if o.choices:
+                value = o.choices[value]
+            elif o.flag:
+                value = bool(value)
+            elif o.optional and value < 0:
+                value = None
+        values.append(value)
+    return kind, tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -505,42 +490,57 @@ def _port_cycles_vec(
     return cast(_IntArray, np.where(sspm_elements == 0, 0, cycles))
 
 
+def _add_via_rows(
+    cols: ColumnarOps, ports: Optional[int], counters: OpCounters, no_ports: str
+) -> None:
+    """Add a stream's ``record_via_op`` rows to ``counters``.
+
+    Rows without recorded ``port_cycles`` derive them from ``ports``
+    (``no_ports`` is the error when there are none).  The integer counters
+    are plain masked sums (exact under any order); ``sspm_busy_cycles``
+    accumulates the per-op busy terms left to right on top of its current
+    value (:func:`_seeded_cumsum`), the same float64 additions as a per-op
+    loop — bit-identical, not merely close.
+    """
+    mask = cols.kinds == _VIA
+    if not mask.any():
+        return
+    cnt = cols.count[mask]
+    se = cols.aux[mask]
+    pc = cols.fval[mask]
+    derive = np.isnan(pc)
+    if derive.any():
+        if ports is None:
+            raise SimulationError(no_ports)
+        derived = _port_cycles_vec(se, cols.extra[mask], ports)
+        pc = np.where(derive, derived.astype(np.float64), pc)
+    instructions = int(cnt.sum())
+    counters.via_instructions += instructions
+    counters.vector_uops += instructions
+    counters.sspm_accesses += int((se * cnt).sum())
+    counters.cam_searches += int((cols.misc[mask] * cnt).sum())
+    counters.sspm_busy_cycles = _seeded_cumsum(
+        counters.sspm_busy_cycles, (pc + float(cal.COMMIT_ISSUE_OVERHEAD)) * cnt
+    )
+
+
 def columnar_via_totals(
     cols: ColumnarOps, via_config: Optional["ViaConfig"]
 ) -> OpCounters:
     """Counter contributions of a stream's VIA ops under a port configuration.
 
     This is the whole port-dependent side of pricing: replaying a recording
-    under a sibling port variant only needs this pass.  The integer
-    counters are plain masked sums (exact under any order);
-    ``sspm_busy_cycles`` is the last element of an ``np.cumsum`` over the
-    per-op busy terms, which performs the identical left-to-right float64
-    additions as a per-op accumulation loop — bit-identical, not merely
-    close.
+    under a sibling port variant only needs this pass.  The busy cycles
+    accumulate from 0.0; every term is >= 0, so that gives the same bits
+    as an ``np.cumsum`` over the terms alone.
     """
     totals = OpCounters()
-    mask = cols.kinds == _VIA
-    if not mask.any():
-        return totals
-    cnt = cols.count[mask]
-    se = cols.aux[mask]
-    cs = cols.misc[mask]
-    pp = cols.extra[mask]
-    pc = cols.fval[mask]
-    derive = np.isnan(pc)
-    if derive.any():
-        if via_config is None:
-            raise SimulationError(
-                "cannot price a VIA op without a VIA configuration"
-            )
-        derived = _port_cycles_vec(se, pp, via_config.ports)
-        pc = np.where(derive, derived.astype(np.float64), pc)
-    terms = (pc + float(cal.COMMIT_ISSUE_OVERHEAD)) * cnt
-    totals.via_instructions = int(cnt.sum())
-    totals.vector_uops = int(cnt.sum())
-    totals.sspm_accesses = int((se * cnt).sum())
-    totals.cam_searches = int((cs * cnt).sum())
-    totals.sspm_busy_cycles = float(np.cumsum(terms)[-1])
+    _add_via_rows(
+        cols,
+        None if via_config is None else via_config.ports,
+        totals,
+        "cannot price a VIA op without a VIA configuration",
+    )
     return totals
 
 
@@ -654,9 +654,9 @@ def _seeded_cumsum(start: float, terms: _FloatArray) -> float:
     float counters stay bit-identical to a per-op walk even when a stream
     is priced in several flush batches.
     """
-    seeded = np.concatenate(
-        (np.asarray([start], dtype=np.float64), np.asarray(terms, dtype=np.float64))
-    )
+    seeded = np.empty(len(terms) + 1, dtype=np.float64)
+    seeded[0] = start
+    seeded[1:] = terms
     return float(np.cumsum(seeded)[-1])
 
 
@@ -995,9 +995,6 @@ class FlushBatch:
     nbytes: _IntArray
 
 
-#: vector-op kind -> aux code, precomputed for the per-op append path
-_VEC_KIND_CODE: Dict[str, int] = {k: i for i, k in enumerate(VECTOR_OP_KINDS)}
-
 #: builder column storage and the default each slot is re-armed with
 _BUILDER_FILLS: Tuple[Tuple[str, float], ...] = (
     ("_kinds", 0),
@@ -1022,11 +1019,10 @@ class ColumnarBuilder:
     :class:`ColumnarOps` column layout, plus per-row side arrays capturing
     the governing allocation (base / elem_bytes / nbytes) live from the
     core's address space, so :func:`price_flush` can price memory rows
-    without re-deriving allocation tables.  Append methods validate
-    exactly like the corresponding :class:`~repro.sim.ops.Op`
-    constructors — verbatim messages — so narration faults on the same bad
-    operands an op record would reject, just without ever building the
-    object.  The name-intern table persists across :meth:`take` calls;
+    without re-deriving allocation tables.  Rows go in through
+    :data:`APPEND`, which validates each operand against the table before
+    storing it, so narration faults on a bad operand at the call that
+    carried it.  The name-intern table persists across :meth:`take` calls;
     batch pool offsets restart at zero each flush and
     :func:`concat_columnar` re-bases them when stitching.
     """
@@ -1035,11 +1031,13 @@ class ColumnarBuilder:
     #: read once per narrated op by the core's flush check)
     rows: int
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, flush_rows: int, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError(
                 f"builder capacity must be positive, got {capacity}"
             )
+        #: an append that fills the buffer to this many rows reports it full
+        self.flush_rows = flush_rows
         self._cap = capacity
         self.rows = 0
         self._kinds = np.zeros(capacity, dtype=np.uint8)
@@ -1067,14 +1065,6 @@ class ColumnarBuilder:
             setattr(self, name, grown)
         self._cap = cap
 
-    def _row(self, kind: int) -> int:
-        i = self.rows
-        if i == self._cap:
-            self._grow()
-        self._kinds[i] = kind
-        self.rows = i + 1
-        return i
-
     def _set_array(self, i: int, arr: "Array") -> None:
         self._array_id[i] = self._names.setdefault(arr.name, len(self._names))
         self._base[i] = arr.base
@@ -1087,219 +1077,6 @@ class ColumnarBuilder:
         self._num[i] = int(window.size)
         self._pool_chunks.append(window)
         self._pool_n += int(window.size)
-
-    # -- one append method per op kind (validation mirrors the Op ctor;
-    #    checks are inlined with verbatim messages — this path runs once
-    #    per narrated op, so no kwargs-dict guard helper) --
-    def alloc(self, arr: "Array", num_elems: int, elem_bytes: int) -> None:
-        if num_elems < 0:
-            raise SimulationError(
-                f"alloc: num_elems must be >= 0, got {num_elems!r}"
-            )
-        if elem_bytes <= 0:
-            raise SimulationError(
-                f"alloc: elem_bytes must be > 0, got {elem_bytes!r}"
-            )
-        i = self._row(_ALLOC)
-        self._count[i] = num_elems
-        self._aux[i] = elem_bytes
-        self._set_array(i, arr)
-
-    def scalar_ops(self, count: int) -> None:
-        if count < 0:
-            raise SimulationError(
-                f"scalar_ops: count must be >= 0, got {count!r}"
-            )
-        i = self._row(_SCALAR_OPS)
-        self._count[i] = count
-
-    def vector_op(self, op_kind: str, count: int) -> None:
-        code = _VEC_KIND_CODE.get(op_kind)
-        if code is None:
-            raise SimulationError(f"unknown vector op kind {op_kind!r}")
-        if count < 0:
-            raise SimulationError(
-                f"vector_op: count must be >= 0, got {count!r}"
-            )
-        i = self._row(_VECTOR_OP)
-        self._count[i] = count
-        self._aux[i] = code
-
-    def branches(self, count: int, mispredict_rate: float) -> None:
-        if not (0.0 <= mispredict_rate <= 1.0):
-            raise SimulationError(
-                f"mispredict_rate must be in [0, 1], got {mispredict_rate}"
-            )
-        if count < 0:
-            raise SimulationError(
-                f"branches: count must be >= 0, got {count!r}"
-            )
-        i = self._row(_BRANCHES)
-        self._count[i] = count
-        self._fval[i] = mispredict_rate
-
-    def dependency_stall(self, cycles: float) -> None:
-        if cycles < 0:
-            raise SimulationError(
-                f"stall cycles must be >= 0, got {cycles}"
-            )
-        i = self._row(_DEP_STALL)
-        self._fval[i] = cycles
-
-    def load_stream(self, arr: "Array", start: int, count: int) -> None:
-        if start < 0:
-            raise SimulationError(
-                f"load_stream: start must be >= 0, got {start!r}"
-            )
-        if count < 0:
-            raise SimulationError(
-                f"load_stream: count must be >= 0, got {count!r}"
-            )
-        i = self._row(_LOAD_STREAM)
-        self._count[i] = count
-        self._aux[i] = start
-        self._set_array(i, arr)
-
-    def store_stream(self, arr: "Array", start: int, count: int) -> None:
-        if start < 0:
-            raise SimulationError(
-                f"store_stream: start must be >= 0, got {start!r}"
-            )
-        if count < 0:
-            raise SimulationError(
-                f"store_stream: count must be >= 0, got {count!r}"
-            )
-        i = self._row(_STORE_STREAM)
-        self._count[i] = count
-        self._aux[i] = start
-        self._set_array(i, arr)
-
-    def gather(self, arr: "Array", indices: _IntArray, n_instr: int) -> None:
-        if n_instr < 0:
-            raise SimulationError(
-                f"gather: n_instr must be >= 0, got {n_instr!r}"
-            )
-        i = self._row(_GATHER)
-        self._count[i] = n_instr
-        self._set_array(i, arr)
-        self._pooled(i, indices)
-
-    def scatter(self, arr: "Array", indices: _IntArray, n_instr: int) -> None:
-        if n_instr < 0:
-            raise SimulationError(
-                f"scatter: n_instr must be >= 0, got {n_instr!r}"
-            )
-        i = self._row(_SCATTER)
-        self._count[i] = n_instr
-        self._set_array(i, arr)
-        self._pooled(i, indices)
-
-    def gather_serial(self, n_instr: int, elements_per_instr: int) -> None:
-        if n_instr < 0:
-            raise SimulationError(
-                f"gather_serial: n_instr must be >= 0, got {n_instr!r}"
-            )
-        if elements_per_instr < 0:
-            raise SimulationError(
-                "gather_serial: elements_per_instr must be >= 0, "
-                f"got {elements_per_instr!r}"
-            )
-        i = self._row(_GATHER_SERIAL)
-        self._count[i] = n_instr
-        self._aux[i] = elements_per_instr
-
-    def scatter_serial(self, n_instr: int, elements_per_instr: int) -> None:
-        if n_instr < 0:
-            raise SimulationError(
-                f"scatter_serial: n_instr must be >= 0, got {n_instr!r}"
-            )
-        if elements_per_instr < 0:
-            raise SimulationError(
-                "scatter_serial: elements_per_instr must be >= 0, "
-                f"got {elements_per_instr!r}"
-            )
-        i = self._row(_SCATTER_SERIAL)
-        self._count[i] = n_instr
-        self._aux[i] = elements_per_instr
-
-    def load_windows(self, arr: "Array", starts: _IntArray, width: int) -> None:
-        if width < 0:
-            raise SimulationError(
-                f"load_windows: width must be >= 0, got {width!r}"
-            )
-        i = self._row(_LOAD_WINDOWS)
-        self._count[i] = width
-        self._set_array(i, arr)
-        self._pooled(i, starts)
-
-    def scalar_load(
-        self, arr: "Array", indices: _IntArray, dependent: bool
-    ) -> None:
-        i = self._row(_SCALAR_LOAD)
-        self._aux[i] = int(dependent)
-        self._set_array(i, arr)
-        self._pooled(i, indices)
-
-    def scalar_store(
-        self, arr: "Array", indices: _IntArray, dependent: bool
-    ) -> None:
-        i = self._row(_SCALAR_STORE)
-        self._aux[i] = int(dependent)
-        self._set_array(i, arr)
-        self._pooled(i, indices)
-
-    def bulk_stream(self, arr: "Array", passes: int, write: bool) -> None:
-        if passes < 0:
-            raise SimulationError(
-                f"bulk_stream: passes must be >= 0, got {passes!r}"
-            )
-        i = self._row(_BULK_STREAM)
-        self._count[i] = passes
-        self._aux[i] = int(write)
-        self._set_array(i, arr)
-
-    def record_via_op(
-        self,
-        *,
-        sspm_elements: int,
-        cam_searches: int,
-        count: int,
-        port_passes: Optional[int],
-        port_cycles: Optional[float],
-    ) -> None:
-        if port_passes is None and port_cycles is None:
-            raise SimulationError(
-                "record_via_op needs port_passes (FIVU profile) or "
-                "port_cycles (pre-computed cost)"
-            )
-        if sspm_elements < 0:
-            raise SimulationError(
-                f"record_via_op: sspm_elements must be >= 0, got {sspm_elements!r}"
-            )
-        if cam_searches < 0:
-            raise SimulationError(
-                f"record_via_op: cam_searches must be >= 0, got {cam_searches!r}"
-            )
-        if count < 0:
-            raise SimulationError(
-                f"record_via_op: count must be >= 0, got {count!r}"
-            )
-        if port_passes is not None and port_passes < 0:
-            raise SimulationError(
-                f"record_via_op: port_passes must be >= 0, got {port_passes!r}"
-            )
-        if port_cycles is not None and port_cycles < 0:
-            raise SimulationError(
-                f"record_via_op: port_cycles must be >= 0, got {port_cycles!r}"
-            )
-        i = self._row(_VIA)
-        self._count[i] = count
-        self._aux[i] = sspm_elements
-        self._misc[i] = cam_searches
-        if port_passes is not None:
-            self._extra[i] = port_passes
-        if port_cycles is not None:
-            self._fval[i] = port_cycles
 
     # ------------------------------------------------------------------
     def take(self) -> FlushBatch:
@@ -1341,6 +1118,78 @@ class ColumnarBuilder:
         return batch
 
 
+#: the Python source of each bound's failing condition
+_BOUND_FAILS = {">= 0": "< 0", "> 0": "<= 0"}
+
+
+def _compile(kind_id: int, kind: OpKind) -> Tuple[Callable[..., bool], Callable[..., None]]:
+    """Generate a kind's append and validate functions from its table row.
+
+    ``append(builder, *operands)`` runs the kind's checks, then the
+    operand bounds, each raising :class:`~repro.errors.SimulationError`
+    with its message; then it stores one row and returns whether the
+    buffer reached ``builder.flush_rows``.  ``validate(*operands)`` runs
+    the same checks alone.  The code is generated straight-line, one
+    ``if`` per check and one store per column: a narrated op costs what a
+    hand-written method did, where a loop over the row's operands cost
+    about a third more per ``record_via_op`` row.
+    """
+    checks = list(kind.checks)
+    for o in kind.operands:
+        if o.bound is not None:
+            fails = f"{o.name} {_BOUND_FAILS[o.bound]}"
+            if o.optional:
+                fails = f"{o.name} is not None and {fails}"
+            message = f"{kind.name}: {o.name} must be {o.bound}, got {{{o.name}!r}}"
+            checks.append((fails, message))
+    check_lines = [
+        f"    if {fails}:\n        raise SimulationError(f{message!r})"
+        for fails, message in checks
+    ]
+    namespace: Dict[str, Any] = {
+        "__name__": __name__,
+        "SimulationError": SimulationError,
+        "VECTOR_OP_KINDS": VECTOR_OP_KINDS,
+    }
+    store_lines = [f"    self._kinds[i] = {kind_id}"]
+    for o in kind.operands:
+        if o.column == "array":
+            store = f"self._set_array(i, {o.name})"
+        elif o.column == "pool":
+            store = f"self._pooled(i, {o.name})"
+        elif o.choices:
+            namespace[f"{o.name}_codes"] = {c: j for j, c in enumerate(o.choices)}
+            store = f"self._{o.column}[i] = {o.name}_codes[{o.name}]"
+        else:
+            store = f"self._{o.column}[i] = {o.name}"
+        if o.optional:
+            store = f"if {o.name} is not None:\n        {store}"
+        store_lines.append(f"    {store}")
+    params = ", ".join(o.name for o in kind.operands)
+    source = "\n".join(
+        [f"def validate_{kind.name}({params}):", *check_lines, "    return None", ""]
+        + [f"def append_{kind.name}(self, {params}):", *check_lines]
+        + ["    i = self.rows", "    if i == self._cap:", "        self._grow()"]
+        + store_lines
+        + ["    self.rows = i + 1", "    return i + 1 >= self.flush_rows", ""]
+    )
+    exec(compile(source, f"<op kind {kind.name}>", "exec"), namespace)
+    return (
+        cast(Callable[..., bool], namespace[f"append_{kind.name}"]),
+        cast(Callable[..., None], namespace[f"validate_{kind.name}"]),
+    )
+
+
+_COMPILED = {kind.name: _compile(i, kind) for i, kind in enumerate(OP_KINDS)}
+
+#: kind name -> ``append(builder, *operands) -> full``: validate one
+#: narrated op and store it as a builder row (see :func:`_compile`)
+APPEND: Dict[str, Callable[..., bool]] = {k: f[0] for k, f in _COMPILED.items()}
+
+#: kind name -> ``validate(*operands)``: the same checks, without a row
+VALIDATE: Dict[str, Callable[..., None]] = {k: f[1] for k, f in _COMPILED.items()}
+
+
 def price_flush(batch: FlushBatch, core: "Core") -> None:
     """Price one flushed narration batch against a live core.
 
@@ -1372,29 +1221,12 @@ def price_flush(batch: FlushBatch, core: "Core") -> None:
             mh.dram,
             counters,
         )
-    via_mask = cols.kinds == _VIA
-    if via_mask.any():
-        cnt = cols.count[via_mask]
-        se = cols.aux[via_mask]
-        cs = cols.misc[via_mask]
-        pp = cols.extra[via_mask]
-        pc = cols.fval[via_mask]
-        derive = np.isnan(pc)
-        if derive.any():
-            if core.via is None:
-                raise SimulationError(
-                    "cannot price a VIA op on a core without a VIA device"
-                )
-            derived = _port_cycles_vec(se, pp, core.via.config.ports)
-            pc = np.where(derive, derived.astype(np.float64), pc)
-        counters.via_instructions += int(cnt.sum())
-        counters.vector_uops += int(cnt.sum())
-        counters.sspm_accesses += int((se * cnt).sum())
-        counters.cam_searches += int((cs * cnt).sum())
-        terms = (pc + float(cal.COMMIT_ISSUE_OVERHEAD)) * cnt
-        counters.sspm_busy_cycles = _seeded_cumsum(
-            counters.sspm_busy_cycles, terms
-        )
+    _add_via_rows(
+        cols,
+        None if core.via is None else core.via.config.ports,
+        counters,
+        "cannot price a VIA op on a core without a VIA device",
+    )
 
 
 def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
@@ -1403,8 +1235,8 @@ def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
     Name tables are merged by string (each batch may have interned a
     different prefix of the final table) and pooled rows' ``off`` values
     are re-based by the running pool length; the result carries exactly
-    the columns :meth:`ColumnarOps.from_ops` would produce for the
-    concatenated op list.
+    the columns one unflushed builder would have produced for the whole
+    narration.
     """
     if not chunks:
         return ColumnarOps(
@@ -1461,27 +1293,19 @@ def concat_columnar(chunks: Sequence[ColumnarOps]) -> ColumnarOps:
 # ---------------------------------------------------------------------------
 _FLOAT_SLACK = 1e-9
 
-#: multiplicity columns that must be non-negative, per kind
-_NON_NEGATIVE_ROLES: Tuple[Tuple[int, str], ...] = (
-    (_ALLOC, "count"),
-    (_SCALAR_OPS, "count"),
-    (_VECTOR_OP, "count"),
-    (_BRANCHES, "count"),
-    (_LOAD_STREAM, "count"),
-    (_LOAD_STREAM, "aux"),
-    (_STORE_STREAM, "count"),
-    (_STORE_STREAM, "aux"),
-    (_GATHER, "count"),
-    (_SCATTER, "count"),
-    (_GATHER_SERIAL, "count"),
-    (_GATHER_SERIAL, "aux"),
-    (_SCATTER_SERIAL, "count"),
-    (_SCATTER_SERIAL, "aux"),
-    (_LOAD_WINDOWS, "count"),
-    (_BULK_STREAM, "count"),
-    (_VIA, "count"),
-    (_VIA, "aux"),
-    (_VIA, "misc"),
+#: multiplicity columns that must be non-negative, per kind: the table's
+#: ``>= 0`` operands that are always present (an optional operand's column
+#: holds its "absent" default, -1 or NaN)
+_NON_NEGATIVE_ROLES: Tuple[Tuple[int, str], ...] = tuple(
+    sorted(
+        (
+            (i, o.column)
+            for i, kind in enumerate(OP_KINDS)
+            for o in kind.operands
+            if o.bound == ">= 0" and not o.optional
+        ),
+        key=lambda role: (role[0], COLUMNS.index(role[1])),
+    )
 )
 
 

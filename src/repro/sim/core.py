@@ -4,12 +4,13 @@ Kernels do not run real machine code; they *narrate* their execution to a
 :class:`Core` as a stream of coarse operations (one call per VL-wide vector
 instruction or scalar bookkeeping group) while computing their functional
 results in numpy.  Narration is **born columnar**: each narration call
-appends one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder`,
-and the buffered rows flush to the core's backend, which prices them
-through the columnar kernels (:func:`~repro.sim.columnar.price_flush`) — no
-per-op :class:`~repro.sim.ops.Op` object is ever allocated on the hot path.
-The differential suites pin the priced counters bit for bit against a
-per-op scalar reference pricer kept under ``tests/``.
+appends one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder`
+through :data:`~repro.sim.columnar.APPEND`, the append path generated from
+the op-kind table, and the buffered rows flush to the core's backend,
+which prices them through the columnar kernels
+(:func:`~repro.sim.columnar.price_flush`) — no per-op object is ever
+allocated.  The differential suites pin the priced counters bit for bit
+against a per-op scalar reference pricer kept under ``tests/``.
 
 :meth:`Core.finalize` combines the counters into cycles with an
 interval-style overlap model:
@@ -43,7 +44,7 @@ import numpy.typing as npt
 from repro.errors import SimulationError
 from repro.sim import calibration as cal
 from repro.sim.backends import Backend, DirectBackend
-from repro.sim.columnar import ColumnarBuilder
+from repro.sim.columnar import APPEND, ColumnarBuilder
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.stats import CycleBreakdown, KernelResult, OpCounters
@@ -237,8 +238,7 @@ class Core:
         self._backend: Backend = (
             backend if backend is not None else DirectBackend()
         )
-        self._flush_ops = max(1, int(flush_ops))
-        self._builder = ColumnarBuilder()
+        self._builder = ColumnarBuilder(max(1, int(flush_ops)))
         self.via = via
         if via is not None:
             via.attach(self)
@@ -289,13 +289,11 @@ class Core:
     # ------------------------------------------------------------------
     def alloc(self, name: str, num_elems: int, elem_bytes: int = 8) -> Array:
         """Allocate a simulated array (line-aligned)."""
-        b = self._builder
         # eager allocation keeps handles usable immediately; the builder
         # row preserves the op in the stream so replays re-derive the
         # identical address space
         arr = self.mem.alloc(name, int(num_elems), int(elem_bytes))
-        b.alloc(arr, int(num_elems), int(elem_bytes))
-        if b.rows >= self._flush_ops:
+        if APPEND["alloc"](self._builder, arr, int(num_elems), int(elem_bytes)):
             self._flush()
         return arr
 
@@ -304,9 +302,7 @@ class Core:
     # ------------------------------------------------------------------
     def scalar_ops(self, count: int) -> None:
         """Record ``count`` scalar bookkeeping uops (loop control, etc.)."""
-        b = self._builder
-        b.scalar_ops(int(count))
-        if b.rows >= self._flush_ops:
+        if APPEND["scalar_ops"](self._builder, int(count)):
             self._flush()
 
     def vector_op(self, kind: str = "alu", count: int = 1) -> None:
@@ -315,9 +311,7 @@ class Core:
         ``kind`` selects the latency/energy class: ``alu``, ``fma``,
         ``reduce``, ``permute``, ``conflict``, ``mask``.
         """
-        b = self._builder
-        b.vector_op(kind, int(count))
-        if b.rows >= self._flush_ops:
+        if APPEND["vector_op"](self._builder, kind, int(count)):
             self._flush()
 
     def branches(self, count: int, mispredict_rate: float) -> None:
@@ -327,9 +321,7 @@ class Core:
         data comparisons the predictor cannot learn; every mispredict costs
         a front-end refill.
         """
-        b = self._builder
-        b.branches(int(count), float(mispredict_rate))
-        if b.rows >= self._flush_ops:
+        if APPEND["branches"](self._builder, int(count), float(mispredict_rate)):
             self._flush()
 
     def dependency_stall(self, cycles: float) -> None:
@@ -339,9 +331,7 @@ class Core:
         feeding the next iteration, or read-modify-write chains on the same
         address (scalar histogram bins).
         """
-        b = self._builder
-        b.dependency_stall(float(cycles))
-        if b.rows >= self._flush_ops:
+        if APPEND["dependency_stall"](self._builder, float(cycles)):
             self._flush()
 
     # ------------------------------------------------------------------
@@ -349,16 +339,12 @@ class Core:
     # ------------------------------------------------------------------
     def load_stream(self, array: Array, start: int, count: int) -> None:
         """Contiguous load of ``count`` elements starting at ``start``."""
-        b = self._builder
-        b.load_stream(array, int(start), int(count))
-        if b.rows >= self._flush_ops:
+        if APPEND["load_stream"](self._builder, array, int(start), int(count)):
             self._flush()
 
     def store_stream(self, array: Array, start: int, count: int) -> None:
         """Contiguous store of ``count`` elements starting at ``start``."""
-        b = self._builder
-        b.store_stream(array, int(start), int(count))
-        if b.rows >= self._flush_ops:
+        if APPEND["store_stream"](self._builder, array, int(start), int(count)):
             self._flush()
 
     def gather(
@@ -384,9 +370,7 @@ class Core:
         vl = self.machine.vl
         if n_instr is None:
             n_instr = (idx.size + vl - 1) // vl
-        b = self._builder
-        b.gather(array, idx, int(n_instr))
-        if b.rows >= self._flush_ops:
+        if APPEND["gather"](self._builder, array, idx, int(n_instr)):
             self._flush()
 
     def scatter(
@@ -404,9 +388,7 @@ class Core:
         vl = self.machine.vl
         if n_instr is None:
             n_instr = (idx.size + vl - 1) // vl
-        b = self._builder
-        b.scatter(array, idx, int(n_instr))
-        if b.rows >= self._flush_ops:
+        if APPEND["scatter"](self._builder, array, idx, int(n_instr)):
             self._flush()
 
     def gather_serial(self, n_instr: int, elements_per_instr: int) -> None:
@@ -421,9 +403,7 @@ class Core:
         n_instr = int(n_instr)
         if n_instr <= 0:
             return
-        b = self._builder
-        b.gather_serial(n_instr, int(elements_per_instr))
-        if b.rows >= self._flush_ops:
+        if APPEND["gather_serial"](self._builder, n_instr, int(elements_per_instr)):
             self._flush()
 
     def scatter_serial(self, n_instr: int, elements_per_instr: int) -> None:
@@ -431,9 +411,7 @@ class Core:
         n_instr = int(n_instr)
         if n_instr <= 0:
             return
-        b = self._builder
-        b.scatter_serial(n_instr, int(elements_per_instr))
-        if b.rows >= self._flush_ops:
+        if APPEND["scatter_serial"](self._builder, n_instr, int(elements_per_instr)):
             self._flush()
 
     def load_windows(
@@ -450,9 +428,7 @@ class Core:
         start_idx = np.asarray(starts, dtype=np.int64)
         if start_idx.size == 0 or width <= 0:
             return
-        b = self._builder
-        b.load_windows(array, start_idx, int(width))
-        if b.rows >= self._flush_ops:
+        if APPEND["load_windows"](self._builder, array, start_idx, int(width)):
             self._flush()
 
     def scalar_load(
@@ -462,9 +438,7 @@ class Core:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
-        b = self._builder
-        b.scalar_load(array, idx, bool(dependent))
-        if b.rows >= self._flush_ops:
+        if APPEND["scalar_load"](self._builder, array, idx, bool(dependent)):
             self._flush()
 
     def scalar_store(
@@ -474,9 +448,7 @@ class Core:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             return
-        b = self._builder
-        b.scalar_store(array, idx, bool(dependent))
-        if b.rows >= self._flush_ops:
+        if APPEND["scalar_store"](self._builder, array, idx, bool(dependent)):
             self._flush()
 
     def bulk_stream(
@@ -492,9 +464,7 @@ class Core:
         """
         if passes <= 0:
             return
-        b = self._builder
-        b.bulk_stream(array, int(passes), bool(write))
-        if b.rows >= self._flush_ops:
+        if APPEND["bulk_stream"](self._builder, array, int(passes), bool(write)):
             self._flush()
 
     # ------------------------------------------------------------------
@@ -523,15 +493,14 @@ class Core:
         instructions (per-instruction operand values do not change the
         timing, only the element counts do).
         """
-        b = self._builder
-        b.record_via_op(
-            sspm_elements=int(sspm_elements),
-            cam_searches=int(cam_searches),
-            count=int(count),
-            port_passes=None if port_passes is None else int(port_passes),
-            port_cycles=None if port_cycles is None else float(port_cycles),
-        )
-        if b.rows >= self._flush_ops:
+        if APPEND["record_via_op"](
+            self._builder,
+            int(sspm_elements),
+            int(cam_searches),
+            int(count),
+            None if port_passes is None else int(port_passes),
+            None if port_cycles is None else float(port_cycles),
+        ):
             self._flush()
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""The typed operation-stream IR — the narration channel of the simulator.
+"""Recorded op streams — the narration channel of the simulator.
 
 Kernels narrate their execution as coarse events (streaming loads, gathers,
-vector ALU groups, VIA instructions...).  This module defines the event
-vocabulary — one immutable :class:`Op` record type per kind — and the
-:class:`Recording` that lets the *same* stream be
+vector ALU groups, VIA instructions...).  The event vocabulary is the
+op-kind table :data:`repro.sim.columnar.OP_KINDS`, and a stream is its
+columns.  This module defines the :class:`Recording` that lets the *same*
+stream be
 
 * priced immediately (the direct backend),
 * captured to a compact on-disk artifact (the recorder backend), and
@@ -15,9 +16,7 @@ simulators: the op stream is the functional/timing seam.  Streams live as
 struct-of-arrays columns (:class:`repro.sim.columnar.ColumnarOps`) and are
 priced by the columnar engine on the record and replay paths alike, which
 is what makes replayed timing bit-identical to direct execution by
-construction.  The op records are the stream's row view: execution traces
-log them, and ``ColumnarOps.to_ops`` / ``from_ops`` convert between the
-two shapes.
+construction.
 
 Stream shape
 ------------
@@ -52,49 +51,30 @@ import io
 import json
 import zipfile
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Dict,
-    Mapping,
-    Optional,
-    Tuple,
-    Type,
-)
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import (
-    InvariantError,
-    RecordingError,
-    ReplayMismatchError,
-    SimulationError,
-)
+from repro.errors import InvariantError, RecordingError, ReplayMismatchError
+from repro.sim.columnar import COLUMNS, ColumnarOps, ColumnarPriced
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.stats import OpCounters
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar imports ops)
-    from repro.sim.columnar import ColumnarOps, ColumnarPriced
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.stats import KernelResult
     from repro.via.config import ViaConfig
 
-#: bump whenever Op field layouts or the artifact format change; folded into
-#: recording cache keys so stale artifacts invalidate cleanly.
+#: bump whenever the op-kind table's column layout or the artifact format
+#: change; folded into recording cache keys so stale artifacts invalidate
+#: cleanly.
 #: v2: op streams persist as struct-of-arrays columns (repro.sim.columnar)
 #: instead of per-op JSON payloads
 OPS_SCHEMA_VERSION = 2
 
-#: vector-op kinds the cycle model understands (see OpCounters)
-VECTOR_OP_KINDS = ("alu", "mask", "fma", "reduce", "permute", "conflict")
-
-
 __all__ = [
     "OPS_SCHEMA_VERSION",
     "InvariantError",
-    "Op",
-    "OP_CLASSES",
     "PricedState",
     "Recording",
     "RecordingError",
@@ -104,22 +84,6 @@ __all__ = [
     "save_recordings",
     "stream_shape_key",
 ]
-
-
-def _require_non_negative(op_kind: str, **fields: Optional[float]) -> None:
-    """Constructor guard shared by the op classes.
-
-    A negative multiplicity can only come from corrupt narration, a
-    tampered artifact, or an arithmetic bug upstream; rejecting it at op
-    construction pins the failure to the op that carried it instead of
-    letting it silently skew counters (negative counts would *decrease*
-    monotone counters when applied).
-    """
-    for name, value in fields.items():
-        if value is not None and value < 0:
-            raise SimulationError(
-                f"{op_kind}: {name} must be >= 0, got {value!r}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -176,385 +140,13 @@ def stream_shape_key(
     VIA kernels read ``sram_entries`` / ``cam_entries`` / ``csb_block_size``
     (all derived from ``sram_kb``) for strip, batch, and tile loops; the
     port count never reaches narration — it is applied when a
-    :class:`ViaOpRecord` is priced.  Hence the Fig. 9 DSE's four
+    ``record_via_op`` row is priced.  Hence the Fig. 9 DSE's four
     configurations collapse into two shape groups (4 KB and 16 KB), each
     recorded once and replayed per port variant.
     """
     key = machine_shape_key(machine)
     key["via_sram_kb"] = via_config.sram_kb if via_config is not None else None
     return key
-
-
-# ---------------------------------------------------------------------------
-# Op records
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Op:
-    """One narrated event.  Subclasses carry the event's parameters; the
-    constructors validate them (a negative multiplicity is rejected)."""
-
-    #: registry key and trace-event kind (matches the Core method name)
-    kind: ClassVar[str] = ""
-    #: scalar payload fields, serialized verbatim into the meta JSON
-    _scalars: ClassVar[Tuple[str, ...]] = ()
-    #: int64-ndarray payload fields, serialized through the index pool
-    _arrays: ClassVar[Tuple[str, ...]] = ()
-
-    @property
-    def trace_count(self) -> int:
-        """Event multiplicity reported to the execution trace."""
-        return 1
-
-    def describe(self) -> str:
-        """Short human-readable operand summary for trace rendering."""
-        parts = []
-        for name in self._scalars:
-            parts.append(f"{name}={getattr(self, name)!r}")
-        for name in self._arrays:
-            parts.append(f"{name}=<{getattr(self, name).size} elems>")
-        return ", ".join(parts)
-
-
-@dataclass(frozen=True)
-class AllocOp(Op):
-    """Allocate a named array in the simulated address space.
-
-    Replaying allocations in recorded order reproduces the exact base
-    addresses the direct run used, so the cache model sees identical
-    address streams.
-    """
-
-    name: str
-    num_elems: int
-    elem_bytes: int
-
-    kind: ClassVar[str] = "alloc"
-    _scalars: ClassVar[Tuple[str, ...]] = ("name", "num_elems", "elem_bytes")
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, num_elems=self.num_elems)
-        if self.elem_bytes <= 0:
-            raise SimulationError(
-                f"{self.kind}: elem_bytes must be > 0, got {self.elem_bytes!r}"
-            )
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.num_elems, 1)
-
-
-@dataclass(frozen=True)
-class ScalarOpsOp(Op):
-    """``count`` scalar bookkeeping uops (loop control, etc.)."""
-
-    count: int
-
-    kind: ClassVar[str] = "scalar_ops"
-    _scalars: ClassVar[Tuple[str, ...]] = ("count",)
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, count=self.count)
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.count, 1)
-
-
-@dataclass(frozen=True)
-class VectorOpOp(Op):
-    """``count`` VL-wide vector ALU instructions of one latency class."""
-
-    op_kind: str
-    count: int
-
-    kind: ClassVar[str] = "vector_op"
-    _scalars: ClassVar[Tuple[str, ...]] = ("op_kind", "count")
-
-    def __post_init__(self) -> None:
-        if self.op_kind not in VECTOR_OP_KINDS:
-            raise SimulationError(f"unknown vector op kind {self.op_kind!r}")
-        _require_non_negative(self.kind, count=self.count)
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.count, 1)
-
-
-@dataclass(frozen=True)
-class BranchesOp(Op):
-    """Conditional branches with a given mispredict rate."""
-
-    count: int
-    mispredict_rate: float
-
-    kind: ClassVar[str] = "branches"
-    _scalars: ClassVar[Tuple[str, ...]] = ("count", "mispredict_rate")
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.mispredict_rate <= 1.0):
-            raise SimulationError(
-                f"mispredict_rate must be in [0, 1], got {self.mispredict_rate}"
-            )
-        _require_non_negative(self.kind, count=self.count)
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.count, 1)
-
-
-@dataclass(frozen=True)
-class DependencyStallOp(Op):
-    """Serialization the OoO window cannot hide (true dependence chains)."""
-
-    cycles: float
-
-    kind: ClassVar[str] = "dependency_stall"
-    _scalars: ClassVar[Tuple[str, ...]] = ("cycles",)
-
-    def __post_init__(self) -> None:
-        if self.cycles < 0:
-            raise SimulationError(
-                f"stall cycles must be >= 0, got {self.cycles}"
-            )
-
-
-@dataclass(frozen=True)
-class _StreamOp(Op):
-    """Common body for contiguous load/store streams."""
-
-    array: str
-    start: int
-    count: int
-
-    _scalars: ClassVar[Tuple[str, ...]] = ("array", "start", "count")
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, start=self.start, count=self.count)
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.count, 1)
-
-
-@dataclass(frozen=True)
-class LoadStreamOp(_StreamOp):
-    """Contiguous load of ``count`` elements starting at ``start``."""
-
-    kind: ClassVar[str] = "load_stream"
-
-
-@dataclass(frozen=True)
-class StoreStreamOp(_StreamOp):
-    """Contiguous store of ``count`` elements starting at ``start``."""
-
-    kind: ClassVar[str] = "store_stream"
-
-
-@dataclass(frozen=True)
-class _IndexedVectorOp(Op):
-    """Common body for vector gather/scatter with explicit addresses."""
-
-    array: str
-    indices: npt.NDArray[np.int64]
-    n_instr: int
-
-    _scalars: ClassVar[Tuple[str, ...]] = ("array", "n_instr")
-    _arrays: ClassVar[Tuple[str, ...]] = ("indices",)
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, n_instr=self.n_instr)
-
-    @property
-    def trace_count(self) -> int:
-        return max(int(self.indices.size), 1)
-
-
-@dataclass(frozen=True)
-class GatherOp(_IndexedVectorOp):
-    """Vector gather ``array[indices]`` (paper Challenge 1)."""
-
-    kind: ClassVar[str] = "gather"
-
-
-@dataclass(frozen=True)
-class ScatterOp(_IndexedVectorOp):
-    """Vector scatter to ``array[indices]``."""
-
-    kind: ClassVar[str] = "scatter"
-
-
-@dataclass(frozen=True)
-class _SerialIndexedOp(Op):
-    """Gather/scatter instructions whose memory side is billed elsewhere."""
-
-    n_instr: int
-    elements_per_instr: int
-
-    _scalars: ClassVar[Tuple[str, ...]] = ("n_instr", "elements_per_instr")
-
-    def __post_init__(self) -> None:
-        _require_non_negative(
-            self.kind,
-            n_instr=self.n_instr,
-            elements_per_instr=self.elements_per_instr,
-        )
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.n_instr, 1)
-
-
-@dataclass(frozen=True)
-class GatherSerialOp(_SerialIndexedOp):
-    kind: ClassVar[str] = "gather_serial"
-
-
-@dataclass(frozen=True)
-class ScatterSerialOp(_SerialIndexedOp):
-    kind: ClassVar[str] = "scatter_serial"
-
-
-@dataclass(frozen=True)
-class LoadWindowsOp(Op):
-    """Vector loads of ``width`` contiguous elements at computed starts."""
-
-    array: str
-    starts: npt.NDArray[np.int64]
-    width: int
-
-    kind: ClassVar[str] = "load_windows"
-    _scalars: ClassVar[Tuple[str, ...]] = ("array", "width")
-    _arrays: ClassVar[Tuple[str, ...]] = ("starts",)
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, width=self.width)
-
-    @property
-    def trace_count(self) -> int:
-        return max(int(self.starts.size), 1)
-
-
-@dataclass(frozen=True)
-class _ScalarIndexedOp(Op):
-    """Scalar loads/stores of individual elements."""
-
-    array: str
-    indices: npt.NDArray[np.int64]
-    dependent: bool
-
-    _scalars: ClassVar[Tuple[str, ...]] = ("array", "dependent")
-    _arrays: ClassVar[Tuple[str, ...]] = ("indices",)
-
-    @property
-    def trace_count(self) -> int:
-        return max(int(self.indices.size), 1)
-
-
-@dataclass(frozen=True)
-class ScalarLoadOp(_ScalarIndexedOp):
-    kind: ClassVar[str] = "scalar_load"
-
-
-@dataclass(frozen=True)
-class ScalarStoreOp(_ScalarIndexedOp):
-    kind: ClassVar[str] = "scalar_store"
-
-
-@dataclass(frozen=True)
-class BulkStreamOp(Op):
-    """Re-stream an array ``passes`` times (analytic repeat-pass residency).
-
-    The op stores *intent* (array + pass count), not addresses: the first
-    pass runs through the detailed model, and the analytic residency level
-    for repeat passes is derived from the machine the op is priced on —
-    so replaying onto a machine with different cache capacities re-derives
-    the residency correctly.
-    """
-
-    array: str
-    passes: int
-    write: bool
-
-    kind: ClassVar[str] = "bulk_stream"
-    _scalars: ClassVar[Tuple[str, ...]] = ("array", "passes", "write")
-
-    def __post_init__(self) -> None:
-        _require_non_negative(self.kind, passes=self.passes)
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.passes, 1)
-
-
-@dataclass(frozen=True)
-class ViaOpRecord(Op):
-    """SSPM work of ``count`` identical VIA instructions.
-
-    The preferred payload is the FIVU *profile* (``sspm_elements``,
-    ``cam_searches``, ``port_passes``) — the port-cycle cost is then derived
-    from the VIA configuration of the core pricing the op, which is what
-    lets a recorded stream re-price under a different port count.  A
-    pre-computed ``port_cycles`` is accepted for backward compatibility
-    (and pins the cost to the recorded configuration).
-    """
-
-    sspm_elements: int
-    cam_searches: int
-    count: int = 1
-    port_passes: Optional[int] = None
-    port_cycles: Optional[float] = None
-
-    kind: ClassVar[str] = "record_via_op"
-    _scalars: ClassVar[Tuple[str, ...]] = (
-        "sspm_elements",
-        "cam_searches",
-        "count",
-        "port_passes",
-        "port_cycles",
-    )
-
-    def __post_init__(self) -> None:
-        if self.port_passes is None and self.port_cycles is None:
-            raise SimulationError(
-                "record_via_op needs port_passes (FIVU profile) or "
-                "port_cycles (pre-computed cost)"
-            )
-        _require_non_negative(
-            self.kind,
-            sspm_elements=self.sspm_elements,
-            cam_searches=self.cam_searches,
-            count=self.count,
-            port_passes=self.port_passes,
-            port_cycles=self.port_cycles,
-        )
-
-    @property
-    def trace_count(self) -> int:
-        return max(self.count, 1)
-
-
-#: kind -> Op class, for deserialization
-OP_CLASSES: Dict[str, Type[Op]] = {
-    cls.kind: cls
-    for cls in (
-        AllocOp,
-        ScalarOpsOp,
-        VectorOpOp,
-        BranchesOp,
-        DependencyStallOp,
-        LoadStreamOp,
-        StoreStreamOp,
-        GatherOp,
-        ScatterOp,
-        GatherSerialOp,
-        ScatterSerialOp,
-        LoadWindowsOp,
-        ScalarLoadOp,
-        ScalarStoreOp,
-        BulkStreamOp,
-        ViaOpRecord,
-    )
-}
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +207,7 @@ class Recording:
         name: str,
         machine: MachineConfig,
         via_config: Optional["ViaConfig"],
-        columnar: "ColumnarOps",
+        columnar: ColumnarOps,
         output: Any = None,
         priced: Optional[PricedState] = None,
     ) -> None:
@@ -627,13 +219,13 @@ class Recording:
         self._columnar = columnar
         #: per-machine memoized memory passes; shared across serve executor
         #: threads, guarded by backends._MEMO_LOCK
-        self._machine_memo: Dict[MachineConfig, "ColumnarPriced"] = {}
+        self._machine_memo: Dict[MachineConfig, ColumnarPriced] = {}
 
     @property
     def shape_key(self) -> Dict[str, Any]:
         return stream_shape_key(self.machine, self.via_config)
 
-    def columnar(self) -> "ColumnarOps":
+    def columnar(self) -> ColumnarOps:
         """The op stream as struct-of-arrays columns."""
         return self._columnar
 
@@ -775,8 +367,6 @@ def save_recordings(
     :class:`repro.sim.columnar.ColumnarOps`) — the exact representation the
     pricing engine reads, so loading is zero-copy into the pricing path.
     """
-    from repro.sim.columnar import COLUMNS
-
     arrays: Dict[str, npt.NDArray[Any]] = {}
     entries: Dict[str, Any] = {}
     for i, (label, rec) in enumerate(recordings.items()):
@@ -809,36 +399,14 @@ def save_recordings(
     )
 
 
-def _reject_v1_artifact(path: Any) -> None:
-    """The single v1-artifact compatibility shim.
-
-    Schema-1 artifacts (PR-2 era, one JSON payload per op) lost their
-    codec when the op stream went columnar; this is the one place that
-    still recognizes them, and it translates the bare version mismatch
-    into an actionable deprecation error.  Callers that go through
-    :class:`repro.eval.recordings.RecordingStore` self-heal — the store
-    deletes the stale artifact and the next record run rewrites it in the
-    columnar v2 layout — so the error only ever surfaces to direct
-    :func:`load_recordings` users.
-    """
-    raise RecordingError(
-        f"recording artifact {path} uses the deprecated v1 per-op schema; "
-        "v1 payload codecs were removed when op streams went columnar "
-        f"(schema {OPS_SCHEMA_VERSION}) — delete the artifact and re-record"
-    )
-
-
 def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
     """Load an artifact; returns ``(recordings, extra_meta)``.
 
     Raises :class:`RecordingError` on any integrity or schema failure —
     truncated zip, garbled JSON, checksum mismatch, a schema version this
-    code does not understand (v1 gets a dedicated deprecation message via
-    :func:`_reject_v1_artifact`), or ragged/out-of-bounds op columns (the
+    code does not understand, or ragged/out-of-bounds op columns (the
     structural validation in :class:`repro.sim.columnar.ColumnarOps`).
     """
-    from repro.sim.columnar import COLUMNS, ColumnarOps
-
     try:
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
@@ -847,8 +415,6 @@ def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
             json.JSONDecodeError, io.UnsupportedOperation) as exc:
         raise RecordingError(f"unreadable recording artifact {path}: {exc}") from exc
     try:
-        if meta.get("schema") == 1:
-            _reject_v1_artifact(path)
         if meta.get("schema") != OPS_SCHEMA_VERSION:
             raise RecordingError(
                 f"recording schema {meta.get('schema')!r} != {OPS_SCHEMA_VERSION}"

@@ -11,10 +11,11 @@ and powers the instruction-mix reports in tests and examples::
 
 Tracing rides the op-stream IR seam: the proxy installs a
 :class:`~repro.sim.backends.TraceBackend` around the core's existing
-backend, so every narrated op is logged, row by row as an
-:class:`~repro.sim.ops.Op`, before being priced (or recorded) exactly as
-it would have been untraced.  Tracing is opt-in (kernels accept a plain
-``Core``) so sweeps pay nothing.
+backend, so every narrated op is logged, row by row as rendered by its
+row of the op-kind table (:data:`repro.sim.columnar.OP_KINDS`: the kind,
+its operands as ``name=value``, and its multiplicity), before being
+priced (or recorded) exactly as it would have been untraced.  Tracing is
+opt-in (kernels accept a plain ``Core``) so sweeps pay nothing.
 """
 
 from __future__ import annotations

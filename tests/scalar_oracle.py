@@ -5,8 +5,8 @@ Production prices every op stream with the columnar engine
 :func:`~repro.sim.columnar.price_flush`, replays through
 :func:`~repro.sim.columnar.columnar_via_totals` and
 :func:`~repro.sim.columnar.price_columnar`.  This module keeps the engine it
-replaced as a test oracle — one :class:`~repro.sim.ops.Op` record at a time,
-each priced against a live :class:`~repro.sim.core.Core` — and the
+replaced as a test oracle — one op record (:mod:`tests.op_records`) at a
+time, each priced against a live :class:`~repro.sim.core.Core` — and the
 differential, property and invariant suites compare production against it
 bit for bit:
 
@@ -34,25 +34,28 @@ from repro.errors import InvariantError, SimulationError
 from repro.sim import calibration as cal
 from repro.sim import columnar
 from repro.sim.backends import _counters_violation, check_result_invariants
-from repro.sim.columnar import ColumnarOps, FlushBatch, stream_uop_count
+from repro.sim.columnar import FlushBatch, stream_uop_count
 from repro.sim.config import MachineConfig
 from repro.sim.core import Array, Core, build_result
 from repro.sim.hierarchy import AccessResult
-from repro.sim.ops import (
+from repro.sim.ops import Recording
+from repro.sim.stats import KernelResult, OpCounters
+from repro.via.config import ViaConfig
+from repro.via.fivu import FivuTiming
+
+from tests.op_records import (
     AllocOp,
     BranchesOp,
     BulkStreamOp,
     DependencyStallOp,
     LoadWindowsOp,
     Op,
-    Recording,
     ScalarOpsOp,
     VectorOpOp,
     ViaOpRecord,
+    from_ops,
+    to_ops,
 )
-from repro.sim.stats import KernelResult, OpCounters
-from repro.via.config import ViaConfig
-from repro.via.fivu import FivuTiming
 
 _LINE = cal.CACHE_LINE_BYTES
 
@@ -289,7 +292,7 @@ def price_flush(batch: FlushBatch, core: Core) -> None:
     Alloc rows are skipped, as in production: the core allocates eagerly
     at narration time so kernels can keep using the returned handles.
     """
-    for op in batch.cols.to_ops():
+    for op in to_ops(batch.cols):
         if not isinstance(op, AllocOp):
             apply(op, core)
 
@@ -303,7 +306,7 @@ def recording_ops(recording: Recording) -> List[Op]:
     """The recording's stream as op records (materialized once)."""
     ops = _OPS.get(recording)
     if ops is None:
-        ops = _OPS[recording] = recording.columnar().to_ops()
+        ops = _OPS[recording] = to_ops(recording.columnar())
     return ops
 
 
@@ -323,7 +326,7 @@ def make_recording(
         name=name,
         machine=machine,
         via_config=via_config,
-        columnar=ColumnarOps.from_ops(ops),
+        columnar=from_ops(ops),
     )
     _OPS[recording] = list(ops)
     return recording

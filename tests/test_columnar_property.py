@@ -16,8 +16,9 @@ Three properties, each fuzzed independently:
   pricers take the full memory pass) is bit-identical between the
   columnar engine and the scalar oracle (:mod:`tests.scalar_oracle`),
   with validation riding both;
-* ``ColumnarOps.from_ops`` → ``to_ops`` is a lossless round trip,
-  compared field by field (``np.array_equal`` for index arrays);
+* :func:`tests.op_records.from_ops` → ``to_ops`` (the op-kind table's
+  encode and decode) is a lossless round trip, compared field by field
+  (``np.array_equal`` for index arrays);
 * :func:`check_columnar_invariants` agrees with the oracle's per-op
   invariant checks: both accept every well-formed stream, and both
   reject the same seeded violations.
@@ -33,14 +34,16 @@ from hypothesis import strategies as st
 from repro.errors import InvariantError
 from repro.sim.backends import replay_recording
 from repro.sim.columnar import (
-    ColumnarOps,
+    VECTOR_OP_KINDS,
     check_columnar_invariants,
     columnar_via_totals,
     price_columnar,
 )
 from repro.sim.config import DEFAULT_MACHINE
-from repro.sim.ops import (
-    VECTOR_OP_KINDS,
+from repro.via.config import VIA_16_2P
+
+from tests import scalar_oracle
+from tests.op_records import (
     AllocOp,
     BranchesOp,
     BulkStreamOp,
@@ -57,10 +60,9 @@ from repro.sim.ops import (
     StoreStreamOp,
     VectorOpOp,
     ViaOpRecord,
+    from_ops,
+    to_ops,
 )
-from repro.via.config import VIA_16_2P
-
-from tests import scalar_oracle
 from tests.test_ops_replay_differential import assert_result_identical
 
 pytestmark = [pytest.mark.smoke, pytest.mark.columnar]
@@ -256,12 +258,12 @@ def test_replay_engines_are_bit_identical(ops):
 @given(op_streams())
 @settings(max_examples=50, deadline=None)
 def test_from_ops_to_ops_roundtrip_is_lossless(ops):
-    cols = ColumnarOps.from_ops(ops)
-    back = cols.to_ops()
+    cols = from_ops(ops)
+    back = to_ops(cols)
     assert len(back) == len(ops)
     assert all(_ops_equal(a, b) for a, b in zip(ops, back))
     # re-encoding the decoded stream is a fixed point, column for column
-    again = ColumnarOps.from_ops(back)
+    again = from_ops(back)
     for name in ("kinds", "count", "aux", "misc", "extra", "array_id",
                  "off", "num", "pool"):
         np.testing.assert_array_equal(
@@ -273,7 +275,7 @@ def test_from_ops_to_ops_roundtrip_is_lossless(ops):
 @given(op_streams())
 @settings(max_examples=50, deadline=None)
 def test_via_totals_match_bitwise(ops):
-    cols = ColumnarOps.from_ops(ops)
+    cols = from_ops(ops)
     want = scalar_oracle.via_totals(ops, _CFG)
     got = columnar_via_totals(cols, _CFG)
     for name, w in want.as_dict().items():
@@ -291,7 +293,7 @@ def test_invariants_accept_every_well_formed_stream(ops):
     validated oracle replay above; here the columnar checker must also
     pass every law — structure, occupancy at capacity, and final-counter
     conservation — on the same streams."""
-    cols = ColumnarOps.from_ops(ops)
+    cols = from_ops(ops)
     priced = price_columnar(cols, DEFAULT_MACHINE, validate=True)
     check_columnar_invariants(
         cols, counters=priced.counters, capacity=_CAPACITY
@@ -305,7 +307,7 @@ class TestBoundaries:
     def test_zero_length_stream(self):
         rec = _recording([])
         _replay_both(rec)
-        assert len(ColumnarOps.from_ops([])) == 0
+        assert len(from_ops([])) == 0
 
     @pytest.mark.parametrize(
         "op",
@@ -327,14 +329,14 @@ class TestBoundaries:
         _replay_both(rec)
 
     def test_occupancy_exactly_at_capacity_passes(self):
-        cols = ColumnarOps.from_ops(
+        cols = from_ops(
             [ViaOpRecord(sspm_elements=_CAPACITY, cam_searches=0,
                          port_passes=1)]
         )
         check_columnar_invariants(cols, capacity=_CAPACITY)
 
     def test_occupancy_over_capacity_raises(self):
-        cols = ColumnarOps.from_ops(
+        cols = from_ops(
             [ViaOpRecord(sspm_elements=_CAPACITY + 1, cam_searches=0,
                          port_passes=1)]
         )
@@ -394,6 +396,6 @@ class TestInvariantAgreement:
             "port_passes",
             None,
         )
-        cols = ColumnarOps.from_ops([bad])
+        cols = from_ops([bad])
         with pytest.raises(InvariantError, match="port"):
             check_columnar_invariants(cols)

@@ -12,7 +12,7 @@ Two halves, mirroring the contract of
   correctly and then corrupts the core the way a buggy pricer would, so
   every conservation law stays pinned.
 
-Plus the per-op constructor validators in :mod:`repro.sim.ops` and the
+Plus operand validation on the ``Core`` narration surface and the
 finished-result checks in
 :func:`~repro.sim.backends.check_result_invariants`.
 """
@@ -36,13 +36,6 @@ from repro.sim.backends import (
 )
 from repro.sim.config import DEFAULT_MACHINE
 from repro.sim.core import Core
-from repro.sim.ops import (
-    AllocOp,
-    BranchesOp,
-    LoadStreamOp,
-    ScalarOpsOp,
-    VectorOpOp,
-)
 from repro.via.config import VIA_16_2P
 from repro.via.engine import ViaDevice
 
@@ -167,24 +160,29 @@ class TestTripsOnMispricedOps:
 
 
 # ----------------------------------------------------------------------
-# constructor validators on the op dataclasses
+# operand validation on the narration surface
 # ----------------------------------------------------------------------
-class TestOpValidators:
-    def test_negative_counts_are_rejected_at_construction(self):
+class TestNarrationValidators:
+    def test_negative_counts_are_rejected_at_narration(self):
+        core = Core(DEFAULT_MACHINE)
+        arr = core.alloc("a", 8)
         with pytest.raises(SimulationError):
-            ScalarOpsOp(-1)
+            core.scalar_ops(-1)
         with pytest.raises(SimulationError):
-            VectorOpOp("fma", -2)
+            core.vector_op("fma", -2)
         with pytest.raises(SimulationError):
-            BranchesOp(-3, 0.05)
+            core.branches(-3, 0.05)
         with pytest.raises(SimulationError):
-            LoadStreamOp("a", 0, -1)
+            core.load_stream(arr, 0, -1)
         with pytest.raises(SimulationError):
-            AllocOp("a", -8, 8)
+            core.alloc("b", -8, 8)
 
     def test_zero_counts_are_fine(self):
-        ScalarOpsOp(0)
-        LoadStreamOp("a", 0, 0)
+        core = Core(DEFAULT_MACHINE)
+        arr = core.alloc("a", 8)
+        core.scalar_ops(0)
+        core.load_stream(arr, 0, 0)
+        assert core.finalize("zero").counters.scalar_uops == 0
 
 
 # ----------------------------------------------------------------------

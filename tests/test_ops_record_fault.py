@@ -128,9 +128,12 @@ class TestArtifactRot:
         _rewrite(path, drop_checksum_for="via_instructions")
         self._assert_selfhealed(direct, rdir, baseline)
 
-    def test_wrong_schema_version_is_dropped(self, warmed):
+    @pytest.mark.parametrize("schema", [1, 999])
+    def test_wrong_schema_version_is_dropped(self, warmed, schema):
+        # schema 1 is the retired per-op JSON layout: the generic version
+        # check drops it like any other stale artifact
         direct, rdir, baseline, path = warmed
-        _rewrite(path, schema=999)
+        _rewrite(path, schema=schema)
         self._assert_selfhealed(direct, rdir, baseline)
 
     def test_mis_filed_key_is_detected(self, warmed):
