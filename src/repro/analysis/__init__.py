@@ -14,9 +14,9 @@ that no general-purpose linter checks:
 * **lock discipline** — :mod:`repro.serve` mutates shared state from
   executor threads; attributes crossing that boundary must be touched
   under the instance lock (:mod:`repro.analysis.locks`);
-* **hot-path narration** — the record path buffers ops in the
-  columnar builder; per-op ``Op(...)`` construction in ``Core``/kernel
-  loops would silently restore the per-object cost
+* **hot-path narration** — the record path buffers ops as rows of the
+  columnar builder; building ``ColumnarOps``/``FlushBatch`` blocks in
+  ``Core``/kernel loops would silently restore the per-object cost
   (:mod:`repro.analysis.hotpath`);
 * **resource lifecycle** — the serve pool and eval supervisor must
   close/join/terminate every pipe, process, socket, and temp file on

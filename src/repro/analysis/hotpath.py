@@ -1,26 +1,27 @@
 """Hot-path narration rules (family ``hotpath``).
 
 The batched narration pipeline exists so that the record path never pays
-a per-op Python object: :class:`~repro.sim.core.Core` buffers narration
-in a :class:`~repro.sim.columnar.ColumnarBuilder` and prices whole
-flushes vectorised.  That win evaporates the moment someone reintroduces
-per-op ``Op`` construction on a hot path — one innocent-looking
-``GatherOp(...)`` inside a kernel loop silently restores the old
-allocation-per-element cost *and* bypasses the builder's flush
-accounting.  These rules turn the convention into a checkable gate:
+a per-op Python object: :class:`~repro.sim.core.Core` appends each
+narrated op as one row of a :class:`~repro.sim.columnar.ColumnarBuilder`
+and prices whole flushes vectorised.  The op stream's only Python objects
+are the column blocks themselves — :class:`~repro.sim.columnar.ColumnarOps`
+and the :class:`~repro.sim.columnar.FlushBatch` the builder detaches per
+flush.  Building one of those per op on a hot path — one innocent-looking
+``ColumnarOps(...)`` inside a kernel loop — restores the per-op allocation
+cost *and* bypasses the builder's validation and flush accounting.  These
+rules turn the convention into a checkable gate:
 
-* ``VIA401`` (error) — an :mod:`repro.sim.ops` op class is constructed
-  inside a ``for``/``while`` loop in a hot-path module
+* ``VIA401`` (error) — a column-block class of :mod:`repro.sim.columnar`
+  is constructed inside a ``for``/``while`` loop in a hot-path module
   (``repro.sim.core`` and everything under ``repro.kernels``).  Loops
   are where per-op costs multiply; narrate through the ``Core`` methods
   (which append builder rows) instead.
 * ``VIA402`` (error) — a kernel module, or ``repro.sim.core`` itself,
-  constructs an op class *at all*.  Kernels narrate exclusively through
-  the ``Core`` API, and ``Core`` buffers every narration call as a
-  builder row; building IR objects directly skips validation, the
-  builder, and the backend seam.  Op records are materialized only off
-  the hot path, from finished columns (execution traces, the test
-  oracle).
+  constructs a column block *at all*.  Kernels narrate exclusively
+  through the ``Core`` API, and ``Core`` buffers every narration call as
+  a builder row; building stream objects directly skips validation, the
+  builder, and the backend seam.  Column blocks are made by the builder
+  (``take``), the recorder and the artifact loader, off the hot path.
 
 A justified exception is silenced with ``# via: ignore[VIA401]`` next to
 the call, where the reviewer can see the reasoning.
@@ -45,40 +46,31 @@ from repro.analysis.core import (
 VIA401 = rule(
     "VIA401",
     "hotpath",
-    "per-op Op construction inside a hot-path loop; narrate through the builder",
+    "op-stream block built inside a hot-path loop; narrate through the builder",
 )
 VIA402 = rule(
     "VIA402",
     "hotpath",
-    "hot-path module constructs an op object directly; use the Core "
+    "hot-path module builds an op-stream block directly; use the Core "
     "narration API",
 )
 
-#: the module whose classes are the narration IR
-OP_MODULE = "repro.sim.ops"
+#: the constructors of the op-stream IR's Python objects
+IR_CONSTRUCTORS = frozenset(
+    {"repro.sim.columnar.ColumnarOps", "repro.sim.columnar.FlushBatch"}
+)
 
 #: hot-path scopes where loops must not build per-op objects (VIA401)
 LOOP_SCOPES: Sequence[str] = ("repro/sim/core.py", "repro/kernels/")
 
-#: scopes where op construction is banned outright (VIA402)
+#: scopes where column-block construction is banned outright (VIA402)
 KERNEL_SCOPES: Sequence[str] = ("repro/sim/core.py", "repro/kernels/")
-
-
-def _is_op_class(dotted: str) -> bool:
-    """True for ``repro.sim.ops.<OpClass>`` (``Op``, ``*Op``, ``*OpRecord``)."""
-    prefix = OP_MODULE + "."
-    if not dotted.startswith(prefix):
-        return False
-    leaf = dotted[len(prefix):]
-    if "." in leaf or not leaf[:1].isupper():
-        return False
-    return leaf == "Op" or leaf.endswith("Op") or leaf.endswith("OpRecord")
 
 
 def _op_calls(
     tree: ast.Module, aliases: Dict[str, str], *, loops_only: bool
 ) -> List[ast.Call]:
-    """Op-class constructor calls, optionally only those inside loops."""
+    """Column-block constructor calls, optionally only those inside loops."""
 
     calls: List[ast.Call] = []
 
@@ -91,7 +83,7 @@ def _op_calls(
             in_loop = False
         if isinstance(node, ast.Call):
             name = resolve_call_name(node.func, aliases)
-            if name is not None and _is_op_class(name):
+            if name in IR_CONSTRUCTORS:
                 if in_loop or not loops_only:
                     calls.append(node)
         for child in ast.iter_child_nodes(node):
@@ -134,8 +126,8 @@ def _scan_file(
                     src.rel,
                     call.lineno,
                     f"{name} constructed inside a loop on the hot path; "
-                    f"per-op objects defeat batched narration — use the "
-                    f"ColumnarBuilder append methods",
+                    f"per-op objects defeat batched narration — narrate "
+                    f"through the Core methods",
                 )
             )
     return findings

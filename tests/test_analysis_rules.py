@@ -868,18 +868,18 @@ class TestHotpathRules:
             tmp_path,
             {
                 "hot/core.py": """
-                    from repro.sim.ops import GatherOp
+                    from repro.sim.columnar import ColumnarOps
 
 
                     def narrate(core, rows):
-                        for idx in rows:
-                            core._emit(GatherOp("a", idx, 1))
+                        for row in rows:
+                            core._emit(ColumnarOps(*row))
                 """
             },
         )
         findings = hotpath(project)
         assert rules_of(findings) == ["VIA401"]
-        assert "GatherOp" in findings[0].message
+        assert "ColumnarOps" in findings[0].message
         assert findings[0].severity == "error"
 
     def test_via401_through_module_alias(self, tmp_path):
@@ -887,29 +887,29 @@ class TestHotpathRules:
             tmp_path,
             {
                 "hot/core.py": """
-                    import repro.sim.ops as ops
+                    import repro.sim.columnar as columnar
 
 
                     def narrate(core):
                         while core.pending():
-                            core._emit(ops.ScalarOpsOp(1))
+                            core._emit(columnar.FlushBatch(*core.pending()))
                 """
             },
         )
         assert rules_of(hotpath(project)) == ["VIA401"]
 
     def test_op_outside_loop_is_clean(self, tmp_path):
-        # one op per *call*, not per loop iteration: VIA401 only guards
+        # one block per *call*, not per loop iteration: VIA401 only guards
         # loops (this scope is loop-only, so VIA402 does not apply)
         project = make_project(
             tmp_path,
             {
                 "hot/core.py": """
-                    from repro.sim.ops import ScalarOpsOp
+                    from repro.sim.columnar import FlushBatch
 
 
-                    def scalar_row(count):
-                        return ScalarOpsOp(int(count))
+                    def one_batch(cols, base, elem_bytes, nbytes):
+                        return FlushBatch(cols, base, elem_bytes, nbytes)
                 """
             },
         )
@@ -922,14 +922,14 @@ class TestHotpathRules:
             tmp_path,
             {
                 "hot/core.py": """
-                    from repro.sim.ops import AllocOp
+                    from repro.sim.columnar import ColumnarOps
 
 
                     def build(specs):
                         makers = []
-                        for name in specs:
-                            def make(n=name):
-                                return AllocOp(n, 64, 8)
+                        for spec in specs:
+                            def make(s=spec):
+                                return ColumnarOps(**s)
                             makers.append(make)
                         return makers
                 """
@@ -956,17 +956,17 @@ class TestHotpathRules:
             tmp_path,
             {
                 "hot/kern/spmv.py": """
-                    from repro.sim.ops import ViaOpRecord
+                    from repro.sim.columnar import FlushBatch
 
 
-                    def price(core):
-                        core._emit(ViaOpRecord(4, 2, 1.0, None, 1))
+                    def price(core, cols):
+                        core._emit(FlushBatch(cols, None, None, None))
                 """
             },
         )
         findings = hotpath(project)
         assert rules_of(findings) == ["VIA402"]
-        assert "ViaOpRecord" in findings[0].message
+        assert "FlushBatch" in findings[0].message
 
     def test_kernel_without_op_construction_is_clean(self, tmp_path):
         project = make_project(
@@ -983,24 +983,24 @@ class TestHotpathRules:
 
     def test_via402_covers_sim_core_by_default(self, tmp_path):
         # Core buffers every narration call as a builder row, so with the
-        # default scopes an op built anywhere in repro/sim/core.py — loop
-        # or not — is a finding
+        # default scopes a column block built anywhere in repro/sim/core.py
+        # — loop or not — is a finding
         project = make_project(
             tmp_path,
             {
                 "repro/sim/core.py": """
-                    from repro.sim.ops import ScalarOpsOp
+                    from repro.sim.columnar import ColumnarOps
 
 
                     class Core:
                         def scalar_ops(self, count):
-                            self.backend.flush(ScalarOpsOp(int(count)), self)
+                            self.backend.flush(ColumnarOps(kinds=[1], count=[count]), self)
                 """
             },
         )
         report = run_analysis(project, select=["hotpath"])
         assert rules_of(report.findings) == ["VIA402"]
-        assert "ScalarOpsOp" in report.findings[0].message
+        assert "ColumnarOps" in report.findings[0].message
 
     def test_ignore_comment_silences_via401(self, tmp_path):
         # default scopes: repro/kernels/ is a real hot-path prefix, so
@@ -1009,13 +1009,13 @@ class TestHotpathRules:
             tmp_path,
             {
                 "repro/kernels/k.py": """
-                    from repro.sim.ops import GatherOp
+                    from repro.sim.columnar import ColumnarOps
 
 
                     def replay(core, rows):
-                        for idx in rows:
+                        for row in rows:
                             # via: ignore[VIA401, VIA402]
-                            core._emit(GatherOp("a", idx, 1))
+                            core._emit(ColumnarOps(*row))
                 """
             },
         )
