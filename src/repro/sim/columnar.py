@@ -157,9 +157,9 @@ class OpKind(NamedTuple):
 
     name: str
     operands: Tuple[Operand, ...]
-    #: ``(failing condition, message)``, Python source over the operand
-    #: names (``VECTOR_OP_KINDS`` in scope); they run in order, before the
-    #: operand bounds
+    #: ``(failing condition, message)``: a Python expression and an
+    #: f-string body over the operand names (``VECTOR_OP_KINDS`` in
+    #: scope); they run in order, before the operand bounds
     checks: Tuple[Tuple[str, str], ...] = ()
     #: the operand whose value (for an index window, its length) is the
     #: trace multiplicity, at least 1; without one an event counts 1

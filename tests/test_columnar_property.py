@@ -34,12 +34,15 @@ from hypothesis import strategies as st
 from repro.errors import InvariantError
 from repro.sim.backends import replay_recording
 from repro.sim.columnar import (
+    COLUMNS,
+    KIND_ORDER,
     VECTOR_OP_KINDS,
     check_columnar_invariants,
     columnar_via_totals,
     price_columnar,
 )
 from repro.sim.config import DEFAULT_MACHINE
+from repro.sim.ops import OPS_SCHEMA_VERSION
 from repro.via.config import VIA_16_2P
 
 from tests import scalar_oracle
@@ -303,6 +306,23 @@ def test_invariants_accept_every_well_formed_stream(ops):
 # ----------------------------------------------------------------------
 # deterministic boundaries
 # ----------------------------------------------------------------------
+def test_kind_ids_and_columns_are_the_artifact_format():
+    """Stored artifacts hold kind ids (a row's position in the op-kind
+    table) and these column names; moving a table row or renaming a
+    column needs an ``OPS_SCHEMA_VERSION`` bump."""
+    assert OPS_SCHEMA_VERSION == 2
+    assert KIND_ORDER == (
+        "alloc", "scalar_ops", "vector_op", "branches", "dependency_stall",
+        "load_stream", "store_stream", "gather", "scatter", "gather_serial",
+        "scatter_serial", "load_windows", "scalar_load", "scalar_store",
+        "bulk_stream", "record_via_op",
+    )
+    assert COLUMNS == (
+        "kinds", "count", "aux", "misc", "extra", "fval", "array_id", "off", "num",
+    )
+    assert VECTOR_OP_KINDS == ("alu", "mask", "fma", "reduce", "permute", "conflict")
+
+
 class TestBoundaries:
     def test_zero_length_stream(self):
         rec = _recording([])
