@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvariantError
-from repro.sim.backends import replay_recording
+from repro.sim.backends import RecorderBackend, replay_recording
 from repro.sim.columnar import (
     COLUMNS,
     KIND_ORDER,
@@ -42,8 +42,10 @@ from repro.sim.columnar import (
     price_columnar,
 )
 from repro.sim.config import DEFAULT_MACHINE
+from repro.sim.core import Core
 from repro.sim.ops import OPS_SCHEMA_VERSION
 from repro.via.config import VIA_16_2P
+from repro.via.engine import ViaDevice
 
 from tests import scalar_oracle
 from tests.op_records import (
@@ -321,6 +323,55 @@ def test_kind_ids_and_columns_are_the_artifact_format():
         "kinds", "count", "aux", "misc", "extra", "fval", "array_id", "off", "num",
     )
     assert VECTOR_OP_KINDS == ("alu", "mask", "fma", "reduce", "permute", "conflict")
+
+
+def test_generated_appends_store_the_table_encoding():
+    """The builder's generated append path stores, for every kind, the
+    columns the test-side encoder derives from the same table."""
+    recorder = RecorderBackend()
+    core = Core(DEFAULT_MACHINE, via=ViaDevice(_CFG), backend=recorder)
+    arr = core.alloc("arr", 64, 4)
+    idx = np.asarray([3, 1, 4])
+    core.scalar_ops(3)
+    core.vector_op("permute", 2)
+    core.branches(5, 0.25)
+    core.dependency_stall(7.5)
+    core.load_stream(arr, 4, 16)
+    core.store_stream(arr, 8, 0)
+    core.gather(arr, idx, n_instr=2)
+    core.scatter(arr, idx[:2], n_instr=1)
+    core.gather_serial(3, 4)
+    core.scatter_serial(2, 0)
+    core.load_windows(arr, idx, 4)
+    core.scalar_load(arr, idx, dependent=True)
+    core.scalar_store(arr, idx[:1])
+    core.bulk_stream(arr, passes=3, write=True)
+    core.record_via_op(sspm_elements=6, cam_searches=2, port_passes=2, count=3)
+    core.record_via_op(sspm_elements=0, cam_searches=0, port_cycles=4.5)
+    core.finalize("every_kind")
+    want = from_ops([
+        AllocOp("arr", 64, 4),
+        ScalarOpsOp(3),
+        VectorOpOp("permute", 2),
+        BranchesOp(5, 0.25),
+        DependencyStallOp(7.5),
+        LoadStreamOp("arr", 4, 16),
+        StoreStreamOp("arr", 8, 0),
+        GatherOp("arr", idx, 2),
+        ScatterOp("arr", idx[:2], 1),
+        GatherSerialOp(3, 4),
+        ScatterSerialOp(2, 0),
+        LoadWindowsOp("arr", idx, 4),
+        ScalarLoadOp("arr", idx, True),
+        ScalarStoreOp("arr", idx[:1], False),
+        BulkStreamOp("arr", 3, True),
+        ViaOpRecord(6, 2, 3, 2, None),
+        ViaOpRecord(0, 0, 1, None, 4.5),
+    ])
+    got = recorder.recording.columnar()
+    for name in COLUMNS + ("pool",):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.names == want.names
 
 
 class TestBoundaries:
