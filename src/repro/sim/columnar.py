@@ -1132,7 +1132,7 @@ def _compile(kind_id: int, kind: OpKind) -> Tuple[Callable[..., bool], Callable[
     the same checks alone.  The code is generated straight-line, one
     ``if`` per check and one store per column: a narrated op costs what a
     hand-written method did, where a loop over the row's operands cost
-    about a third more per ``record_via_op`` row.
+    about half as much again per ``record_via_op`` row.
     """
     checks = list(kind.checks)
     for o in kind.operands:
