@@ -14,8 +14,6 @@ out:
   survives even at 4x that overhead.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import save_artifact

@@ -9,8 +9,6 @@ the 64-bit machine encoding, and executes it on the functional device.
 Run:  python examples/assembler_demo.py
 """
 
-import numpy as np
-
 from repro.via import (
     Program,
     RegisterFile,

@@ -15,8 +15,6 @@ column for SpMM.  VIA's index table resolves the matching in hardware.
 Run:  python examples/sparse_sparse.py
 """
 
-import numpy as np
-
 from repro.formats import CSCMatrix, CSRMatrix
 from repro.kernels import (
     reference,

@@ -47,7 +47,6 @@ from repro.analysis.core import (
     Project,
     SourceFile,
     family_checker,
-    import_aliases,
     make_finding,
     rule,
 )

@@ -14,8 +14,9 @@ op-stream kinds riding the IR seam (:mod:`repro.sim.ops`):
 
 * ``record`` — run the unit's kernel pair once per format with a
   :class:`~repro.sim.backends.RecorderBackend`, persist the op streams and
-  functional outputs to a :class:`~repro.eval.recordings.RecordingStore`
-  artifact, and return the (direct-identical) :class:`SweepRecord`;
+  their priced state (not the kernels' functional outputs) to a
+  :class:`~repro.eval.recordings.RecordingStore` artifact, and return the
+  (direct-identical) :class:`SweepRecord`;
 * ``replay`` — load the artifact and re-price the recorded streams under
   the unit's own machine/VIA configuration without executing any numpy.
   A missing or corrupt artifact self-heals: the unit records under its own

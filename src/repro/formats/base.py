@@ -21,7 +21,7 @@ Design notes
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,30 @@ def check_shape(shape) -> Tuple[int, int]:
     if rows < 0 or cols < 0:
         raise ShapeError(f"shape must be non-negative, got {(rows, cols)}")
     return rows, cols
+
+
+def first_unsorted_segment(ptr: np.ndarray, idx: np.ndarray) -> Optional[int]:
+    """First segment of ``idx`` whose entries are not strictly increasing.
+
+    ``ptr`` delimits the segments (CSR rows, CSC columns) and must already
+    be valid: it starts at 0, never decreases and ends at ``idx.size``.  One
+    ``np.diff`` compares every neighbouring pair; the pairs that straddle a
+    segment start are masked out.  Returns ``None`` when every segment is
+    sorted.
+    """
+    if idx.size < 2:
+        return None
+    bad = np.diff(idx) <= 0
+    # pair k straddles a segment starting at k + 1; empty segments at either
+    # end start at 0 or idx.size, which begin no pair (and 0 - 1 would wrap)
+    starts = ptr[1:-1]
+    bad[starts[(starts > 0) & (starts < idx.size)] - 1] = False
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return None
+    # the last segment starting at or before the pair's first element; with
+    # empty segments sharing that start, this is the non-empty one
+    return int(np.searchsorted(ptr, hits[0], side="right")) - 1
 
 
 class SparseFormat(abc.ABC):

@@ -19,6 +19,7 @@ from repro.formats.base import (
     as_index_array,
     as_value_array,
     check_shape,
+    first_unsorted_segment,
 )
 from repro.formats.coo import COOMatrix
 
@@ -55,13 +56,12 @@ class CSCMatrix(SparseFormat):
         ri = self._row_idx
         if ri.size and (ri.min() < 0 or ri.max() >= rows):
             raise FormatError("row_idx out of range")
-        for c in range(cols):
-            seg = ri[cp[c] : cp[c + 1]]
-            if seg.size > 1 and np.any(np.diff(seg) <= 0):
-                raise FormatError(
-                    f"column {c} rows are not strictly increasing; "
-                    "duplicates or unsorted entries are not valid CSC"
-                )
+        bad = first_unsorted_segment(cp, ri)
+        if bad is not None:
+            raise FormatError(
+                f"column {bad} rows are not strictly increasing; "
+                "duplicates or unsorted entries are not valid CSC"
+            )
 
     # ------------------------------------------------------------------
     # Constructors

@@ -25,6 +25,7 @@ from repro.formats.base import (
     as_index_array,
     as_value_array,
     check_shape,
+    first_unsorted_segment,
 )
 from repro.formats.coo import COOMatrix
 
@@ -68,14 +69,12 @@ class CSRMatrix(SparseFormat):
         if ci.size:
             if ci.min() < 0 or ci.max() >= cols:
                 raise FormatError("col_idx out of range")
-        # verify intra-row column ordering
-        for r in range(rows):
-            seg = ci[rp[r] : rp[r + 1]]
-            if seg.size > 1 and np.any(np.diff(seg) <= 0):
-                raise FormatError(
-                    f"row {r} columns are not strictly increasing; "
-                    "duplicates or unsorted entries are not valid CSR"
-                )
+        bad = first_unsorted_segment(rp, ci)
+        if bad is not None:
+            raise FormatError(
+                f"row {bad} columns are not strictly increasing; "
+                "duplicates or unsorted entries are not valid CSR"
+            )
 
     # ------------------------------------------------------------------
     # Constructors

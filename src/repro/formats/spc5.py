@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.base import (
-    INDEX_DTYPE,
     SparseFormat,
     as_index_array,
     as_value_array,

@@ -20,7 +20,6 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels.common import (
     INDEX_BYTES,
     VALUE_BYTES,
-    chunk_instr_count,
     make_core,
     make_via_core,
 )

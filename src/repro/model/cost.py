@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.model.dataset import (
-    FEATURE_NAMES,
     Dataset,
     feature_vector,
     spec_structure_features,

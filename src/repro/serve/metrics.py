@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 #: histograms keep the most recent N observations for percentile math;
 #: count/sum/min/max remain exact over the full lifetime

@@ -63,7 +63,7 @@ class Backend:
         # ``columnar.price_flush`` (profilers, test pricers) sees every flush
         columnar.price_flush(batch, core)
 
-    def on_finalize(self, core: "Core", name: str, output: object) -> None:
+    def on_finalize(self, core: "Core", name: str) -> None:
         """Called by :meth:`Core.finalize` before the result is built."""
 
 
@@ -76,7 +76,8 @@ class RecorderBackend(Backend):
 
     After the kernel calls ``finalize``, :attr:`recording` holds the
     complete :class:`~repro.sim.ops.Recording` (stream + configurations +
-    functional output), ready for :func:`~repro.sim.ops.save_recordings`.
+    priced state), ready for :func:`~repro.sim.ops.save_recordings`; the
+    kernel's functional output stays on the record run's own result.
     Flushed column blocks are stitched with
     :func:`~repro.sim.columnar.concat_columnar` at finalize, so the
     recording carries native struct-of-arrays columns end to end.
@@ -90,13 +91,12 @@ class RecorderBackend(Backend):
         self._chunks.append(batch.cols)
         super().flush(batch, core)
 
-    def on_finalize(self, core: "Core", name: str, output: object) -> None:
+    def on_finalize(self, core: "Core", name: str) -> None:
         self.recording = Recording(
             name=name,
             machine=core.machine,
             via_config=core.via.config if core.via is not None else None,
             columnar=columnar.concat_columnar(self._chunks),
-            output=output,
             priced=PricedState(
                 counters=dataclasses.replace(core.counters),
                 dram_occupancy_cycles=core.memory.dram.occupancy_cycles(),
@@ -129,8 +129,8 @@ class TraceBackend(Backend):
             self.trace.add(kind.name, *kind.render(values))
         self.inner.flush(batch, core)
 
-    def on_finalize(self, core: "Core", name: str, output: object) -> None:
-        self.inner.on_finalize(core, name, output)
+    def on_finalize(self, core: "Core", name: str) -> None:
+        self.inner.on_finalize(core, name)
 
 
 #: integer counters that classify where each line access was served; their
@@ -273,8 +273,8 @@ class InvariantBackend(Backend):
                 f"{problem}"
             )
 
-    def on_finalize(self, core: "Core", name: str, output: object) -> None:
-        self.inner.on_finalize(core, name, output)
+    def on_finalize(self, core: "Core", name: str) -> None:
+        self.inner.on_finalize(core, name)
         problem = _counters_violation(OpCounters(), core.counters)
         if problem is None:
             problem = _sspm_violation(core)
@@ -298,9 +298,9 @@ def replay_recording(
     """Re-price a recorded op stream under a target configuration.
 
     No functional numpy runs: the recorded columns are priced as if on a
-    fresh core (cold caches, same bump-allocated address space), and the
-    recorded functional output is attached to the result.  The target must
-    be stream-shape compatible with the recording (same vector lanes, L1
+    fresh core (cold caches, same bump-allocated address space), so the
+    result carries timing only: its ``output`` is ``None``.  The target
+    must be stream-shape compatible with the recording (same vector lanes, L1
     latency, and SSPM capacity — see :func:`~repro.sim.ops.stream_shape_key`);
     anything else, notably SSPM *port* counts and all pure-pricing machine
     knobs, may differ freely.
@@ -372,7 +372,6 @@ def replay_recording(
             dram_lines=p.dram_lines,
             cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
             via_leakage_mw=via_leak,
-            output=recording.output,
         )
         return check_result_invariants(result) if validate else result
     with _MEMO_LOCK:
@@ -400,6 +399,5 @@ def replay_recording(
         dram_lines=cp.dram_lines,
         cache_stats={k: dict(v) for k, v in cp.cache_stats.items()},
         via_leakage_mw=via_leak,
-        output=recording.output,
     )
     return check_result_invariants(result) if validate else result

@@ -509,7 +509,7 @@ class Core:
     def finalize(self, name: str, *, output: object = None) -> KernelResult:
         """Combine the accumulated counters into a :class:`KernelResult`."""
         self._flush()
-        self._backend.on_finalize(self, name, output)
+        self._backend.on_finalize(self, name)
         return build_result(
             name=name,
             machine=self.machine,

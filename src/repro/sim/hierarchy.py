@@ -10,7 +10,7 @@ access latency — the raw material for the core's cycle model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np

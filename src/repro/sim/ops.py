@@ -3,8 +3,9 @@
 Kernels narrate their execution as coarse events (streaming loads, gathers,
 vector ALU groups, VIA instructions...).  The event vocabulary is the
 op-kind table :data:`repro.sim.columnar.OP_KINDS`, and a stream is its
-columns.  This module defines the :class:`Recording` that lets the *same*
-stream be
+columns.  This module defines the :class:`Recording` — a stream, the
+configurations it was narrated under and its priced state, nothing the
+pricing does not read — that lets the *same* stream be
 
 * priced immediately (the direct backend),
 * captured to a compact on-disk artifact (the recorder backend), and
@@ -34,10 +35,11 @@ Serialization
 :func:`save_recordings` / :func:`load_recordings` persist a dict of
 :class:`Recording` objects into one ``np.savez_compressed`` artifact: a JSON
 meta blob (schema version, configs, priced state, checksum) plus native npz
-arrays — the op stream stored *columnar* (schema v2: one array per
+arrays — the op stream stored *columnar* (schema v3: one array per
 :data:`repro.sim.columnar.COLUMNS` field plus the shared int64 index pool,
-exactly the struct-of-arrays the vectorized engine prices), and the
-functional outputs.  Loading never materializes per-op Python objects:
+exactly the struct-of-arrays the vectorized engine prices).  Kernel outputs
+are not stored: a replay prices, it does not compute, so its result carries
+``output=None``.  Loading never materializes per-op Python objects:
 :class:`Recording` holds the columns.  Any truncation, tampering, or schema
 mismatch raises :class:`RecordingError` — callers treat that as a cache miss
 and re-record.
@@ -62,7 +64,6 @@ from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.stats import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.stats import KernelResult
     from repro.via.config import ViaConfig
 
 #: bump whenever the op-kind table's column layout or the artifact format
@@ -70,7 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: cleanly.
 #: v2: op streams persist as struct-of-arrays columns (repro.sim.columnar)
 #: instead of per-op JSON payloads
-OPS_SCHEMA_VERSION = 2
+#: v3: kernel outputs are no longer stored (no ``out{i}_*`` arrays, no
+#: ``"output"`` meta entry)
+OPS_SCHEMA_VERSION = 3
 
 __all__ = [
     "OPS_SCHEMA_VERSION",
@@ -191,7 +194,7 @@ class PricedState:
 
 
 class Recording:
-    """One kernel execution captured as an op stream plus its output.
+    """One kernel execution captured as exactly what replay prices.
 
     ``machine`` / ``via_config`` are the configurations the stream was
     narrated under; :func:`repro.sim.backends.replay_recording` re-prices
@@ -200,6 +203,8 @@ class Recording:
     re-simulating memory); ``_machine_memo`` caches the one memory pass a
     cross-machine replay needs, keyed by target machine.  The stream itself
     is held as struct-of-arrays columns, the shape the pricing engine reads.
+    The kernel's functional output is not part of a recording: the record
+    run returns it, and a replay's result carries ``output=None``.
     """
 
     def __init__(
@@ -208,13 +213,11 @@ class Recording:
         machine: MachineConfig,
         via_config: Optional["ViaConfig"],
         columnar: ColumnarOps,
-        output: Any = None,
         priced: Optional[PricedState] = None,
     ) -> None:
         self.name = name
         self.machine = machine
         self.via_config = via_config
-        self.output = output
         self.priced = priced
         self._columnar = columnar
         #: per-machine memoized memory passes; shared across serve executor
@@ -228,20 +231,6 @@ class Recording:
     def columnar(self) -> ColumnarOps:
         """The op stream as struct-of-arrays columns."""
         return self._columnar
-
-    def replay(
-        self,
-        machine: Optional[MachineConfig] = None,
-        via_config: Optional["ViaConfig"] = None,
-        *,
-        validate: bool = False,
-    ) -> "KernelResult":
-        """Re-price this stream; see :func:`repro.sim.backends.replay_recording`."""
-        from repro.sim.backends import replay_recording
-
-        return replay_recording(
-            self, machine=machine, via_config=via_config, validate=validate
-        )
 
 
 # -- config (de)serialization ------------------------------------------------
@@ -268,81 +257,9 @@ def _via_from_dict(data: Optional[Dict[str, Any]]) -> Optional["ViaConfig"]:
     return ViaConfig(**data)
 
 
-# -- output (de)serialization ------------------------------------------------
-def _encode_output(
-    output: Any, arrays: Dict[str, npt.NDArray[Any]], prefix: str
-) -> Dict[str, Any]:
-    """Encode a kernel output into a JSON spec + named npz arrays.
-
-    Handles the output types kernels actually return: ``None``, python/numpy
-    scalars, ndarrays, and the COO/CSR sparse matrices.
-    """
-    from repro.formats.coo import COOMatrix
-    from repro.formats.csr import CSRMatrix
-
-    def stash(suffix: str, arr: npt.NDArray[Any]) -> str:
-        key = f"{prefix}{suffix}"
-        arrays[key] = np.asarray(arr)
-        return key
-
-    if output is None:
-        return {"type": "none"}
-    if isinstance(output, (bool, int, float, np.integer, np.floating)):
-        return {"type": "scalar", "value": float(output)}
-    if isinstance(output, np.ndarray):
-        return {"type": "ndarray", "key": stash("nd", output)}
-    if isinstance(output, CSRMatrix):
-        return {
-            "type": "csr",
-            "shape": [int(output.rows), int(output.cols)],
-            "row_ptr": stash("rp", output.row_ptr),
-            "col_idx": stash("ci", output.col_idx),
-            "data": stash("dt", output.data),
-        }
-    if isinstance(output, COOMatrix):
-        return {
-            "type": "coo",
-            "shape": [int(output.rows), int(output.cols)],
-            "row": stash("r", output.row),
-            "col": stash("c", output.col),
-            "data": stash("d", output.data),
-        }
-    raise RecordingError(
-        f"cannot serialize kernel output of type {type(output).__name__}"
-    )
-
-
-def _decode_output(spec: Dict[str, Any], arrays: Mapping[str, Any]) -> Any:
-    from repro.formats.coo import COOMatrix
-    from repro.formats.csr import CSRMatrix
-
-    kind = spec["type"]
-    if kind == "none":
-        return None
-    if kind == "scalar":
-        return spec["value"]
-    if kind == "ndarray":
-        return arrays[spec["key"]]
-    if kind == "csr":
-        return CSRMatrix(
-            tuple(spec["shape"]),
-            arrays[spec["row_ptr"]],
-            arrays[spec["col_idx"]],
-            arrays[spec["data"]],
-        )
-    if kind == "coo":
-        return COOMatrix(
-            tuple(spec["shape"]),
-            arrays[spec["row"]],
-            arrays[spec["col"]],
-            arrays[spec["data"]],
-        )
-    raise RecordingError(f"unknown output spec type {kind!r}")
-
-
 def _checksum(meta_blob: bytes, arrays: Mapping[str, npt.NDArray[Any]]) -> str:
     """Digest of the meta blob plus every npz array (name, dtype, shape,
-    bytes) — so tampering with any column, pool, or output is detected."""
+    bytes) — so tampering with any column or the pool is detected."""
     digest = hashlib.sha256()
     digest.update(meta_blob)
     for key in sorted(arrays):
@@ -362,7 +279,7 @@ def save_recordings(
 ) -> None:
     """Persist named recordings into one compressed ``.npz`` artifact.
 
-    Schema v2 stores each entry's op stream as its struct-of-arrays columns
+    Schema v3 stores each entry's op stream as its struct-of-arrays columns
     (``ops{i}_<column>`` plus ``ops{i}_pool``; see
     :class:`repro.sim.columnar.ColumnarOps`) — the exact representation the
     pricing engine reads, so loading is zero-copy into the pricing path.
@@ -380,7 +297,6 @@ def save_recordings(
             "machine": _machine_to_dict(rec.machine),
             "via": _via_to_dict(rec.via_config),
             "ops": {"prefix": prefix, "names": list(cols.names)},
-            "output": _encode_output(rec.output, arrays, prefix=f"out{i}_"),
             "priced": None if rec.priced is None else rec.priced.to_dict(),
         }
     meta: Dict[str, Any] = {
@@ -438,7 +354,6 @@ def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
                 machine=_machine_from_dict(entry["machine"]),
                 via_config=_via_from_dict(entry["via"]),
                 columnar=cols,
-                output=_decode_output(entry["output"], arrays),
                 priced=None if priced is None else PricedState.from_dict(priced),
             )
         return recordings, meta.get("extra", {})

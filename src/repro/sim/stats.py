@@ -171,7 +171,12 @@ class SweepCounters:
 
 @dataclass
 class KernelResult:
-    """Everything measured for one timed kernel execution."""
+    """Everything measured for one timed kernel execution.
+
+    ``output`` is the kernel's functional result on direct and record
+    runs.  A replayed result (:func:`repro.sim.backends.replay_recording`)
+    only prices a recorded stream, so its ``output`` is ``None``.
+    """
 
     name: str
     cycles: float

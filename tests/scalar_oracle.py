@@ -379,7 +379,6 @@ def replay(
             dram_lines=p.dram_lines,
             cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
             via_leakage_mw=via_leak,
-            output=recording.output,
         )
         return check_result_invariants(result) if validate else result
     core = Core(machine)
@@ -409,7 +408,6 @@ def replay(
         dram_lines=core.memory.dram.stats.lines,
         cache_stats=core.memory.level_stats(),
         via_leakage_mw=via_leak,
-        output=recording.output,
     )
     return check_result_invariants(result) if validate else result
 

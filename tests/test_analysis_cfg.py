@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.cfg import CFG, build_cfg, function_cfgs
+from repro.analysis.cfg import function_cfgs
 from repro.analysis.dataflow import (
     FixpointDiverged,
     solve_backward,

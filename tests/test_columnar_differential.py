@@ -220,8 +220,6 @@ class TestDseConfigsAndEngines:
         )
         with pytest.raises(TypeError):
             replay_recording(recording, via_config=VIA_16_4P, engine="simd")
-        with pytest.raises(TypeError):
-            recording.replay(via_config=VIA_16_4P, engine="columnar")
 
     def test_fractional_latency_is_rejected(self):
         """The columnar engine is exact because every latency is a whole
@@ -244,7 +242,7 @@ class TestDseConfigsAndEngines:
 class TestRoundTripAndMachines:
     def test_disk_roundtrip_is_bit_identical(self, coo, x, tmp_path):
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
-        _, recording = _record(
+        recorded, recording = _record(
             lambda backend=None: SPMV_VARIANTS["csb"][1](
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
@@ -255,7 +253,9 @@ class TestRoundTripAndMachines:
         loaded, _ = load_recordings(path)
         got = _replay_both(loaded["k"], via_config=VIA_16_4P)
         assert_result_identical(got, want)
-        np.testing.assert_array_equal(got.output, want.output)
+        # the record run computes the output; an artifact does not store it
+        np.testing.assert_array_equal(recorded.output, want.output)
+        assert got.output is None
 
     def test_cross_machine_replay_is_bit_identical(self, coo, x):
         # pricing knobs differ, stream shape does not: this exercises the

@@ -312,7 +312,7 @@ def test_kind_ids_and_columns_are_the_artifact_format():
     """Stored artifacts hold kind ids (a row's position in the op-kind
     table) and these column names; moving a table row or renaming a
     column needs an ``OPS_SCHEMA_VERSION`` bump."""
-    assert OPS_SCHEMA_VERSION == 2
+    assert OPS_SCHEMA_VERSION == 3
     assert KIND_ORDER == (
         "alloc", "scalar_ops", "vector_op", "branches", "dependency_stall",
         "load_stream", "store_stream", "gather", "scatter", "gather_serial",

@@ -12,6 +12,7 @@ from repro.formats import (
     SPC5Matrix,
     SellCSigmaMatrix,
 )
+from repro.formats.base import first_unsorted_segment
 
 
 class TestCOOValidation:
@@ -75,6 +76,32 @@ class TestCSRValidation:
         with pytest.raises(FormatError):
             CSRMatrix((1, 4), [0, 2], [1, 1], [1.0, 2.0])
 
+    def test_message_names_the_first_unsorted_row(self):
+        with pytest.raises(FormatError) as exc:
+            CSRMatrix((4, 4), [0, 1, 2, 4, 6], [0, 1, 3, 2, 0, 3], np.ones(6))
+        assert str(exc.value) == (
+            "row 2 columns are not strictly increasing; "
+            "duplicates or unsorted entries are not valid CSR"
+        )
+
+    def test_row_may_start_below_previous_rows_last_column(self):
+        m = CSRMatrix((2, 4), [0, 2, 4], [1, 3, 0, 2], [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(
+            m.to_dense(), [[0, 1, 0, 2], [3, 0, 4, 0]]
+        )
+
+    def test_leading_interior_and_trailing_empty_rows(self):
+        m = CSRMatrix(
+            (6, 4), [0, 0, 0, 2, 2, 4, 4], [1, 3, 0, 2], [1.0, 2.0, 3.0, 4.0]
+        )
+        assert m.nnz_per_row().tolist() == [0, 0, 2, 0, 2, 0]
+
+    def test_unsorted_last_row_after_leading_empty_rows(self):
+        # a leading empty row starts at 0; masking "the pair before it"
+        # must not wrap around and hide the last pair of the array
+        with pytest.raises(FormatError, match="^row 2 "):
+            CSRMatrix((3, 4), [0, 0, 0, 2], [3, 1], [1.0, 2.0])
+
     def test_spmv_reference_shape_check(self):
         csr = CSRMatrix.from_dense(np.eye(3))
         with pytest.raises(FormatError):
@@ -93,6 +120,40 @@ class TestCSCValidation:
     def test_unsorted_rows_in_column(self):
         with pytest.raises(FormatError):
             CSCMatrix((4, 1), [0, 2], [2, 1], [1.0, 2.0])
+
+    def test_duplicate_row_in_column(self):
+        with pytest.raises(FormatError) as exc:
+            CSCMatrix((4, 3), [0, 1, 3, 4], [0, 2, 2, 1], np.ones(4))
+        assert str(exc.value) == (
+            "column 1 rows are not strictly increasing; "
+            "duplicates or unsorted entries are not valid CSC"
+        )
+
+
+def _first_unsorted_by_loop(ptr, idx):
+    for seg in range(ptr.size - 1):
+        if np.any(np.diff(idx[ptr[seg] : ptr[seg + 1]]) <= 0):
+            return seg
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_unsorted_segment_matches_a_per_segment_loop(seed):
+    """Random segmentations with many empty segments, where odd seeds
+    reverse or flatten some segments: the one-``np.diff`` check finds the
+    same segment as a loop over the segments."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 6, size=int(rng.integers(0, 12)))
+    lengths[rng.random(lengths.size) < 0.4] = 0
+    ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    segs = [np.sort(rng.choice(12, size=n, replace=False)) for n in lengths]
+    if seed % 2:
+        segs = [
+            seg[::-1] if roll < 0.25 else np.repeat(seg[:1], seg.size) if roll < 0.4 else seg
+            for seg, roll in zip(segs, rng.random(len(segs)))
+        ]
+    idx = np.concatenate(segs + [np.zeros(0)]).astype(np.int64)
+    assert first_unsorted_segment(ptr, idx) == _first_unsorted_by_loop(ptr, idx)
 
 
 class TestCSBValidation:

@@ -12,7 +12,7 @@ from repro.kernels import (
     stencil_vector_baseline,
     stencil_via,
 )
-from repro.via import VIA_4_2P, VIA_16_2P
+from repro.via import VIA_4_2P
 
 
 @pytest.fixture(scope="module")

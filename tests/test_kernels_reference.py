@@ -6,7 +6,7 @@ import pytest
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
 from repro.errors import ShapeError
-from repro.formats import COOMatrix, CSRMatrix
+from repro.formats import COOMatrix
 from repro.kernels import reference
 from repro.matrices import random_uniform
 

@@ -21,7 +21,7 @@ from repro.kernels import (
     spmv_spc5_via,
 )
 from repro.matrices import blocked, random_uniform
-from repro.via import VIA_4_2P, VIA_16_2P, VIA_16_4P, ViaConfig
+from repro.via import VIA_4_2P, VIA_16_2P, VIA_16_4P
 
 
 @pytest.fixture(scope="module")

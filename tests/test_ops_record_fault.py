@@ -128,10 +128,11 @@ class TestArtifactRot:
         _rewrite(path, drop_checksum_for="via_instructions")
         self._assert_selfhealed(direct, rdir, baseline)
 
-    @pytest.mark.parametrize("schema", [1, 999])
+    @pytest.mark.parametrize("schema", [1, 2, 999])
     def test_wrong_schema_version_is_dropped(self, warmed, schema):
-        # schema 1 is the retired per-op JSON layout: the generic version
-        # check drops it like any other stale artifact
+        # schemas 1 (per-op JSON) and 2 (columns plus kernel outputs) are
+        # retired layouts: the generic version check drops them like any
+        # other stale artifact
         direct, rdir, baseline, path = warmed
         _rewrite(path, schema=schema)
         self._assert_selfhealed(direct, rdir, baseline)

@@ -16,6 +16,7 @@ replay path against the per-op walk.
 """
 
 import dataclasses
+import json
 import tempfile
 
 import numpy as np
@@ -37,8 +38,9 @@ from repro.kernels.spmv import SPMV_VARIANTS
 from repro.kernels.stencil import stencil_via
 from repro.matrices.collection import small_collection
 from repro.sim.backends import RecorderBackend, replay_recording
+from repro.sim.columnar import COLUMNS
 from repro.sim.config import DEFAULT_MACHINE
-from repro.sim.ops import load_recordings, save_recordings
+from repro.sim.ops import OPS_SCHEMA_VERSION, load_recordings, save_recordings
 from repro.via.config import (
     VIA_4_2P,
     VIA_4_4P,
@@ -226,7 +228,7 @@ class TestDseConfigs:
 class TestRoundTripAndMachines:
     def test_disk_roundtrip_is_bit_identical(self, coo, x, tmp_path):
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
-        _, recording = _record(
+        recorded, recording = _record(
             lambda backend=None: SPMV_VARIANTS["csb"][1](
                 csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
@@ -238,7 +240,38 @@ class TestRoundTripAndMachines:
         loaded, _ = load_recordings(path)
         got = replay_recording(loaded["k"], via_config=VIA_16_4P)
         assert_result_identical(got, want)
-        np.testing.assert_array_equal(got.output, want.output)
+        # the record run computes the output; an artifact does not store it
+        np.testing.assert_array_equal(recorded.output, want.output)
+        assert got.output is None
+
+    def test_artifact_holds_only_streams_and_meta(self, coo, x, tmp_path):
+        """A v3 artifact is ``meta`` plus each entry's op columns and index
+        pool: no array and no meta entry for the kernels' outputs (here a
+        dense vector and a CSR matrix)."""
+        csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
+        a = CSRMatrix.from_coo(coo)
+        _, spmv = _record(
+            lambda backend=None: SPMV_VARIANTS["csb"][1](
+                csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
+            )
+        )
+        _, spma = _record(
+            lambda backend=None: spma_via(
+                a, a, DEFAULT_MACHINE, VIA_16_2P, backend=backend
+            )
+        )
+        path = tmp_path / "rec.npz"
+        save_recordings(path, {"spmv": spmv, "spma": spma})
+        with np.load(path, allow_pickle=False) as npz:
+            keys = set(npz.files)
+            meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
+        assert keys == {"meta"} | {
+            f"ops{i}_{col}" for i in range(2) for col in (*COLUMNS, "pool")
+        }
+        assert meta["schema"] == OPS_SCHEMA_VERSION
+        assert sorted(meta["entries"]) == ["spma", "spmv"]
+        for entry in meta["entries"].values():
+            assert "output" not in entry
 
     def test_cross_machine_replay_is_bit_identical(self, coo, x):
         # pricing knobs (DRAM latency, MLP) differ; stream shape does not —

@@ -9,7 +9,6 @@ and asserts a perturbation moves the key.
 """
 
 import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings
