@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write 'host port' here once listening "
                        "(atomically; lets scripts use --port 0)")
     serve.add_argument("--max-queue", type=int, default=64)
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       help="seconds to wait for compatible requests to "
-                       "join a batch")
     serve.add_argument("--max-batch", type=int, default=16)
     serve.add_argument("--workers", type=int, default=2,
                        help="subprocess pool workers (concurrent jobs)")
@@ -169,7 +166,6 @@ def _cmd_serve(args) -> int:
         chaos = ChaosConfig.from_env()  # REPRO_SERVE_CHAOS, or None
     config = ServiceConfig(
         max_queue=args.max_queue,
-        batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         executor_workers=args.workers,
         default_timeout_s=args.default_timeout,
@@ -197,8 +193,7 @@ def _cmd_serve(args) -> int:
         await server.start()
         print(
             f"serve: listening on {server.host}:{server.port} "
-            f"(queue {config.max_queue}, {config.executor_workers} workers, "
-            f"batch window {config.batch_window_s * 1e3:.0f}ms)",
+            f"(queue {config.max_queue}, {config.executor_workers} workers)",
             file=sys.stderr,
             flush=True,
         )

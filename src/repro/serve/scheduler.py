@@ -6,13 +6,16 @@ The scheduler is the service's brain.  Requests flow through four stages:
    ``max_queue`` is *shed immediately* with a structured ``queue_full``
    error carrying ``retry_after_s`` (backpressure the client can act on);
    once the service drains, submits are refused with ``draining``.
-2. **batching** — a short ``batch_window_s`` collects concurrently-arriving
-   jobs, orders them by priority, and groups jobs whose
-   :meth:`~repro.serve.jobs.JobSpec.batch_key` matches.  Replay-family keys
-   exclude SSPM ports, so an entire port sweep lands in one batch and is
-   served by **one** op-stream recording: the first job records (replay
-   units self-heal on a store miss), every later job re-prices the stored
-   streams.
+2. **batching** — no timer: the batcher wakes on every submit and every
+   leader completion, and dispatches each queued job at once in
+   ``(-priority, cost, seq)`` order, as the *leader* of a batch.  A job
+   whose :meth:`~repro.serve.jobs.JobSpec.batch_key` matches a running
+   leader stays queued (``PENDING``, counted by ``max_queue``) and joins
+   that batch, up to ``max_batch``.  Replay-family keys exclude SSPM
+   ports, so a port sweep that arrives while its leader records is
+   served by **one** op-stream recording: the leader records (replay
+   units self-heal on a store miss), and when it finishes the jobs that
+   waited on it re-price the stored streams.
 3. **execution** — each batch is dispatched job-by-job to the supervised
    subprocess :class:`~repro.serve.pool.WorkerPool`: long-lived workers
    with warm imports, futures-over-pipes, crash isolation.  A worker that
@@ -60,13 +63,16 @@ from repro.serve.pool import PoolConfig, PoolTask, WorkerPool
 class ServiceConfig:
     """Operating envelope of one scheduler instance.
 
-    ``max_queue`` bounds *queued* (admitted but not dispatched) jobs —
-    the knob that turns overload into fast structured shedding instead of
-    unbounded latency.  ``batch_window_s`` trades a little latency for
-    batching opportunity; ``executor_workers`` sizes the subprocess
-    worker pool (concurrent jobs).  ``pool_retries``/``pool_backoff_s``
-    govern retry of jobs whose worker died; ``poison_threshold`` is the
-    per-key crash budget before the circuit breaker opens.
+    ``max_queue`` bounds *queued* jobs: admitted, not yet dispatched,
+    which means waiting on a running leader with their batch key.  A job
+    whose key has no running leader dispatches at once, to the pool's
+    FIFO if every worker is busy, where ``max_queue``, priorities,
+    deadlines and ``max_queue_cost`` no longer reach it.  ``max_batch``
+    caps the jobs one batch serves; ``executor_workers`` sizes the
+    subprocess worker pool (concurrent jobs).  ``pool_retries`` and
+    ``pool_backoff_s`` govern retry of jobs whose worker died;
+    ``poison_threshold`` is the per-key crash budget before the circuit
+    breaker opens.
     ``cache_dir``/``record_dir`` plug the service into the result cache
     and recording store (both default to per-instance temp directories);
     ``chaos`` injects a deterministic fault plan into the workers.
@@ -83,7 +89,6 @@ class ServiceConfig:
     """
 
     max_queue: int = 64
-    batch_window_s: float = 0.02
     max_batch: int = 16
     executor_workers: int = 2
     default_timeout_s: float = 120.0
@@ -113,10 +118,6 @@ class ServiceConfig:
         if self.executor_workers < 1:
             raise ServeError(
                 f"executor_workers must be >= 1, got {self.executor_workers}"
-            )
-        if self.batch_window_s < 0:
-            raise ServeError(
-                f"batch_window_s must be >= 0, got {self.batch_window_s}"
             )
         if self.default_timeout_s <= 0:
             raise ServeError(
@@ -170,6 +171,8 @@ class Scheduler:
         self._done_events: Dict[str, asyncio.Event] = {}
         self._batcher: Optional[asyncio.Task] = None
         self._inflight: set = set()
+        # batch keys whose leader is running; queued jobs with one wait
+        self._leading: set = set()
         self.pool = WorkerPool(
             self.config.pool_config(), metrics=self.metrics
         )
@@ -470,74 +473,37 @@ class Scheduler:
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
-            if not self._queue:
+            self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Dispatch every queued job at once, except one whose batch key
+        has a running leader: that job stays queued and joins the
+        leader's batch (:meth:`_lead`).  Priority first; under cost-aware
+        admission, cheapest next (shortest-job-first within a priority
+        level); arrival last.  Synchronous, so no submit or cancel can
+        interleave with the pass over the queue."""
+        waiting = []
+        for entry in sorted(self._queue):
+            job = entry[3]
+            key = job.spec.batch_key()
+            if key in self._leading:
+                waiting.append(entry)
                 continue
-            if self.config.batch_window_s > 0:
-                # let concurrently-arriving compatible jobs join the batch
-                await asyncio.sleep(self.config.batch_window_s)
-            # priority first; under cost-aware admission, cheapest next
-            # (shortest-job-first within a priority level); arrival last
-            batch_entries = sorted(self._queue)
-            self._queue.clear()
-            self._m_depth.set(0)
-            groups: List[Tuple[str, List[Job]]] = []
-            open_group: Dict[str, List[Job]] = {}
-            for _, _, _, job in batch_entries:
-                self._release_cost(job)
-                if job.terminal:  # cancelled while queued
-                    continue
-                key = job.spec.batch_key()
-                bucket = open_group.get(key)
-                if bucket is None or len(bucket) >= self.config.max_batch:
-                    bucket = []
-                    open_group[key] = bucket
-                    groups.append((key, bucket))
-                bucket.append(job)
-            for key, group in groups:
+            self._release_cost(job)
+            if self._runnable(job):
+                self._leading.add(key)
                 task = asyncio.create_task(
-                    self._run_batch(group), name=f"serve-batch-{key[:8]}"
+                    self._lead(job, key), name=f"serve-batch-{key[:8]}"
                 )
                 self._inflight.add(task)
                 task.add_done_callback(self._inflight.discard)
+        self._queue = waiting
+        self._m_depth.set(len(waiting))
 
-    # ------------------------------------------------------------------
-    # execution stage
-
-    async def _run_batch(self, group: List[Job]) -> None:
-        """Dispatch one batch to the pool: leader first, then the rest.
-
-        The batch leader runs alone: for a replay-family batch it is the
-        job that records the op streams, and every other member must
-        *observe* that recording on disk to replay it.  Once the leader
-        is terminal the followers are pure readers (replay/cache hits),
-        so they dispatch concurrently across the pool's workers.
-        """
-        self._m_batches.inc()
-        self._m_batch_size.observe(len(group))
-        if len(group) > 1:
-            self._m_batched_jobs.inc(len(group))
-        rest = list(group)
-        while rest:
-            leader = rest.pop(0)
-            if await self._run_one(leader, batch_size=len(group)):
-                break  # a job actually ran; the artifacts now exist
-        if rest:
-            await asyncio.gather(
-                *(self._run_one(job, batch_size=len(group)) for job in rest)
-            )
-
-    async def _run_one(self, job: Job, *, batch_size: int) -> bool:
-        """Dispatch one job to the pool and finish it; True if it ran."""
+    def _runnable(self, job: Job) -> bool:
+        """The dispatch-time check: a job cancelled while queued, or past
+        its deadline (failed here, ``deadline_exceeded``), does not run."""
         if job.terminal:
-            return False
-        if job.cancel_requested:
-            self._finish(
-                job,
-                JobState.CANCELLED,
-                error=error_payload(
-                    JobCancelled("cancelled before dispatch")
-                ),
-            )
             return False
         if job.deadline_exceeded():
             self._finish(
@@ -553,9 +519,55 @@ class Scheduler:
                 ),
             )
             return False
+        return True
+
+    # ------------------------------------------------------------------
+    # execution stage
+
+    async def _lead(self, leader: Job, key: str) -> None:
+        """Run one batch: the leader alone, then the jobs that waited on it.
+
+        For a replay-family batch the leader records the op streams; the
+        queued jobs that share its key are pure readers of that recording
+        and the result cache, so once the leader is terminal up to
+        ``max_batch - 1`` of them dispatch concurrently across the pool.
+        A leader cancelled between dispatch and start ran nothing, so the
+        batch is not counted and the next queued job with its key leads.
+        """
+        ran = await self._run_one(leader)
+        self._leading.discard(key)
+        followers: List[Job] = []
+        if ran:
+            room = self.config.max_batch - 1
+            waiting = []
+            for entry in sorted(self._queue):
+                job = entry[3]
+                if len(followers) < room and job.spec.batch_key() == key:
+                    self._release_cost(job)
+                    if self._runnable(job):
+                        followers.append(job)
+                else:
+                    waiting.append(entry)
+            self._queue = waiting
+            self._m_depth.set(len(waiting))
+            size = 1 + len(followers)
+            self._m_batches.inc()
+            self._m_batch_size.observe(size)
+            if size > 1:
+                self._m_batched_jobs.inc(size)
+            for job in (leader, *followers):
+                job.batch_size = size
+        assert self._wakeup is not None
+        self._wakeup.set()  # same-key jobs still queued lead the next batch
+        if followers:
+            await asyncio.gather(*(self._run_one(job) for job in followers))
+
+    async def _run_one(self, job: Job) -> bool:
+        """Dispatch one job to the pool and finish it; True if it ran."""
+        if job.terminal:  # cancelled between dispatch and start
+            return False
         job.state = JobState.RUNNING
         job.started_at = time.monotonic()
-        job.batch_size = batch_size
         self._m_inflight.add(1)
         self._m_queue_wait.observe(job.queue_wait_s())
         timeout = (

@@ -90,7 +90,7 @@ def test_concurrent_cross_machine_replay_shares_one_memo_entry():
 
 def test_cancel_while_running_kills_the_worker_promptly():
     async def case():
-        s = Scheduler(ServiceConfig(batch_window_s=0.0))
+        s = Scheduler(ServiceConfig())
         await s.start()
         job = s.submit(
             JobSpec.from_payload(

@@ -161,14 +161,19 @@ class TestConcurrency:
 class TestShedding:
     def test_queue_full_returns_structured_error(self, tmp_path):
         proc, addr = _spawn_server(
-            tmp_path, "--max-queue", "2", "--batch-window", "5.0",
-            name="shed",
+            tmp_path, "--workers", "1", "--max-queue", "2", name="shed",
         )
         try:
             # shed_retries=0: this test pins the raw shed payload; the
             # default client would absorb the shed with backoff retries
             with ServeClient(**addr, shed_retries=0) as client:
-                # fill the queue inside the long batch window
+                # sleep jobs share one batch key: while a 1 s sleep runs,
+                # the next two wait on it in the queue and fill it
+                leader = client.submit({"kind": "sleep", "duration_s": 1.0})
+                deadline = time.monotonic() + 30
+                while client.status(leader["job_id"])["state"] != "running":
+                    assert time.monotonic() < deadline, "leader never ran"
+                    time.sleep(0.01)
                 for _ in range(2):
                     client.submit({"kind": "sleep", "duration_s": 0.05})
                 with pytest.raises(ServeRequestError) as info:
@@ -186,8 +191,8 @@ class TestShedding:
         """The shed-retry satellite: the default client honours the
         ``queue_full`` retry hint instead of failing on first shed."""
         proc, addr = _spawn_server(
-            tmp_path, "--max-queue", "2", "--batch-window", "0.05",
-            "--workers", "2", name="shed-retry",
+            tmp_path, "--max-queue", "2", "--workers", "2",
+            name="shed-retry",
         )
         try:
             with ServeClient(**addr) as client:

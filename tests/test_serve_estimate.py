@@ -156,9 +156,7 @@ class TestCostAwareAdmission:
 
     def test_flat_accounting_unchanged_by_default(self):
         async def case():
-            s = Scheduler(
-                ServiceConfig(executor_workers=1, batch_window_s=5.0)
-            )
+            s = Scheduler(ServiceConfig(executor_workers=1))
             s.submit(sim_spec())
             s.submit(sim_spec())
             snap = s.metrics.snapshot()

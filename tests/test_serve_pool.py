@@ -335,7 +335,7 @@ class TestStop:
         the supervisor thread."""
 
         async def case():
-            s = Scheduler(ServiceConfig(batch_window_s=0.0))
+            s = Scheduler(ServiceConfig())
             await s.start()
             job = s.submit(
                 JobSpec.from_payload(

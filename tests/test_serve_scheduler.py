@@ -3,10 +3,11 @@
 These tests drive :class:`repro.serve.scheduler.Scheduler` directly inside
 ``asyncio.run`` — no sockets — so each policy is observable in isolation:
 load shedding returns ``queue_full`` with a retry hint, priorities reorder
-dispatch, compatible replay requests share one batch (and one recording),
-deadlines fail stale queued work, cancellation and drain produce
-structured ``cancelled`` payloads, and per-job timeouts abandon the
-executor thread without wedging the service.
+dispatch, a job reaches an idle pool at once, compatible replay requests
+share one batch (and one recording) even when they arrive while its
+leader runs, deadlines fail stale queued work, cancellation and drain
+produce structured ``cancelled`` payloads, and per-job timeouts abandon
+the executor thread without wedging the service.
 """
 
 import asyncio
@@ -32,10 +33,20 @@ async def _started(config=None, **kw):
     return scheduler
 
 
+async def _until_running(job, timeout_s=10.0):
+    """Poll until ``job`` has been dispatched and started."""
+    loop = asyncio.get_running_loop()
+    end = loop.time() + timeout_s
+    while job.state is not JobState.RUNNING:
+        assert job.state is JobState.PENDING, job.state
+        assert loop.time() < end, f"{job.job_id} never started"
+        await asyncio.sleep(0.001)
+
+
 class TestAdmission:
     def test_submit_executes_and_completes(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             job = s.submit(JobSpec(kind="report"))
             done = await s.wait(job.job_id, timeout=10)
             assert done.state is JobState.DONE
@@ -47,10 +58,9 @@ class TestAdmission:
 
     def test_queue_full_sheds_with_retry_hint(self):
         async def case():
-            s = await _started(
-                max_queue=2, batch_window_s=5.0, retry_after_s=0.5
-            )
-            # the 5s batch window keeps everything queued during the burst
+            s = await _started(max_queue=2, retry_after_s=0.5)
+            # the burst never yields to the loop, so the batcher has not
+            # dispatched anything when the third submit arrives
             s.submit(sleep_spec())
             s.submit(sleep_spec())
             with pytest.raises(AdmissionError) as info:
@@ -78,11 +88,10 @@ class TestAdmission:
 class TestPrioritiesAndBatching:
     def test_higher_priority_dispatches_first(self):
         async def case():
-            # one executor thread + a long batch window: all three jobs
-            # land in one dispatch cycle, then run strictly sequentially
-            s = await _started(
-                batch_window_s=0.1, executor_workers=1, max_batch=1
-            )
+            # one worker; submitted without yielding, all three land in
+            # one dispatch pass; sleep jobs share a batch key and
+            # max_batch=1, so each waits for the one before it
+            s = await _started(executor_workers=1, max_batch=1)
             low = s.submit(sleep_spec(0.01, priority=0, seed=1))
             mid = s.submit(sleep_spec(0.01, priority=5, seed=2))
             high = s.submit(sleep_spec(0.01, priority=9, seed=3))
@@ -99,7 +108,7 @@ class TestPrioritiesAndBatching:
 
     def test_compatible_replays_share_one_batch_and_recording(self):
         async def case():
-            s = await _started(batch_window_s=0.1, max_batch=16)
+            s = await _started(max_batch=16)
             specs = [
                 JobSpec(kind="replay", kernel="spma", count=1, seed=42,
                         max_n=96, ports=p)
@@ -120,9 +129,52 @@ class TestPrioritiesAndBatching:
 
         run(case())
 
+    def test_idle_pool_dispatches_without_a_window(self):
+        async def case():
+            s = await _started()
+            try:
+                job = s.submit(sleep_spec(0.01))
+                for _ in range(5):  # loop turns only, no wall clock
+                    await asyncio.sleep(0)
+                assert job.state is not JobState.PENDING
+                assert (await s.wait(job.job_id, timeout=10)).state is JobState.DONE
+            finally:
+                await s.stop()
+
+        run(case())
+
+    def test_port_variants_join_a_running_leaders_batch(self):
+        async def case():
+            s = await _started(max_batch=16)
+            try:
+                specs = [
+                    JobSpec(kind="replay", kernel="spma", count=1, seed=43,
+                            max_n=96, ports=p)
+                    for p in (1, 2, 4, 8)
+                ]
+                leader = s.submit(specs[0])
+                await _until_running(leader)
+                late = [s.submit(spec) for spec in specs[1:]]
+                assert leader.state is JobState.RUNNING
+                jobs = [leader, *late]
+                for j in jobs:
+                    await s.wait(j.job_id, timeout=60)
+                assert all(j.state is JobState.DONE for j in jobs)
+                snap = s.metrics.snapshot()
+                # the leader records; the late arrivals waited for it and
+                # replay its streams, in the same batch
+                assert snap["replay_misses"] == 1
+                assert snap["replay_hits"] == 3
+                assert snap["batches_executed"] == 1
+                assert [j.batch_size for j in jobs] == [4, 4, 4, 4]
+            finally:
+                await s.stop()
+
+        run(case())
+
     def test_replay_matches_direct_simulation_bit_identically(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             direct = s.submit(
                 JobSpec(kind="simulate", kernel="spma", count=1, seed=9,
                         max_n=96, ports=4)
@@ -140,7 +192,7 @@ class TestPrioritiesAndBatching:
 
     def test_sweep_expands_per_config_on_one_recording(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             job = s.submit(
                 JobSpec(kind="sweep", kernel="spma", count=1, seed=5,
                         max_n=96, sram_kb=16, port_sweep=(1, 2, 4))
@@ -159,7 +211,7 @@ class TestPrioritiesAndBatching:
 
     def test_incompatible_kinds_do_not_batch(self):
         async def case():
-            s = await _started(batch_window_s=0.1)
+            s = await _started()
             a = s.submit(JobSpec(kind="simulate", count=1, seed=3, max_n=96))
             b = s.submit(JobSpec(kind="report"))
             await s.wait(a.job_id, timeout=60)
@@ -171,7 +223,7 @@ class TestPrioritiesAndBatching:
 
     def test_repeat_requests_hit_the_result_cache(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             spec = JobSpec(kind="simulate", count=1, seed=11, max_n=96)
             first = s.submit(spec)
             await s.wait(first.job_id, timeout=60)
@@ -188,20 +240,47 @@ class TestPrioritiesAndBatching:
 class TestDeadlinesTimeoutsCancellation:
     def test_deadline_expired_in_queue_fails_structured(self):
         async def case():
-            s = await _started(batch_window_s=0.3, executor_workers=1)
-            job = s.submit(sleep_spec(0.01, deadline_s=0.05))
-            await asyncio.sleep(0.1)  # deadline passes inside the window
-            done = await s.wait(job.job_id, timeout=10)
-            assert done.state is JobState.FAILED
-            assert done.error["code"] == "deadline_exceeded"
-            assert done.error["retry_after_s"] > 0
-            await s.stop()
+            s = await _started(executor_workers=1)
+            try:
+                # sleep jobs share one batch key: the deadline job waits
+                # in the queue behind the running 0.4 s leader
+                leader = s.submit(sleep_spec(0.4))
+                await _until_running(leader)
+                job = s.submit(sleep_spec(0.01, deadline_s=0.05))
+                done = await s.wait(job.job_id, timeout=10)
+                assert done.state is JobState.FAILED
+                assert done.error["code"] == "deadline_exceeded"
+                assert done.error["retry_after_s"] > 0
+            finally:
+                await s.stop()
+
+        run(case())
+
+    def test_leader_cancelled_before_start_hands_over(self):
+        async def case():
+            s = await _started()
+            try:
+                leader = s.submit(sleep_spec(0.01))
+                follower = s.submit(sleep_spec(0.01))
+                await asyncio.sleep(0)  # one turn: the batcher dispatches
+                # the leader left the queue but has not started; the
+                # follower waits on it
+                assert leader.state is JobState.PENDING
+                assert s.queue_depth == 1
+                s.cancel(leader.job_id)
+                done = await s.wait(follower.job_id, timeout=10)
+                assert leader.state is JobState.CANCELLED
+                assert done.state is JobState.DONE
+                assert done.batch_size == 1
+                assert s.metrics.snapshot()["batches_executed"] == 1
+            finally:
+                await s.stop()
 
         run(case())
 
     def test_execution_timeout_abandons_and_reports(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             job = s.submit(sleep_spec(5.0, timeout_s=0.1))
             done = await s.wait(job.job_id, timeout=10)
             assert done.state is JobState.FAILED
@@ -216,7 +295,8 @@ class TestDeadlinesTimeoutsCancellation:
 
     def test_cancel_queued_job(self):
         async def case():
-            s = await _started(batch_window_s=5.0)  # held in the window
+            s = await _started()
+            # cancelled before the batcher's next turn: still queued
             job = s.submit(sleep_spec(1.0))
             cancelled = s.cancel(job.job_id)
             assert cancelled.state is JobState.CANCELLED
@@ -230,7 +310,7 @@ class TestDeadlinesTimeoutsCancellation:
 
     def test_cancel_terminal_job_is_idempotent(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             job = s.submit(JobSpec(kind="report"))
             await s.wait(job.job_id, timeout=10)
             again = s.cancel(job.job_id)
@@ -243,8 +323,7 @@ class TestDeadlinesTimeoutsCancellation:
 class TestDrain:
     def test_drain_cancels_queued_completes_inflight(self):
         async def case():
-            s = await _started(batch_window_s=0.0, executor_workers=1,
-                               max_batch=1)
+            s = await _started(executor_workers=1, max_batch=1)
             running = s.submit(sleep_spec(0.3))
             # give the batcher a tick to dispatch the first job
             await asyncio.sleep(0.1)
@@ -276,7 +355,7 @@ class TestDrain:
 
     def test_failing_unit_reports_unit_failed(self):
         async def case():
-            s = await _started(batch_window_s=0.0)
+            s = await _started()
             # break the workload by pointing replay at an unwritable
             # record dir: the first (recording) job must fail structurally
             s.record_dir = "/proc/definitely-not-writable/recordings"
