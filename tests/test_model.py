@@ -5,10 +5,12 @@ determinism), dataset mining (journal lines and cache entries carry
 enough context to featurize without rebuilding matrices), the
 content-addressed artifact store (bit-identical predictions after
 reload, corrupt artifacts rejected — including a hypothesis round-trip
-property), and the guided-DSE differential: same ``best_config`` as the
+property — and its on-disk key and envelope pinned by value), and the
+guided-DSE differential: same ``best_config`` as the
 exhaustive sweep while simulating at most half the configurations.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -281,6 +283,36 @@ class TestCostModelAndStore:
             formats=("csr",), sram_kb=16, ports=2,
         )
         assert again == out
+
+
+#: a fixed artifact payload and its content key, computed before the
+#: storage code was consolidated; a drift would orphan every stored model
+PIN_PAYLOAD = {"kind": "cost-model", "b": [1, 2.5], "a": {"z": 1, "y": None}}
+PIN_KEY = "8a8749f2603aee2edaca6e0bc7cc628a2bc7b2a49d6ec9c84579cf8f301670fb"
+
+
+class TestModelStoreFormat:
+    def test_content_key_is_pinned(self, tmp_path):
+        assert ModelStore(str(tmp_path)).put(PIN_PAYLOAD) == PIN_KEY
+
+    def test_hand_written_artifact_reads_back(self, tmp_path):
+        blob = json.dumps(PIN_PAYLOAD, sort_keys=True, separators=(",", ":"))
+        checksum = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert checksum == PIN_KEY
+        entry = {
+            "format": 1,
+            "key": PIN_KEY,
+            "payload": PIN_PAYLOAD,
+            "checksum": checksum,
+        }
+        path = tmp_path / PIN_KEY[:2] / f"{PIN_KEY}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(entry, sort_keys=True))
+        (tmp_path / "LATEST").write_text(PIN_KEY)
+        store = ModelStore(str(tmp_path))
+        assert store.get(PIN_KEY) == PIN_PAYLOAD
+        assert store.get_latest() == PIN_PAYLOAD
+        assert store.keys() == [PIN_KEY]
 
 
 # hypothesis property: the artifact serialize/load round trip is lossless

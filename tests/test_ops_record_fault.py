@@ -11,7 +11,8 @@ column lengths and out-of-bounds index-pool slices raise a structured
 :class:`~repro.errors.RecordingError` instead of mispricing.  Also pins
 the key discipline: SSPM port counts and pure-pricing machine knobs stay
 out of :func:`recording_key`, while the IR schema version, the artifact
-part, and the SSPM capacity feed it.
+part, and the SSPM capacity feed it, and the key values themselves are
+pinned.
 """
 
 import json
@@ -29,6 +30,8 @@ from repro.matrices import small_collection
 from repro.sim.columnar import KIND_IDS
 from repro.sim.ops import _checksum, load_recordings, save_recordings
 from repro.via.config import VIA_4_2P, VIA_16_2P, VIA_16_4P
+
+from tests.test_runner_fault import PIN_CODE, PIN_UNIT
 
 pytestmark = pytest.mark.smoke
 
@@ -264,3 +267,14 @@ class TestKeyDiscipline:
         assert recording_key(s16, "c0", part="base") != recording_key(
             s4, "c0", part="base"
         )
+
+
+def test_recording_keys_are_pinned():
+    """Both artifact keys of one fixed unit, computed before the storage
+    code was consolidated: a drift would orphan every stored recording."""
+    assert recording_key(PIN_UNIT, PIN_CODE, part="via") == (
+        "ddb188f71649b4eaaee0de86af8a70e825fd9a5db37b4c03bad49e4ba7d493a7"
+    )
+    assert recording_key(PIN_UNIT, PIN_CODE, part="base") == (
+        "ef39bbe8df53b5908dc175fc53e50ffe1167233da672957cf10b3b41db93cfb3"
+    )

@@ -8,8 +8,14 @@ Two failure classes the runner must degrade gracefully under:
 * **cache rot** — a truncated, garbled, or tampered cache entry is
   detected by the integrity checks, dropped, and recomputed — never
   served.
+
+It also pins the cache's on-disk format: the key of one fixed unit, and a
+hand-written entry in the ``{format, key, payload, checksum, context}``
+envelope that must read back as a hit.  A silent key or envelope drift
+would throw away every existing cache.
 """
 
+import hashlib
 import json
 import os
 
@@ -27,6 +33,8 @@ from repro.eval import (
 from repro.eval import units as units_mod
 from repro.eval.runner import code_version
 from repro.matrices import MatrixSpec, small_collection
+from repro.sim.config import DEFAULT_MACHINE
+from repro.via.config import VIA_16_2P
 
 pytestmark = pytest.mark.smoke
 
@@ -156,3 +164,43 @@ class TestCacheRot:
         entry["format"] = 999
         path.write_text(json.dumps(entry))
         self._assert_recomputed(units, config, baseline)
+
+
+#: one fixed unit and code-version string; the keys below were computed
+#: from them before the storage code was consolidated and must never drift
+PIN_CODE = "pinned-code-version"
+PIN_UNIT = WorkUnit(
+    "record",
+    MatrixSpec("structural_0000", "structural", 67, 169129130,
+               {"bandwidth": 2, "fill": 0.5}),
+    DEFAULT_MACHINE,
+    VIA_16_2P,
+    formats=("csr", "csb"),
+    kernel="spmv",
+    record_dir="/nowhere",
+)
+
+
+class TestOnDiskFormat:
+    def test_unit_cache_key_is_pinned(self):
+        assert unit_cache_key(PIN_UNIT, PIN_CODE) == (
+            "ced73a85a2763418d16007875a1157f7bbc51649d54a4b41b6ab33adbd7a91a2"
+        )
+
+    def test_hand_written_entry_reads_back_as_a_hit(self, tmp_path):
+        key = "ab" + "0" * 62
+        payload = {"name": "m", "speedup": {"csr": 1.5}, "nnz": 3}
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        entry = {
+            "format": 1,
+            "key": key,
+            "payload": payload,
+            "checksum": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+            "context": {"kernel": "spmv"},
+        }
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(entry))
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(key) == (payload, "hit")
+        assert len(cache) == 1

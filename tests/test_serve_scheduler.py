@@ -7,7 +7,8 @@ dispatch, a job reaches an idle pool at once, compatible replay requests
 share one batch (and one recording) even when they arrive while its
 leader runs, deadlines fail stale queued work, cancellation and drain
 produce structured ``cancelled`` payloads, and per-job timeouts abandon
-the executor thread without wedging the service.
+the executor thread without wedging the service.  The batch and poison
+keys the scheduler coalesces and quarantines on are pinned by value.
 """
 
 import asyncio
@@ -368,3 +369,15 @@ class TestDrain:
             await s.stop()
 
         run(case())
+
+
+def test_batch_and_poison_keys_are_pinned():
+    """Key values computed before the storage code was consolidated."""
+    replay = JobSpec(kind="replay", kernel="spmv", count=2, seed=7,
+                     max_n=128, formats=("csr", "csb"), sram_kb=16, ports=4)
+    assert replay.batch_key() == "338b249bb3f2bce1"
+    assert replay.poison_key() == "e073debd8e8061b0"
+    simulate = JobSpec(kind="simulate", kernel="spma", count=1, seed=3,
+                       ports=8, priority=5, deadline_s=9.0)
+    assert simulate.batch_key() == "07b50ca172db21b7"
+    assert simulate.poison_key() == "d438d1e53a0a69a5"
