@@ -1,9 +1,8 @@
 """Content-addressed store for recorded op-stream artifacts.
 
-Mirrors the layout and integrity discipline of the PR-1 result cache
-(:class:`repro.eval.runner.ResultCache`): one compressed ``.npz`` file per
-work unit at ``<root>/<key[:2]>/<key>.npz``, written atomically, verified
-on load (schema version + checksum + key match), and *self-healing* — any
+A :class:`repro.storage.FileStore` of compressed ``.npz`` files at
+``<root>/<key[:2]>/<key>.npz``, written atomically, verified on load
+(schema version + checksum + key match), and *self-healing* — any
 unreadable or mismatched artifact is deleted and treated as a miss, so the
 caller re-records instead of ever consuming rot.
 
@@ -17,14 +16,8 @@ Fig. 9 shape group.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import shutil
-import tempfile
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RecordingError
@@ -35,6 +28,7 @@ from repro.sim.ops import (
     machine_shape_key,
     save_recordings,
 )
+from repro.storage import FileStore, digest, write_atomic
 
 #: kernel families whose *baseline* narration never reads the VIA config.
 #: Their baseline recordings drop the SSPM capacity from the key, so one
@@ -95,8 +89,7 @@ def recording_key(unit, code_version: str, *, part: str = "via") -> str:
         "code": code_version,
         "ops_schema": OPS_SCHEMA_VERSION,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return digest(payload)
 
 
 #: process-local artifact cache keyed by (path, mtime_ns, size) — any write
@@ -108,14 +101,20 @@ _LOAD_MEMO_MAX = 256
 _LOAD_MEMO_LOCK = threading.Lock()
 
 
-class RecordingStore:
+def _remember(
+    memo_key: Tuple[str, int, int],
+    found: Tuple[Dict[str, Recording], Dict[str, Any]],
+) -> None:
+    with _LOAD_MEMO_LOCK:
+        _LOAD_MEMO[memo_key] = found
+        while len(_LOAD_MEMO) > _LOAD_MEMO_MAX:
+            _LOAD_MEMO.popitem(last=False)
+
+
+class RecordingStore(FileStore):
     """On-disk artifact store, one ``save_recordings`` file per key."""
 
-    def __init__(self, root: str):
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
+    suffix = ".npz"
 
     def get(
         self, key: str
@@ -145,10 +144,7 @@ class RecordingStore:
         except RecordingError:
             path.unlink(missing_ok=True)
             return None
-        with _LOAD_MEMO_LOCK:
-            _LOAD_MEMO[memo_key] = (recordings, extra)
-            while len(_LOAD_MEMO) > _LOAD_MEMO_MAX:
-                _LOAD_MEMO.popitem(last=False)
+        _remember(memo_key, (recordings, extra))
         return recordings, extra
 
     def has(self, key: str) -> bool:
@@ -167,33 +163,14 @@ class RecordingStore:
         *,
         extra_meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Atomically persist recordings under a key (tmp + rename)."""
+        """Atomically persist recordings under a key."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta = dict(extra_meta or {})
         meta["key"] = key
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz"
+        write_atomic(
+            path, lambda fh: save_recordings(fh, recordings, extra_meta=meta)
         )
-        os.close(fd)
-        try:
-            save_recordings(tmp, recordings, extra_meta=meta)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
         # pre-seed the load memo: in-process readers (the replay phase of a
         # record/replay sweep) skip the decompress-and-rebuild round trip
         st = path.stat()
-        with _LOAD_MEMO_LOCK:
-            _LOAD_MEMO[(str(path), st.st_mtime_ns, st.st_size)] = (
-                dict(recordings),
-                meta,
-            )
-            while len(_LOAD_MEMO) > _LOAD_MEMO_MAX:
-                _LOAD_MEMO.popitem(last=False)
-
-    def invalidate(self) -> None:
-        """Delete every stored artifact."""
-        if self.root.exists():
-            shutil.rmtree(self.root)
+        _remember((str(path), st.st_mtime_ns, st.st_size), (dict(recordings), meta))

@@ -46,17 +46,15 @@ A CLI is included for demo sweeps::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import os
 import signal as signal_mod
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import repro
 from repro.errors import SweepError, SweepInterrupted
@@ -64,33 +62,13 @@ from repro.eval.harness import SweepRecord, geomean
 from repro.eval.supervisor import UnitOutcome, execute_unit, run_supervised
 from repro.eval.units import WorkUnit, unit_cache_key
 from repro.sim.stats import SweepCounters
+from repro.storage import JsonStore, code_version
 
 #: bump when the cache entry layout (not the results) changes
 CACHE_FORMAT = 1
 
 #: journal statuses a resumed run may serve without recomputation
 _RESUMABLE_STATUSES = ("ok", "cached", "resumed", "skipped")
-
-_code_version_cache: Optional[str] = None
-
-
-def code_version() -> str:
-    """Fingerprint of every source file that can influence sweep results.
-
-    Hashing the package sources (rather than trusting a version string)
-    means any edit to kernels, formats, the machine model, or the unit
-    computation invalidates stale cache entries automatically.
-    """
-    global _code_version_cache
-    if _code_version_cache is None:
-        root = Path(repro.__file__).parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
-        _code_version_cache = digest.hexdigest()
-    return _code_version_cache
-
 
 @dataclass(frozen=True)
 class RunnerConfig:
@@ -190,44 +168,22 @@ class SweepResult:
     journal_path: Optional[str] = None
 
 
-class ResultCache:
+class ResultCache(JsonStore):
     """Content-addressed on-disk store of serialized :class:`SweepRecord`.
 
-    Layout: ``<root>/<key[:2]>/<key>.json``.  Each entry embeds its own key
-    and a checksum of the payload; :meth:`get` treats a missing key, a
-    parse failure, a key mismatch, or a checksum mismatch as a miss (the
-    latter three flagged *corrupt* and the entry deleted) so a truncated
-    or tampered file is recomputed, never served.
+    Layout (``<root>/<key[:2]>/<key>.json``) and envelope come from
+    :class:`repro.storage.JsonStore`: each entry embeds its own key and a
+    checksum of the payload.  :meth:`get` treats a missing key as a miss
+    and any entry that fails the integrity check as *corrupt*: the entry
+    is deleted and the unit recomputed, never served.
     """
 
-    def __init__(self, root: str):
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    @staticmethod
-    def _checksum(payload) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    format_version = CACHE_FORMAT
 
     def get(self, key: str) -> Tuple[Optional[dict], str]:
         """Return ``(entry_payload, status)``; status in hit/miss/corrupt."""
-        path = self._path(key)
-        if not path.exists():
-            return None, "miss"
-        try:
-            entry = json.loads(path.read_text())
-            if (
-                entry.get("format") != CACHE_FORMAT
-                or entry.get("key") != key
-                or entry.get("checksum") != self._checksum(entry["payload"])
-            ):
-                raise ValueError("cache entry failed integrity check")
-            return entry["payload"], "hit"
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            path.unlink(missing_ok=True)
-            return None, "corrupt"
+        entry, status = self._read(key)
+        return (entry["payload"] if entry is not None else None), status
 
     def put(
         self,
@@ -236,53 +192,10 @@ class ResultCache:
         *,
         context: Optional[dict] = None,
     ) -> None:
-        """Write one entry; ``context`` is optional sidecar metadata.
-
-        The checksum covers the payload alone, so context (the unit's
-        kernel/machine/VIA configuration, mined by the cost-model
-        dataset) can be added or dropped without invalidating entries,
-        and :meth:`get` serves old and new entries alike.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "format": CACHE_FORMAT,
-            "key": key,
-            "payload": payload,
-            "checksum": self._checksum(payload),
-        }
-        if context is not None:
-            entry["context"] = context
-        # every writer gets its own temp file: two workers storing the same
-        # unit at once must not write through (or replace away) one name
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                # no sort_keys: the payload's dict order must survive the
-                # round trip so cached records stay bit-identical to
-                # computed ones
-                fh.write(json.dumps(entry))
-            os.replace(tmp, path)  # atomic: readers never see a partial entry
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-
-    def invalidate(self, key: Optional[str] = None) -> int:
-        """Drop one entry (or, with no key, every entry); returns count."""
-        if key is not None:
-            path = self._path(key)
-            existed = path.exists()
-            path.unlink(missing_ok=True)
-            return int(existed)
-        dropped = 0
-        if self.root.exists():
-            for path in self.root.rglob("*.json"):
-                path.unlink()
-                dropped += 1
-        return dropped
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.rglob("*.json")) if self.root.exists() else 0
+        """Write one entry; ``context`` is the unit's kernel/machine/VIA
+        configuration, mined by the cost-model dataset, outside the
+        checksum (so :meth:`get` serves entries with or without it)."""
+        self._write(key, payload, context)
 
 
 def _pool_context():
@@ -337,6 +250,19 @@ class _Journal:
                 self._fh = None
 
 
+def read_journal(path: str) -> Iterator[dict]:
+    """Every JSON-object line of a run journal, in file order; torn lines
+    (the tail of a crashed run) are skipped.  Callers check existence."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # blank, or the torn tail of a crashed run
+            if isinstance(entry, dict):
+                yield entry
+
+
 def unit_context(unit: WorkUnit) -> dict:
     """The hardware/kernel context of one unit, JSON-shaped.
 
@@ -369,27 +295,16 @@ def _load_resume_map(path: str) -> Dict[str, dict]:
     skipped.  A later line for the same key wins, so a journal extended
     across several resumed runs serves its freshest outcome.
     """
-    journal = Path(path)
-    if not journal.exists():
+    if not Path(path).exists():
         raise SweepError(f"resume journal {path!r} does not exist")
     entries: Dict[str, dict] = {}
     try:
-        text = journal.read_text(encoding="utf-8")
+        for entry in read_journal(path):
+            key = entry.get("key")
+            if key and entry.get("status") in _RESUMABLE_STATUSES:
+                entries[key] = entry
     except OSError as exc:
         raise SweepError(f"resume journal {path!r} is unreadable: {exc}") from exc
-    for raw_line in text.splitlines():
-        stripped = raw_line.strip()
-        if not stripped:
-            continue
-        try:
-            entry = json.loads(stripped)
-        except json.JSONDecodeError:
-            continue  # torn tail of a crashed run
-        if not isinstance(entry, dict):
-            continue
-        key = entry.get("key")
-        if key and entry.get("status") in _RESUMABLE_STATUSES:
-            entries[key] = entry
     return entries
 
 

@@ -30,8 +30,6 @@ direct per-config runs.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -39,6 +37,7 @@ import numpy as np
 
 from repro.errors import ReproError, SweepError
 from repro.eval.harness import SweepRecord
+from repro.eval.recordings import RecordingStore, recording_key
 from repro.formats.coo import COOMatrix
 from repro.formats.csb import CSBMatrix
 from repro.formats.csc import CSCMatrix
@@ -57,8 +56,9 @@ from repro.sim.backends import (
     replay_recording,
 )
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
-from repro.sim.ops import OPS_SCHEMA_VERSION
+from repro.sim.ops import OPS_SCHEMA_VERSION, Recording
 from repro.sim.stats import KernelResult
+from repro.storage import code_version, digest
 from repro.via.config import DEFAULT_VIA, ViaConfig
 
 #: master seed for the dense operand vectors; combined with each spec's own
@@ -307,95 +307,86 @@ def _compute_direct(unit: WorkUnit) -> Optional[SweepRecord]:
     return _execute_plan(PLAN_KINDS[unit.kind](unit), validate=unit.validate)
 
 
-def _try_replay(unit: WorkUnit, store, code: str) -> Optional[SweepRecord]:
-    """Build a unit's record purely from stored artifacts, or ``None``."""
-    from repro.eval.recordings import recording_key
-
-    via_found = store.get(recording_key(unit, code, part="via"))
-    base_found = store.get(recording_key(unit, code, part="base"))
-    if via_found is None or base_found is None:
-        return None
-    via_recs, extra = via_found
-    base_recs, _ = base_found
-    rec = SweepRecord(**extra["skeleton"])
-    try:
-        for fmt in extra["formats"]:
-            base = replay_recording(
-                base_recs[f"{fmt}/base"],
-                machine=unit.machine,
-                validate=unit.validate,
-            )
-            via = replay_recording(
-                via_recs[f"{fmt}/via"],
-                machine=unit.machine,
-                via_config=unit.via_config,
-                validate=unit.validate,
-            )
-            _fill_record(rec, fmt, base, via)
-    except KeyError:
-        return None
-    return rec
+def _record(run: _Runner, validate: bool) -> Tuple[KernelResult, Recording]:
+    """Run one kernel on a recorder; its result and captured op stream."""
+    recorder = RecorderBackend()
+    result = run(InvariantBackend(recorder) if validate else recorder)
+    return result, recorder.recording
 
 
-def _compute_record(unit: WorkUnit) -> Optional[SweepRecord]:
-    """Ensure the unit's op streams are recorded; return its record.
+def _compute_recorded(unit: WorkUnit) -> Optional[SweepRecord]:
+    """The one path of ``record`` and ``replay`` units.
 
-    The returned record is identical to direct execution (the recorder
-    prices ops through the same path it captures them on); the artifacts
-    additionally let any shape-compatible configuration replay them.  Each
-    unit writes two: the VIA streams (plus skeleton metadata) under the
-    ``via`` key and the baseline streams under the ``base`` key — for
-    :data:`~repro.eval.recordings.SHARED_BASELINE_KERNELS` the base key is
-    capacity-invariant, so a record run that finds another shape group's
-    baseline artifact replays it instead of re-running the kernel.
-    Recording is idempotent: a warm store satisfies the unit by replay
-    without re-running anything.
+    A unit has two artifacts, each fetched once: its VIA streams (plus
+    skeleton metadata) under the ``via`` key and its baseline streams
+    under the ``base`` key.  With both stored, the streams are re-priced
+    under this unit's machine/VIA configuration and no matrix is built.
+    Otherwise the kernel pair runs on a recorder and the artifacts are
+    written, so a replay miss (or rot the store discarded) self-heals.  A
+    stored baseline is replayed, not re-run: for
+    :data:`~repro.eval.recordings.SHARED_BASELINE_KERNELS` another shape
+    group's record run supplies it.  Every path returns the record direct
+    execution would.  Without ``record_dir`` a record unit records
+    without storing, and a replay unit is an error.
     """
-    from repro.eval.recordings import RecordingStore, recording_key
-
-    store = code = None
+    store = via_key = base_key = via_found = base_found = None
     if unit.record_dir is not None:
         store = RecordingStore(unit.record_dir)
-        code = _code_version()
-        cached = _try_replay(unit, store, code)
-        if cached is not None:
-            return cached
+        code = code_version()
+        via_key = recording_key(unit, code, part="via")
+        base_key = recording_key(unit, code, part="base")
+        via_found, base_found = store.get(via_key), store.get(base_key)
+    elif unit.kind == "replay":
+        raise ReproError("replay unit needs a record_dir")
+
+    def replay_base(fmt: str) -> KernelResult:
+        return replay_recording(
+            base_found[0][f"{fmt}/base"],
+            machine=unit.machine,
+            validate=unit.validate,
+        )
+
+    if via_found is not None and base_found is not None:
+        via_recs, extra = via_found
+        rec = SweepRecord(**extra["skeleton"])
+        try:
+            for fmt in extra["formats"]:
+                base = replay_base(fmt)
+                via = replay_recording(
+                    via_recs[f"{fmt}/via"],
+                    machine=unit.machine,
+                    via_config=unit.via_config,
+                    validate=unit.validate,
+                )
+                _fill_record(rec, fmt, base, via)
+            return rec
+        except KeyError:
+            pass  # an artifact lacks a format: record afresh
     plan = PLAN_KINDS[unit.kernel](unit)
     if plan is None:
         return None
     rec = plan.skeleton
     base_results: Dict[str, KernelResult] = {}
-    if store is not None:
-        base_found = store.get(recording_key(unit, code, part="base"))
-        if base_found is not None:
-            try:
-                for fmt in plan.runs:
-                    base_results[fmt] = replay_recording(
-                        base_found[0][f"{fmt}/base"],
-                        machine=unit.machine,
-                        validate=unit.validate,
-                    )
-            except KeyError:
-                base_results = {}
+    if base_found is not None:
+        try:
+            base_results = {fmt: replay_base(fmt) for fmt in plan.runs}
+        except KeyError:
+            pass  # the stored baseline lacks a format: record it afresh
     if not base_results:
         base_recordings = {}
         for fmt, (base_run, _via_run) in plan.runs.items():
-            recorder = RecorderBackend()
-            backend = InvariantBackend(recorder) if unit.validate else recorder
-            base_results[fmt] = base_run(backend)
-            base_recordings[f"{fmt}/base"] = recorder.recording
+            base_results[fmt], base_recordings[f"{fmt}/base"] = _record(
+                base_run, unit.validate
+            )
         if store is not None:
-            store.put(recording_key(unit, code, part="base"), base_recordings)
+            store.put(base_key, base_recordings)
     via_recordings = {}
     for fmt, (_base_run, via_run) in plan.runs.items():
-        recorder = RecorderBackend()
-        backend = InvariantBackend(recorder) if unit.validate else recorder
-        via = via_run(backend)
-        via_recordings[f"{fmt}/via"] = recorder.recording
+        via, via_recordings[f"{fmt}/via"] = _record(via_run, unit.validate)
         _fill_record(rec, fmt, base_results[fmt], via)
     if store is not None:
         store.put(
-            recording_key(unit, code, part="via"),
+            via_key,
             via_recordings,
             extra_meta={
                 "skeleton": {
@@ -414,41 +405,13 @@ def _compute_record(unit: WorkUnit) -> Optional[SweepRecord]:
     return rec
 
 
-def _compute_replay(unit: WorkUnit) -> Optional[SweepRecord]:
-    """Re-price a recorded unit under this unit's machine/VIA configuration.
-
-    No matrix is built and no functional numpy runs: the artifacts' op
-    streams are replayed — pure arithmetic over their stored pricing state
-    when the machine matches, a memory-pass re-simulation otherwise.  On a
-    store miss (or a corrupt artifact the store already discarded) the unit
-    self-heals by recording under its own configuration — bit-identical
-    output either way.
-    """
-    from repro.eval.recordings import RecordingStore
-
-    if unit.record_dir is None:
-        raise ReproError("replay unit needs a record_dir")
-    store = RecordingStore(unit.record_dir)
-    rec = _try_replay(unit, store, _code_version())
-    if rec is None:
-        return _compute_record(unit)
-    return rec
-
-
-def _code_version() -> str:
-    # lazy: runner imports units at module load; this avoids the cycle
-    from repro.eval.runner import code_version
-
-    return code_version()
-
-
 #: unit-kind dispatch table; extensible (tests register fault-injection kinds)
 UNIT_KINDS: Dict[str, Callable[[WorkUnit], Optional[SweepRecord]]] = {
     "spmv": _compute_direct,
     "spma": _compute_direct,
     "spmm": _compute_direct,
-    "record": _compute_record,
-    "replay": _compute_replay,
+    "record": _compute_recorded,
+    "replay": _compute_recorded,
 }
 
 
@@ -601,5 +564,4 @@ def unit_cache_key(unit: WorkUnit, code_version: str) -> str:
         "code": code_version,
         "ops_schema": OPS_SCHEMA_VERSION,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return digest(payload)

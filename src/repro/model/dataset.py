@@ -23,7 +23,6 @@ pure function of the mined content, not of file order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.model.trees import FloatArray, holdout_split
+from repro.storage import digest
 
 #: structure descriptors, in StructureStats field order
 STRUCTURE_KEYS: Tuple[str, ...] = (
@@ -186,10 +186,7 @@ class Dataset:
 
 
 def _machine_tag(machine: Mapping[str, Any]) -> str:
-    blob = json.dumps(
-        _machine_features(machine), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
+    return digest(_machine_features(machine))[:8]
 
 
 def rows_from_entry(entry: Mapping[str, Any]) -> List[Row]:
@@ -241,54 +238,35 @@ def mine_journal(path: str) -> List[Row]:
     skipped silently; a missing file is an error — pointing the miner at
     nothing is a caller bug, not sparse data.
     """
-    journal = Path(path)
-    if not journal.exists():
+    if not Path(path).exists():
         raise ModelError(f"journal {path!r} does not exist")
+    from repro.eval.runner import read_journal
+
     rows: List[Row] = []
-    for raw in journal.read_text(encoding="utf-8").splitlines():
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        try:
-            entry = json.loads(stripped)
-        except json.JSONDecodeError:
-            continue  # torn tail of a crashed run
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("status") not in ("ok", "cached", "resumed"):
-            continue
-        rows.extend(rows_from_entry(entry))
+    for entry in read_journal(path):
+        if entry.get("status") in ("ok", "cached", "resumed"):
+            rows.extend(rows_from_entry(entry))
     return rows
 
 
 def mine_cache(cache_dir: str) -> List[Row]:
     """Training rows from a result-cache directory.
 
-    Reads each entry file directly (the cache layout is one JSON file
-    per key): entries whose checksum fails, or that predate the
-    ``context`` sidecar, are skipped — the cache's own ``get`` handles
-    deletion of rot; the miner only refuses to *learn* from it.
+    Every entry that passes the cache's integrity check and carries the
+    ``context`` sidecar yields rows.  Rot is skipped, not deleted: the
+    cache's own ``get`` handles deletion; the miner only refuses to
+    *learn* from it.
     """
-    root = Path(cache_dir)
-    if not root.exists():
+    if not Path(cache_dir).exists():
         raise ModelError(f"cache directory {cache_dir!r} does not exist")
-    from repro.eval.runner import CACHE_FORMAT, ResultCache
+    from repro.eval.runner import ResultCache
 
     rows: List[Row] = []
-    for path in sorted(root.rglob("*.json")):
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(entry, dict) or entry.get("format") != CACHE_FORMAT:
-            continue
-        payload = entry.get("payload")
+    for entry in ResultCache(cache_dir).entries():
+        payload = entry["payload"]
         context = entry.get("context")
-        if not isinstance(payload, dict) or not isinstance(context, dict):
-            continue
-        if entry.get("checksum") != ResultCache._checksum(payload):
-            continue  # rot: never learn from a corrupt entry
-        rows.extend(rows_from_entry({"record": payload, **context}))
+        if isinstance(payload, dict) and isinstance(context, dict):
+            rows.extend(rows_from_entry({"record": payload, **context}))
     return rows
 
 

@@ -1,8 +1,8 @@
 """Versioned, checksummed, content-addressed storage for model artifacts.
 
-Mirrors the :class:`~repro.eval.runner.ResultCache` idiom: one JSON file
-per artifact at ``<root>/<key[:2]>/<key>.json``, where the key is the
-sha256 of the canonical payload serialization — an artifact's identity
+A :class:`repro.storage.JsonStore` like the sweep result cache: one JSON
+file per artifact at ``<root>/<key[:2]>/<key>.json``, where the key is the
+:func:`~repro.storage.digest` of the payload — an artifact's identity
 *is* its content, so retraining on identical data at identical settings
 re-produces the same key and the store naturally deduplicates.
 
@@ -25,13 +25,10 @@ worker scope.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ModelError
+from repro.storage import JsonStore, digest, write_atomic
 
 #: bump when the artifact envelope schema changes shape
 STORE_FORMAT = 1
@@ -39,44 +36,23 @@ STORE_FORMAT = 1
 _LATEST = "LATEST"
 
 
-def payload_checksum(payload: Dict[str, Any]) -> str:
-    """sha256 over the canonical (sorted-keys, compact) JSON payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class ModelStore:
+class ModelStore(JsonStore):
     """Content-addressed artifact store rooted at a directory."""
 
-    def __init__(self, root: str):
-        self.root = Path(root)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    format_version = STORE_FORMAT
 
     def put(self, payload: Dict[str, Any]) -> str:
         """Store an artifact payload; returns its content key.
 
-        Also moves the ``LATEST`` pointer.  Writes are atomic
-        (``os.replace``) so a concurrent reader never sees a torn file.
+        Also moves the ``LATEST`` pointer.  Both writes are atomic, so a
+        concurrent reader never sees a torn file and concurrent writers
+        never collide.
         """
         if not isinstance(payload, dict):
             raise ModelError("model artifact payload must be a dict")
-        key = payload_checksum(payload)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "format": STORE_FORMAT,
-            "key": key,
-            "payload": payload,
-            "checksum": payload_checksum(payload),
-        }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
-        tmp_latest = self.root / f"{_LATEST}.tmp"
-        tmp_latest.write_text(key)
-        os.replace(tmp_latest, self.root / _LATEST)
+        key = digest(payload)
+        self._write(key, payload)
+        write_atomic(self.root / _LATEST, lambda fh: fh.write(key.encode("utf-8")))
         return key
 
     def get(self, key: str) -> Dict[str, Any]:
@@ -87,27 +63,12 @@ class ModelStore:
         and ``ModelError`` raised: a rotten model is rejected, never
         served.
         """
-        path = self._path(key)
-        if not path.exists():
+        entry, status = self._read(key)
+        if status == "miss":
             raise ModelError(f"model artifact {key!r} not found in {self.root}")
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(entry, dict):
-                raise ValueError("artifact entry is not an object")
-            if entry.get("format") != STORE_FORMAT:
-                raise ValueError("unknown artifact format version")
-            payload = entry["payload"]
-            if (
-                entry.get("key") != key
-                or entry.get("checksum") != payload_checksum(payload)
-            ):
-                raise ValueError("artifact failed integrity check")
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            path.unlink(missing_ok=True)
-            raise ModelError(
-                f"model artifact {key!r} is corrupt ({exc}); entry deleted"
-            ) from exc
-        return dict(payload)
+        if entry is None:
+            raise ModelError(f"model artifact {key!r} is corrupt; entry deleted")
+        return dict(entry["payload"])
 
     def latest_key(self) -> Optional[str]:
         """The key named by the ``LATEST`` pointer, or None if unset."""
@@ -123,11 +84,3 @@ class ModelStore:
         if key is None:
             raise ModelError(f"model store {self.root} has no LATEST artifact")
         return self.get(key)
-
-    def keys(self) -> List[str]:
-        """Every stored artifact key, sorted."""
-        if not self.root.exists():
-            return []
-        return sorted(
-            p.stem for p in self.root.rglob("*.json") if p.parent != self.root
-        )

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ServeError
 from repro.serve.jobs import JobSpec, expand_sweep
+from repro.storage import code_version
 
 #: metric counter deltas a job execution can report back to the scheduler
 METRIC_KEYS = (
@@ -220,7 +221,6 @@ def _count_replay_hits(
     replay path hides the distinction downstream.
     """
     from repro.eval.recordings import RecordingStore, recording_key
-    from repro.eval.runner import code_version
 
     store = RecordingStore(record_dir)
     code = code_version()

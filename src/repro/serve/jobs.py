@@ -38,9 +38,7 @@ connection.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,6 +54,7 @@ from repro.errors import (
     SweepError,
     SweepInterrupted,
 )
+from repro.storage import digest
 
 JOB_KINDS = ("simulate", "replay", "sweep", "report", "sleep", "estimate")
 #: kinds that describe a kernel×collection workload (shared validation)
@@ -245,8 +244,7 @@ class JobSpec:
             payload["ports"] = self.ports
         if self.kind in ("report", "sleep"):
             payload = {"family": self.kind}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return digest(payload)[:16]
 
     def poison_key(self) -> str:
         """Identity of the *work* for the pool's poison circuit breaker.
@@ -263,8 +261,7 @@ class JobSpec:
         payload = self.to_payload()
         for name in ("priority", "deadline_s", "timeout_s"):
             payload.pop(name, None)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return digest(payload)[:16]
 
 
 _job_seq = itertools.count(1)

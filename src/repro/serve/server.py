@@ -46,6 +46,7 @@ import repro
 from repro.errors import ServeError
 from repro.serve.jobs import JobSpec, error_payload
 from repro.serve.scheduler import Scheduler
+from repro.storage import write_atomic
 
 #: protocol revision, echoed by ``ping``
 PROTOCOL_VERSION = 1
@@ -91,14 +92,8 @@ class ViaServer:
         self.port = self._server.sockets[0].getsockname()[1]
         if self.ready_file:
             # written atomically so a watcher never reads a torn address
-            import os
-            from pathlib import Path
-
-            ready = Path(self.ready_file)
-            ready.parent.mkdir(parents=True, exist_ok=True)
-            tmp = ready.with_name(ready.name + ".tmp")
-            tmp.write_text(f"{self.host} {self.port}\n")
-            os.replace(tmp, ready)
+            address = f"{self.host} {self.port}\n".encode("utf-8")
+            write_atomic(self.ready_file, lambda fh: fh.write(address))
 
     async def serve_forever(self, *, install_signal_handlers: bool = True) -> None:
         """Serve until SIGTERM/SIGINT (or a ``drain`` request), then drain."""

@@ -20,21 +20,27 @@ Three fixes are pinned here:
 * :meth:`~repro.eval.runner.ResultCache.put` wrote every entry through the
   fixed temp name ``<key>.tmp``, so two serve pool workers storing the
   same unit at once raced, and the loser's ``os.replace`` failed with
-  ``FileNotFoundError``.  Each writer now gets its own temp file.
+  ``FileNotFoundError``.  Each writer now gets its own temp file, and
+  :meth:`~repro.model.store.ModelStore.put` (whose ``<key>.tmp`` and
+  ``LATEST.tmp`` names raced the same way) writes through the same
+  atomic-write helper.
 """
 
 import asyncio
 import dataclasses
+import functools
 import multiprocessing
 import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.eval.runner import ResultCache
 from repro.formats.csr import CSRMatrix
 from repro.kernels.spmv import SPMV_VARIANTS
 from repro.matrices.collection import small_collection
+from repro.model.store import ModelStore
 from repro.serve.jobs import JobSpec, JobState
 from repro.serve.scheduler import Scheduler, ServiceConfig
 from repro.sim.backends import RecorderBackend, replay_recording
@@ -122,29 +128,35 @@ def test_cancel_while_running_kills_the_worker_promptly():
     asyncio.run(case())
 
 
-def _put_repeatedly(root, key, payload, rounds, barrier, failures):
-    cache = ResultCache(root)
+_CACHE_KEY = "c" * 64
+
+
+def _put_repeatedly(root, store, payloads, rounds, barrier, failures):
+    if store == "cache":
+        put = functools.partial(ResultCache(root).put, _CACHE_KEY)
+    else:
+        put = ModelStore(root).put
     barrier.wait(timeout=30)  # start both writers together
-    for _ in range(rounds):
+    for i in range(rounds):
         try:
-            cache.put(key, payload)
+            put(payloads[i % len(payloads)])
         except OSError:
             with failures.get_lock():
                 failures.value += 1
 
 
-def test_concurrent_puts_of_one_key_never_fail(tmp_path):
+def _race_two_writers(root, store, payloads_per_writer):
+    """Two spawned processes, 300 puts each into one store; returns the
+    number of puts that failed."""
     ctx = multiprocessing.get_context("spawn")
     barrier = ctx.Barrier(2)
     failures = ctx.Value("i", 0)
-    key = "c" * 64
-    payload = {"name": "unit", "cycles": [float(i) for i in range(2000)]}
     writers = [
         ctx.Process(
             target=_put_repeatedly,
-            args=(str(tmp_path), key, payload, 300, barrier, failures),
+            args=(str(root), store, payloads, 300, barrier, failures),
         )
-        for _ in range(2)
+        for payloads in payloads_per_writer
     ]
     try:
         for proc in writers:
@@ -157,9 +169,34 @@ def test_concurrent_puts_of_one_key_never_fail(tmp_path):
                 proc.kill()
                 proc.join()
     assert [proc.exitcode for proc in writers] == [0, 0]
-    assert failures.value == 0
+    return failures.value
+
+
+def test_concurrent_puts_of_one_key_never_fail(tmp_path):
+    payload = {"name": "unit", "cycles": [float(i) for i in range(2000)]}
+    assert _race_two_writers(tmp_path, "cache", [[payload], [payload]]) == 0
     cache = ResultCache(str(tmp_path))
-    assert cache.get(key)[1] == "hit"
+    assert cache.get(_CACHE_KEY)[1] == "hit"
     assert len(cache) == 1
     # no writer left a temp file behind
-    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [f"{key}.json"]
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [
+        f"{_CACHE_KEY}.json"
+    ]
+
+
+@pytest.mark.parametrize("distinct", [1, 2], ids=["one-payload", "two-payloads"])
+def test_concurrent_model_store_puts_never_fail(tmp_path, distinct):
+    payloads = [
+        {"model": i, "trees": [float(j) for j in range(2000)]}
+        for i in range(distinct)
+    ]
+    # with two payloads the writers start on different ones
+    assert _race_two_writers(tmp_path, "model", [payloads, payloads[::-1]]) == 0
+    store = ModelStore(str(tmp_path))
+    keys = store.keys()
+    assert len(keys) == distinct  # one entry per key
+    assert sorted(store.get(key)["model"] for key in keys) == list(range(distinct))
+    assert store.latest_key() in keys
+    # no writer left a temp file behind
+    files = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
+    assert files == sorted(["LATEST"] + [f"{key}.json" for key in keys])

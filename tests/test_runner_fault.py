@@ -139,9 +139,16 @@ class TestCacheRot:
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         self._assert_recomputed(units, config, baseline)
 
-    def test_garbage_entry_is_recomputed(self, warmed):
+    # valid JSON that is not an object must be rot too, not an
+    # AttributeError out of run_units on every later sweep
+    @pytest.mark.parametrize(
+        "garbage",
+        ["{this is not json", "[]", "null", "42"],
+        ids=["not-json", "list", "null", "number"],
+    )
+    def test_garbage_entry_is_recomputed(self, warmed, garbage):
         units, config, baseline, path = warmed
-        path.write_text("{this is not json")
+        path.write_text(garbage)
         self._assert_recomputed(units, config, baseline)
 
     def test_tampered_payload_fails_checksum(self, warmed):
