@@ -72,7 +72,8 @@ def code_version() -> str:
 class FileStore:
     """One file per key at ``<root>/<key[:2]>/<key><suffix>``."""
 
-    suffix = ""
+    #: file-name extension of an entry, set by each store
+    suffix: str
 
     def __init__(self, root: str):
         self.root = Path(root)
