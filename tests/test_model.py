@@ -314,6 +314,22 @@ class TestModelStoreFormat:
         assert store.get_latest() == PIN_PAYLOAD
         assert store.keys() == [PIN_KEY]
 
+    # ``put`` refuses a payload that is not an object, so only an outside
+    # writer makes one; its checksum holds, but it is still a rotten model
+    @pytest.mark.parametrize(
+        "payload", [[1, 2], None, 42, "ab"], ids=["list", "null", "number", "string"]
+    )
+    def test_signed_non_object_payload_is_corrupt(self, tmp_path, payload):
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        entry = {"format": 1, "key": key, "payload": payload, "checksum": key}
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ModelError, match="corrupt"):
+            ModelStore(str(tmp_path)).get(key)
+        assert not path.exists()  # deleted, never served
+
 
 # hypothesis property: the artifact serialize/load round trip is lossless
 # for arbitrary (well-formed) training data, and predictions after reload

@@ -27,7 +27,7 @@ from repro.eval.recordings import RecordingStore, recording_key
 from repro.eval.runner import code_version
 from repro.eval.units import record_units, replay_units, spmv_units
 from repro.matrices import small_collection
-from repro.sim.columnar import KIND_IDS
+from repro.sim.columnar import COLUMNS, KIND_IDS
 from repro.sim.ops import _checksum, load_recordings, save_recordings
 from repro.via.config import VIA_4_2P, VIA_16_2P, VIA_16_4P
 
@@ -99,6 +99,24 @@ def _rewrite_signed(path, mutate):
 
 def _first_prefix(meta):
     return next(iter(meta["entries"].values()))["ops"]["prefix"]
+
+
+def _assert_same_content(got, want):
+    """Two ``load_recordings`` results hold equal streams, configs, priced
+    state and extra meta."""
+    (got_recs, got_extra), (want_recs, want_extra) = got, want
+    assert got_extra == want_extra
+    assert list(got_recs) == list(want_recs)
+    for label, rec in want_recs.items():
+        other = got_recs[label]
+        assert (other.name, other.machine, other.via_config, other.priced) == (
+            rec.name, rec.machine, rec.via_config, rec.priced
+        )
+        assert other.columnar().names == rec.columnar().names
+        for column in (*COLUMNS, "pool"):
+            np.testing.assert_array_equal(
+                getattr(other.columnar(), column), getattr(rec.columnar(), column)
+            )
 
 
 class TestArtifactRot:
@@ -205,6 +223,33 @@ class TestArtifactRot:
         assert RecordingStore(rdir).get(path.stem) is None
         assert not path.exists()
         self._assert_selfhealed(direct, rdir, baseline)
+
+    def test_bit_flips_are_rejected_or_harmless(self, warmed, tmp_path):
+        """Flip bits 0 and 7 of the first 64 bytes and of every 7th byte
+        after them: each load must raise :class:`RecordingError` or return
+        the original content.  Any other exception would escape the
+        store's drop-and-re-record policy and leave the rot on disk, so a
+        rejected flip left in the store must self-heal."""
+        direct, rdir, baseline, path = warmed
+        original = path.read_bytes()
+        want = load_recordings(path)
+        probe = tmp_path / "flipped"
+        rejected = None
+        for pos in [*range(64), *range(64, len(original), 7)]:
+            for bit in (0, 7):
+                flipped = bytearray(original)
+                flipped[pos] ^= 1 << bit
+                probe.write_bytes(flipped)
+                try:
+                    got = load_recordings(probe)
+                except RecordingError:
+                    rejected = bytes(flipped)
+                    continue
+                _assert_same_content(got, want)
+        assert rejected is not None
+        path.write_bytes(rejected)
+        self._assert_selfhealed(direct, rdir, baseline)
+        _assert_same_content(load_recordings(path), want)
 
     def test_load_memo_never_serves_a_corrupted_file(self, warmed):
         """The in-process memo is stat-keyed: any on-disk change misses."""

@@ -151,6 +151,21 @@ class TestCacheRot:
         path.write_text(garbage)
         self._assert_recomputed(units, config, baseline)
 
+    # an entry whose checksum holds but whose payload is no sweep record
+    # (only an outside writer makes one) is rot too, not a TypeError or
+    # KeyError out of run_units on every later sweep
+    @pytest.mark.parametrize(
+        "payload", [[1, 2], {"name": "x"}], ids=["list", "partial-record"]
+    )
+    def test_signed_non_record_entry_is_recomputed(self, warmed, payload):
+        units, config, baseline, path = warmed
+        entry = json.loads(path.read_text())
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        entry["payload"] = payload
+        entry["checksum"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(entry))
+        self._assert_recomputed(units, config, baseline)
+
     def test_tampered_payload_fails_checksum(self, warmed):
         units, config, baseline, path = warmed
         entry = json.loads(path.read_text())
