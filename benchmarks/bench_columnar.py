@@ -20,7 +20,7 @@ and the serving layer's replay path perform.  Two phases per pricer:
 * **cold** — each iteration reloads every artifact from disk first, so
   the oracle also pays per-op materialization of the columnar columns
   while the columnar engine prices them directly.  Dominated by shared
-  npz decompression, reported for honesty.
+  artifact loading, reported for honesty.
 
 Run::
 
@@ -41,10 +41,10 @@ path (fresh simulations, nothing cached).  Two measurements:
   every replay a per-op walk) and once by the columnar engine
   (``batched``), with the DSE cycle tables compared for bit-identity.
   Amdahl applies here: functional simulation (the VIA engine's CAM/SSPM
-  bookkeeping), the order-dependent cache walk, and npz IO are identical
-  in both modes and dominate wall-clock, so this number hovers near 1x —
-  it is reported and gated as a *no-regression* bound, not a speedup
-  claim.
+  bookkeeping), the order-dependent cache walk, and artifact IO are
+  identical in both modes and dominate wall-clock, so this number hovers
+  near 1x — it is reported and gated as a *no-regression* bound, not a
+  speedup claim.
 * **record-path narration** — the layer batching actually replaces:
   narrating a Fig. 9-shaped op stream (VIA-op dominated, mixed with
   vector/scalar compute, branches, and stalls) through a live
@@ -76,6 +76,7 @@ sys.path.insert(0, str(REPO))  # the scalar side: tests/scalar_oracle.py
 import numpy as np  # noqa: E402
 
 from repro.eval.dse import run_dse  # noqa: E402
+from repro.eval.recordings import RecordingStore  # noqa: E402
 from repro.matrices.collection import small_collection  # noqa: E402
 from repro.sim.backends import replay_recording  # noqa: E402
 from repro.sim.ops import load_recordings  # noqa: E402
@@ -328,7 +329,8 @@ def main(argv=None) -> int:
         print(f"recording the Fig. 9 DSE ({args.matrices} matrices, "
               f"max_n={args.max_n}) ...")
         run_dse(collection, record_dir=td)
-        paths = sorted(Path(td).rglob("*.npz"))
+        store = RecordingStore(td)
+        paths = [store._path(key) for key in store.keys()]
         total_ops = sum(len(r.columnar()) for r in _load_all(paths))
         print(f"store: {len(paths)} artifacts, {total_ops} recorded ops\n")
 

@@ -1,8 +1,8 @@
 """Content-addressed store for recorded op-stream artifacts.
 
-A :class:`repro.storage.FileStore` of compressed ``.npz`` files at
-``<root>/<key[:2]>/<key>.npz``, written atomically, verified on load
-(schema version + checksum + key match), and *self-healing* — any
+A :class:`repro.storage.FileStore` of :func:`repro.sim.ops.save_recordings`
+artifacts at ``<root>/<key[:2]>/<key>.rec``, written atomically, verified on
+load (checksum + schema version + key match), and *self-healing* — any
 unreadable or mismatched artifact is deleted and treated as a miss, so the
 caller re-records instead of ever consuming rot.
 
@@ -114,7 +114,7 @@ def _remember(
 class RecordingStore(FileStore):
     """On-disk artifact store, one ``save_recordings`` file per key."""
 
-    suffix = ".npz"
+    suffix = ".rec"
 
     def get(
         self, key: str

@@ -549,14 +549,17 @@ def run_units(
                     pending.append((i, unit))
                     continue
                 payload, cache_status = cache.get(state.keys[i])
+                record = None
+                if cache_status == "hit" and payload is not None:
+                    try:
+                        record = SweepRecord.from_dict(payload)
+                    except (KeyError, TypeError, ValueError):
+                        # checksummed, but no record: rot like any other
+                        cache.invalidate(state.keys[i])
+                        cache_status = "corrupt"
                 if cache_status == "hit":
                     counters.cache_hits += 1
                     state.cache_status[i] = "hit"
-                    record = (
-                        SweepRecord.from_dict(payload)
-                        if payload is not None
-                        else None
-                    )
                     _local(i, "hit", record, time.perf_counter() - lookup_start)
                 else:
                     counters.cache_misses += 1

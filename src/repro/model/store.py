@@ -59,13 +59,17 @@ class ModelStore(JsonStore):
         """Load an artifact payload by key.
 
         Missing key → ``ModelError``.  Corrupt entry (unparseable, wrong
-        schema version, key or checksum mismatch) → the file is deleted
-        and ``ModelError`` raised: a rotten model is rejected, never
-        served.
+        schema version, key or checksum mismatch, or a payload that is not
+        an object) → the file is deleted and ``ModelError`` raised: a
+        rotten model is rejected, never served.
         """
         entry, status = self._read(key)
         if status == "miss":
             raise ModelError(f"model artifact {key!r} not found in {self.root}")
+        if entry is not None and not isinstance(entry["payload"], dict):
+            # checksummed, but ``put`` never writes such a payload
+            self.invalidate(key)
+            entry = None
         if entry is None:
             raise ModelError(f"model artifact {key!r} is corrupt; entry deleted")
         return dict(entry["payload"])

@@ -1,7 +1,7 @@
 """Columnar (struct-of-arrays) op streams, the op-kind table, and pricing.
 
-An op stream is held as per-field NumPy columns — mirroring the ``.npz``
-artifact layout — and every op kind is one row of :data:`OP_KINDS`: its
+An op stream is held as per-field NumPy columns — the arrays a recording
+artifact stores — and every op kind is one row of :data:`OP_KINDS`: its
 name and kind id, the column each operand fills and how that column reads
 back, which operands must be non-negative, its other checks with their
 messages, and its trace rendering.  Everything per-kind is read from that
@@ -323,8 +323,9 @@ _ARRAY_KINDS = _kinds_with("array")
 #: kinds that reference a window of the index pool
 _POOL_KINDS = _kinds_with("pool")
 
-#: serialized column names (the ``pool`` array and ``names`` table ride
-#: alongside; see :func:`repro.sim.ops.save_recordings`)
+#: serialized column names, one artifact array each (the ``pool`` array
+#: and ``names`` table ride alongside; see
+#: :func:`repro.sim.ops.save_recordings`)
 COLUMNS: Tuple[str, ...] = (
     "kinds",
     "count",

@@ -33,32 +33,42 @@ Serialization
 -------------
 
 :func:`save_recordings` / :func:`load_recordings` persist a dict of
-:class:`Recording` objects into one ``np.savez_compressed`` artifact: a JSON
-meta blob (schema version, configs, priced state, checksum) plus native npz
-arrays — the op stream stored *columnar* (schema v3: one array per
+:class:`Recording` objects into one artifact file (schema v4): a magic tag,
+the sha256 of the uncompressed payload, and one zlib stream of that
+payload.  The payload is a length-prefixed JSON header (schema version,
+configs, priced state, extra meta, and an array table giving each array's
+dtype, length and byte offset) followed by the raw bytes of every array —
+the op stream stored *columnar*, one array per
 :data:`repro.sim.columnar.COLUMNS` field plus the shared int64 index pool,
-exactly the struct-of-arrays the vectorized engine prices).  Kernel outputs
+exactly the struct-of-arrays the vectorized engine prices.  Kernel outputs
 are not stored: a replay prices, it does not compute, so its result carries
-``output=None``.  Loading never materializes per-op Python objects:
-:class:`Recording` holds the columns.  Any truncation, tampering, or schema
-mismatch raises :class:`RecordingError` — callers treat that as a cache miss
-and re-record.
+``output=None``.  Loading reads the file once, checks the digest before it
+trusts the header, and never materializes per-op Python objects: the
+columns :class:`Recording` holds are read-only views of the decompressed
+buffer.  Any truncation, tampering, or schema mismatch raises
+:class:`RecordingError` — callers treat that as a cache miss and re-record.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
-import zipfile
+import os
+import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.errors import InvariantError, RecordingError, ReplayMismatchError
+from repro.errors import (
+    ConfigError,
+    InvariantError,
+    RecordingError,
+    ReplayMismatchError,
+)
 from repro.sim.columnar import COLUMNS, ColumnarOps, ColumnarPriced
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.stats import OpCounters
@@ -73,7 +83,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: instead of per-op JSON payloads
 #: v3: kernel outputs are no longer stored (no ``out{i}_*`` arrays, no
 #: ``"output"`` meta entry)
-OPS_SCHEMA_VERSION = 3
+#: v4: one checksummed zlib buffer per artifact (header, then raw arrays)
+#: instead of a zip archive with one ``.npy`` member per array
+OPS_SCHEMA_VERSION = 4
 
 __all__ = [
     "OPS_SCHEMA_VERSION",
@@ -257,41 +269,51 @@ def _via_from_dict(data: Optional[Dict[str, Any]]) -> Optional["ViaConfig"]:
     return ViaConfig(**data)
 
 
-def _checksum(meta_blob: bytes, arrays: Mapping[str, npt.NDArray[Any]]) -> str:
-    """Digest of the meta blob plus every npz array (name, dtype, shape,
-    bytes) — so tampering with any column or the pool is detected."""
-    digest = hashlib.sha256()
-    digest.update(meta_blob)
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        digest.update(key.encode("utf-8"))
-        digest.update(arr.dtype.str.encode("ascii"))
-        digest.update(repr(arr.shape).encode("ascii"))
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
+# -- the artifact container -------------------------------------------------
+#: first bytes of every artifact file; anything else (a v3 ``.npz`` zip
+#: included) is not an artifact this code reads
+_MAGIC = b"VIAOPS\x00\x00"
+#: the sha256 of the uncompressed payload follows the magic tag
+_DIGEST_END = len(_MAGIC) + hashlib.sha256().digest_size
+#: every array starts at a multiple of this many payload bytes
+_ALIGN = 8
+#: width of the payload's little-endian header-length prefix
+_LEN_BYTES = 8
 
 
 def save_recordings(
-    path: Any,
+    path: Union[str, "os.PathLike[str]", BinaryIO],
     recordings: Dict[str, Recording],
     *,
     extra_meta: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Persist named recordings into one compressed ``.npz`` artifact.
+    """Persist named recordings into one checksummed, compressed artifact.
 
-    Schema v3 stores each entry's op stream as its struct-of-arrays columns
+    Schema v4 stores each entry's op stream as its struct-of-arrays columns
     (``ops{i}_<column>`` plus ``ops{i}_pool``; see
     :class:`repro.sim.columnar.ColumnarOps`) — the exact representation the
-    pricing engine reads, so loading is zero-copy into the pricing path.
+    pricing engine reads — as raw bytes after a JSON header, so loading
+    hands the pricing path views of one buffer.  ``path`` is a file path or
+    a binary handle.
     """
-    arrays: Dict[str, npt.NDArray[Any]] = {}
+    table: Dict[str, Dict[str, Any]] = {}
+    chunks: List[bytes] = []
+    offset = 0
     entries: Dict[str, Any] = {}
     for i, (label, rec) in enumerate(recordings.items()):
         cols = rec.columnar()
         prefix = f"ops{i}_"
-        for column in COLUMNS:
-            arrays[prefix + column] = getattr(cols, column)
-        arrays[prefix + "pool"] = cols.pool
+        for name in (*COLUMNS, "pool"):
+            arr = getattr(cols, name)
+            raw = arr.tobytes()
+            raw += bytes(-len(raw) % _ALIGN)
+            table[prefix + name] = {
+                "dtype": arr.dtype.str,
+                "length": int(arr.size),
+                "offset": offset,
+            }
+            chunks.append(raw)
+            offset += len(raw)
         entries[label] = {
             "name": rec.name,
             "machine": _machine_to_dict(rec.machine),
@@ -299,48 +321,80 @@ def save_recordings(
             "ops": {"prefix": prefix, "names": list(cols.names)},
             "priced": None if rec.priced is None else rec.priced.to_dict(),
         }
-    meta: Dict[str, Any] = {
-        "schema": OPS_SCHEMA_VERSION,
-        "entries": entries,
-        "extra": extra_meta or {},
-    }
-    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    meta["checksum"] = _checksum(meta_blob, arrays)
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
+    header = json.dumps(
+        {
+            "schema": OPS_SCHEMA_VERSION,
+            "entries": entries,
+            "extra": extra_meta or {},
+            "arrays": table,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    # space-pad the header so the body, and every array in it, is aligned
+    header += b" " * (-(_LEN_BYTES + len(header)) % _ALIGN)
+    payload = b"".join(
+        [len(header).to_bytes(_LEN_BYTES, "little"), header, *chunks]
     )
+    blob = _MAGIC + hashlib.sha256(payload).digest() + zlib.compress(payload)
+    if isinstance(path, (str, os.PathLike)):
+        Path(path).write_bytes(blob)
+    else:
+        path.write(blob)
 
 
-def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
+def _array_view(body: memoryview, spec: Dict[str, Any]) -> npt.NDArray[Any]:
+    """The read-only array an array-table entry describes, inside ``body``."""
+    dtype = np.dtype(spec["dtype"])
+    length, offset = spec["length"], spec["offset"]
+    if dtype.kind not in "uif" or not all(
+        type(v) is int and v >= 0 for v in (length, offset)
+    ):
+        raise RecordingError(f"array table entry {spec!r} is malformed")
+    if offset + length * dtype.itemsize > len(body):
+        raise RecordingError(
+            f"array table entry {spec!r} ends past the {len(body)}-byte body"
+        )
+    return np.frombuffer(body, dtype=dtype, count=length, offset=offset)
+
+
+def load_recordings(
+    path: Union[str, "os.PathLike[str]"],
+) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
     """Load an artifact; returns ``(recordings, extra_meta)``.
 
-    Raises :class:`RecordingError` on any integrity or schema failure —
-    truncated zip, garbled JSON, checksum mismatch, a schema version this
-    code does not understand, or ragged/out-of-bounds op columns (the
-    structural validation in :class:`repro.sim.columnar.ColumnarOps`).
+    The file is read once; its digest is checked before the header is
+    trusted, and the columns are views of the decompressed buffer.  Raises
+    :class:`RecordingError` on any integrity or schema failure — an
+    unreadable or foreign file, a truncated or garbled stream, a digest
+    mismatch, a schema version this code does not understand, a malformed
+    header, or ragged/out-of-bounds op columns (the structural validation
+    in :class:`repro.sim.columnar.ColumnarOps`).
     """
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-            arrays = {k: npz[k] for k in npz.files if k != "meta"}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-            json.JSONDecodeError, io.UnsupportedOperation) as exc:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
         raise RecordingError(f"unreadable recording artifact {path}: {exc}") from exc
+    if not blob.startswith(_MAGIC):
+        raise RecordingError(f"{path} is not a recording artifact")
     try:
-        if meta.get("schema") != OPS_SCHEMA_VERSION:
+        payload = zlib.decompress(memoryview(blob)[_DIGEST_END:])
+    except zlib.error as exc:
+        raise RecordingError(f"unreadable recording artifact {path}: {exc}") from exc
+    if hashlib.sha256(payload).digest() != blob[len(_MAGIC) : _DIGEST_END]:
+        raise RecordingError(f"recording checksum mismatch in {path}")
+    try:
+        size = int.from_bytes(payload[:_LEN_BYTES], "little")
+        header = json.loads(payload[_LEN_BYTES : _LEN_BYTES + size])
+        if header["schema"] != OPS_SCHEMA_VERSION:
             raise RecordingError(
-                f"recording schema {meta.get('schema')!r} != {OPS_SCHEMA_VERSION}"
+                f"recording schema {header['schema']!r} != {OPS_SCHEMA_VERSION}"
             )
-        stored = meta.pop("checksum", None)
-        meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        if stored != _checksum(meta_blob, arrays):
-            raise RecordingError(f"recording checksum mismatch in {path}")
+        body = memoryview(payload)[_LEN_BYTES + size :]
+        arrays = {
+            name: _array_view(body, spec) for name, spec in header["arrays"].items()
+        }
         recordings: Dict[str, Recording] = {}
-        for label, entry in meta["entries"].items():
+        for label, entry in header["entries"].items():
             spec = entry["ops"]
             prefix = spec["prefix"]
             cols = ColumnarOps(
@@ -348,7 +402,7 @@ def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
                 names=tuple(spec["names"]),
                 **{col: arrays[prefix + col] for col in COLUMNS},
             )
-            priced = entry.get("priced")
+            priced = entry["priced"]
             recordings[label] = Recording(
                 name=entry["name"],
                 machine=_machine_from_dict(entry["machine"]),
@@ -356,8 +410,16 @@ def load_recordings(path: Any) -> Tuple[Dict[str, Recording], Dict[str, Any]]:
                 columnar=cols,
                 priced=None if priced is None else PricedState.from_dict(priced),
             )
-        return recordings, meta.get("extra", {})
+        return recordings, header["extra"]
     except RecordingError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (
+        AttributeError,
+        ConfigError,
+        IndexError,
+        KeyError,
+        RecursionError,
+        TypeError,
+        ValueError,
+    ) as exc:
         raise RecordingError(f"malformed recording artifact {path}: {exc}") from exc

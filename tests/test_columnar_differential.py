@@ -248,7 +248,7 @@ class TestRoundTripAndMachines:
             )
         )
         want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, VIA_16_4P)
-        path = tmp_path / "rec.npz"
+        path = tmp_path / "rec.rec"
         save_recordings(path, {"k": recording})
         loaded, _ = load_recordings(path)
         got = _replay_both(loaded["k"], via_config=VIA_16_4P)

@@ -1,21 +1,25 @@
 """Fault-injection tests for the op-stream recording store.
 
 Mirrors ``test_runner_fault.py`` for the artifact layer: a truncated,
-garbled, tampered, schema-stale, or mis-filed recording must be detected
-by the integrity checks, dropped, and transparently re-recorded — the
-sweep's records stay bit-identical and the store heals itself.  The v2
-columnar artifacts add a second defense line: a mutation that *re-signs*
-the checksum (so integrity passes) must still be rejected by the
-structural validation in :class:`repro.sim.columnar.ColumnarOps` — ragged
-column lengths and out-of-bounds index-pool slices raise a structured
-:class:`~repro.errors.RecordingError` instead of mispricing.  Also pins
-the key discipline: SSPM port counts and pure-pricing machine knobs stay
-out of :func:`recording_key`, while the IR schema version, the artifact
-part, and the SSPM capacity feed it, and the key values themselves are
-pinned.
+garbled, bit-flipped, tampered, schema-stale, or mis-filed recording must
+be detected by the integrity checks, dropped, and transparently
+re-recorded — the sweep's records stay bit-identical and the store heals
+itself.  The columnar artifacts add a second defense line: a mutation
+that *re-signs* the digest (so integrity passes) must still be rejected by
+the header checks or the structural validation in
+:class:`repro.sim.columnar.ColumnarOps` — an array-table entry past the
+body, ragged column lengths and out-of-bounds index-pool slices raise a
+structured :class:`~repro.errors.RecordingError` instead of mispricing.
+The v4 container is read and re-sealed here with ``zlib`` and ``hashlib``
+rather than through the code under test.  Also pins the key discipline:
+SSPM port counts and pure-pricing machine knobs stay out of
+:func:`recording_key`, while the IR schema version, the artifact part, and
+the SSPM capacity feed it, and the key values themselves are pinned.
 """
 
+import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from repro.eval.runner import code_version
 from repro.eval.units import record_units, replay_units, spmv_units
 from repro.matrices import small_collection
 from repro.sim.columnar import COLUMNS, KIND_IDS
-from repro.sim.ops import _checksum, load_recordings, save_recordings
+from repro.sim.ops import load_recordings, save_recordings
 from repro.via.config import VIA_4_2P, VIA_16_2P, VIA_16_4P
 
 from tests.test_runner_fault import PIN_CODE, PIN_UNIT
@@ -49,6 +53,41 @@ def warmed(tmp_path):
     return direct, rdir, baseline, path
 
 
+#: the v4 container: this tag, the sha256 of the uncompressed payload, and
+#: one zlib stream of the payload (an 8-byte little-endian header length,
+#: the JSON header with its array table, then the raw arrays)
+MAGIC = b"VIAOPS\x00\x00"
+DIGEST_END = len(MAGIC) + 32
+
+
+def _read_v4(path):
+    """``(header, body, digest)``: the header keeps its array table."""
+    blob = path.read_bytes()
+    assert blob[: len(MAGIC)] == MAGIC
+    payload = zlib.decompress(blob[DIGEST_END:])
+    size = int.from_bytes(payload[:8], "little")
+    header = json.loads(payload[8 : 8 + size])
+    return header, payload[8 + size :], blob[len(MAGIC) : DIGEST_END]
+
+
+def _write_v4(path, header, body, digest=None):
+    """Seal an artifact; the digest is the payload's own unless a (stale)
+    one is given."""
+    head = json.dumps(header).encode("utf-8")
+    payload = len(head).to_bytes(8, "little") + head + body
+    digest = digest or hashlib.sha256(payload).digest()
+    path.write_bytes(MAGIC + digest + zlib.compress(payload))
+
+
+def _arrays(header, body):
+    return {
+        name: np.frombuffer(
+            body, dtype=spec["dtype"], count=spec["length"], offset=spec["offset"]
+        )
+        for name, spec in header["arrays"].items()
+    }
+
+
 def _rewrite(path, *, schema=None, drop_checksum_for=None, key=None):
     """Re-save an artifact with a targeted inconsistency injected."""
     if key is not None:
@@ -57,44 +96,35 @@ def _rewrite(path, *, schema=None, drop_checksum_for=None, key=None):
         extra["key"] = key
         save_recordings(path, recordings, extra_meta=extra)
         return
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-        arrays = {k: npz[k] for k in npz.files if k != "meta"}
+    header, body, digest = _read_v4(path)
     if schema is not None:
-        meta["schema"] = schema
+        # re-signed: the schema check, not the digest, must reject it
+        header["schema"] = schema
+        digest = None
     if drop_checksum_for is not None:
         # mutate the payload without refreshing the checksum
-        entry = next(iter(meta["entries"].values()))
+        entry = next(iter(header["entries"].values()))
         entry["priced"]["counters"][drop_checksum_for] += 1
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
-    )
+    _write_v4(path, header, body, digest)
 
 
 def _rewrite_signed(path, mutate):
-    """Re-save with a mutation and a *refreshed* checksum.
+    """Re-save with a mutation and a *refreshed* digest.
 
     The artifact then passes the integrity check, so only the columnar
     structural validation stands between the mutation and a replay.
     """
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-        arrays = {k: npz[k] for k in npz.files if k != "meta"}
-    meta.pop("checksum", None)
-    mutate(meta, arrays)
-    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    meta["checksum"] = _checksum(meta_blob, arrays)
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
-    )
+    header, body, _ = _read_v4(path)
+    arrays = _arrays(header, body)
+    mutate(header, arrays)
+    table, body = {}, b""
+    for name, arr in arrays.items():
+        table[name] = {
+            "dtype": arr.dtype.str, "length": int(arr.size), "offset": len(body)
+        }
+        body += np.ascontiguousarray(arr).tobytes()
+    header["arrays"] = table
+    _write_v4(path, header, body)
 
 
 def _first_prefix(meta):
@@ -139,9 +169,20 @@ class TestArtifactRot:
         path.write_bytes(data[: len(data) // 2])
         self._assert_selfhealed(direct, rdir, baseline)
 
-    def test_garbage_artifact_is_rerecorded(self, warmed):
+    @pytest.mark.parametrize("garbage", ["not-a-zip", "v3-zip"])
+    def test_garbage_artifact_is_rerecorded(self, warmed, garbage):
         direct, rdir, baseline, path = warmed
-        path.write_bytes(b"this is not a zip archive")
+        if garbage == "v3-zip":
+            # the v3 layout: an npz of the JSON meta and one member per array
+            header, body, _ = _read_v4(path)
+            arrays = _arrays(header, body)
+            del header["arrays"]
+            header["schema"] = 3
+            meta = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+            with path.open("wb") as fh:
+                np.savez_compressed(fh, meta=meta, **arrays)
+        else:
+            path.write_bytes(b"this is not a zip archive")
         self._assert_selfhealed(direct, rdir, baseline)
 
     def test_tampered_payload_fails_checksum(self, warmed):
@@ -149,13 +190,15 @@ class TestArtifactRot:
         _rewrite(path, drop_checksum_for="via_instructions")
         self._assert_selfhealed(direct, rdir, baseline)
 
-    @pytest.mark.parametrize("schema", [1, 2, 999])
+    @pytest.mark.parametrize("schema", [1, 2, 3, 999])
     def test_wrong_schema_version_is_dropped(self, warmed, schema):
-        # schemas 1 (per-op JSON) and 2 (columns plus kernel outputs) are
-        # retired layouts: the generic version check drops them like any
-        # other stale artifact
+        # schemas 1 (per-op JSON), 2 (columns plus kernel outputs) and 3
+        # (an npz zip) are retired layouts: the generic version check drops
+        # them like any other stale artifact
         direct, rdir, baseline, path = warmed
         _rewrite(path, schema=schema)
+        with pytest.raises(RecordingError, match="schema"):
+            load_recordings(path)
         self._assert_selfhealed(direct, rdir, baseline)
 
     def test_mis_filed_key_is_detected(self, warmed):
@@ -166,8 +209,25 @@ class TestArtifactRot:
 
     def test_every_artifact_corrupt_at_once(self, warmed):
         direct, rdir, baseline, _ = warmed
-        for npz in RecordingStore(rdir).root.rglob("*.npz"):
-            npz.write_bytes(b"\x00" * 64)
+        store = RecordingStore(rdir)
+        artifacts = list(store.root.glob(f"*/*{store.suffix}"))
+        assert artifacts
+        for artifact in artifacts:
+            artifact.write_bytes(b"\x00" * 64)
+        self._assert_selfhealed(direct, rdir, baseline)
+
+    def test_array_table_entry_past_the_body_is_rejected(self, warmed):
+        """A re-signed array-table entry that ends past the payload must
+        raise a structured error, never read a short or foreign view."""
+        direct, rdir, baseline, path = warmed
+        header, body, _ = _read_v4(path)
+        spec = header["arrays"][_first_prefix(header) + "pool"]
+        spec["offset"], spec["length"] = len(body), max(spec["length"], 1)
+        _write_v4(path, header, body)
+        with pytest.raises(RecordingError, match="past"):
+            load_recordings(path)
+        assert RecordingStore(rdir).get(path.stem) is None
+        assert not path.exists()
         self._assert_selfhealed(direct, rdir, baseline)
 
     def test_truncated_column_is_rejected_and_healed(self, warmed):
@@ -318,8 +378,8 @@ def test_recording_keys_are_pinned():
     """Both artifact keys of one fixed unit, computed before the storage
     code was consolidated: a drift would orphan every stored recording."""
     assert recording_key(PIN_UNIT, PIN_CODE, part="via") == (
-        "ddb188f71649b4eaaee0de86af8a70e825fd9a5db37b4c03bad49e4ba7d493a7"
+        "da69aad7b12c34ea8910247ab1671df10111d9ab4ad90fa15ab85491149ea69e"
     )
     assert recording_key(PIN_UNIT, PIN_CODE, part="base") == (
-        "ef39bbe8df53b5908dc175fc53e50ffe1167233da672957cf10b3b41db93cfb3"
+        "94b9bbe5e5058e15c6775898e6aeed8737fa6e036490d50707f27ee0a5b8908c"
     )

@@ -18,6 +18,7 @@ replay path against the per-op walk.
 import dataclasses
 import json
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ class TestRoundTripAndMachines:
         )
         with scalar_oracle.scalar_pricing():
             want = SPMV_VARIANTS["csb"][1](csb, x, DEFAULT_MACHINE, VIA_16_4P)
-        path = tmp_path / "rec.npz"
+        path = tmp_path / "rec.rec"
         save_recordings(path, {"k": recording})
         loaded, _ = load_recordings(path)
         got = replay_recording(loaded["k"], via_config=VIA_16_4P)
@@ -245,8 +246,8 @@ class TestRoundTripAndMachines:
         assert got.output is None
 
     def test_artifact_holds_only_streams_and_meta(self, coo, x, tmp_path):
-        """A v3 artifact is ``meta`` plus each entry's op columns and index
-        pool: no array and no meta entry for the kernels' outputs (here a
+        """A v4 artifact's array table is each entry's op columns and index
+        pool: no array and no header entry for the kernels' outputs (here a
         dense vector and a CSR matrix)."""
         csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
         a = CSRMatrix.from_coo(coo)
@@ -260,12 +261,14 @@ class TestRoundTripAndMachines:
                 a, a, DEFAULT_MACHINE, VIA_16_2P, backend=backend
             )
         )
-        path = tmp_path / "rec.npz"
+        path = tmp_path / "rec.rec"
         save_recordings(path, {"spmv": spmv, "spma": spma})
-        with np.load(path, allow_pickle=False) as npz:
-            keys = set(npz.files)
-            meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-        assert keys == {"meta"} | {
+        # past the 8-byte magic tag and the 32-byte digest: one zlib stream
+        # of an 8-byte header length, the JSON header, then the arrays
+        payload = zlib.decompress(path.read_bytes()[40:])
+        size = int.from_bytes(payload[:8], "little")
+        meta = json.loads(payload[8 : 8 + size])
+        assert set(meta["arrays"]) == {
             f"ops{i}_{col}" for i in range(2) for col in (*COLUMNS, "pool")
         }
         assert meta["schema"] == OPS_SCHEMA_VERSION

@@ -206,7 +206,7 @@ PIN_UNIT = WorkUnit(
 class TestOnDiskFormat:
     def test_unit_cache_key_is_pinned(self):
         assert unit_cache_key(PIN_UNIT, PIN_CODE) == (
-            "ced73a85a2763418d16007875a1157f7bbc51649d54a4b41b6ab33adbd7a91a2"
+            "bcb36f5e14697a19139684076e0ec2f92e3a6575ef3d69af568d8081d7c71d3d"
         )
 
     def test_hand_written_entry_reads_back_as_a_hit(self, tmp_path):
