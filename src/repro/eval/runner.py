@@ -175,7 +175,9 @@ class ResultCache(JsonStore):
     :class:`repro.storage.JsonStore`: each entry embeds its own key and a
     checksum of the payload.  :meth:`get` treats a missing key as a miss
     and any entry that fails the integrity check as *corrupt*: the entry
-    is deleted and the unit recomputed, never served.
+    is deleted and the unit recomputed, never served.  :func:`run_units`
+    does the same with an entry that passes the check but does not
+    decode as a :class:`SweepRecord`.
     """
 
     format_version = CACHE_FORMAT

@@ -61,14 +61,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
-import numpy.typing as npt
 
-from repro.errors import (
-    ConfigError,
-    InvariantError,
-    RecordingError,
-    ReplayMismatchError,
-)
+from repro.errors import ConfigError, InvariantError, RecordingError, ReplayMismatchError
 from repro.sim.columnar import COLUMNS, ColumnarOps, ColumnarPriced
 from repro.sim.config import CacheConfig, MachineConfig
 from repro.sim.stats import OpCounters
@@ -275,7 +269,8 @@ def _via_from_dict(data: Optional[Dict[str, Any]]) -> Optional["ViaConfig"]:
 _MAGIC = b"VIAOPS\x00\x00"
 #: the sha256 of the uncompressed payload follows the magic tag
 _DIGEST_END = len(_MAGIC) + hashlib.sha256().digest_size
-#: every array starts at a multiple of this many payload bytes
+#: every array starts at a multiple of this many payload bytes, so the
+#: int64 and float64 views a load hands out are aligned
 _ALIGN = 8
 #: width of the payload's little-endian header-length prefix
 _LEN_BYTES = 8
@@ -330,7 +325,7 @@ def save_recordings(
         },
         sort_keys=True,
     ).encode("utf-8")
-    # space-pad the header so the body, and every array in it, is aligned
+    # space-pad the header so the body starts aligned too
     header += b" " * (-(_LEN_BYTES + len(header)) % _ALIGN)
     payload = b"".join(
         [len(header).to_bytes(_LEN_BYTES, "little"), header, *chunks]
@@ -340,21 +335,6 @@ def save_recordings(
         Path(path).write_bytes(blob)
     else:
         path.write(blob)
-
-
-def _array_view(body: memoryview, spec: Dict[str, Any]) -> npt.NDArray[Any]:
-    """The read-only array an array-table entry describes, inside ``body``."""
-    dtype = np.dtype(spec["dtype"])
-    length, offset = spec["length"], spec["offset"]
-    if dtype.kind not in "uif" or not all(
-        type(v) is int and v >= 0 for v in (length, offset)
-    ):
-        raise RecordingError(f"array table entry {spec!r} is malformed")
-    if offset + length * dtype.itemsize > len(body):
-        raise RecordingError(
-            f"array table entry {spec!r} ends past the {len(body)}-byte body"
-        )
-    return np.frombuffer(body, dtype=dtype, count=length, offset=offset)
 
 
 def load_recordings(
@@ -389,9 +369,13 @@ def load_recordings(
             raise RecordingError(
                 f"recording schema {header['schema']!r} != {OPS_SCHEMA_VERSION}"
             )
+        # read-only views; numpy refuses a table entry that leaves the body
         body = memoryview(payload)[_LEN_BYTES + size :]
         arrays = {
-            name: _array_view(body, spec) for name, spec in header["arrays"].items()
+            name: np.frombuffer(
+                body, dtype=spec["dtype"], count=spec["length"], offset=spec["offset"]
+            )
+            for name, spec in header["arrays"].items()
         }
         recordings: Dict[str, Recording] = {}
         for label, entry in header["entries"].items():
@@ -402,7 +386,7 @@ def load_recordings(
                 names=tuple(spec["names"]),
                 **{col: arrays[prefix + col] for col in COLUMNS},
             )
-            priced = entry["priced"]
+            priced = entry.get("priced")
             recordings[label] = Recording(
                 name=entry["name"],
                 machine=_machine_from_dict(entry["machine"]),
@@ -410,16 +394,9 @@ def load_recordings(
                 columnar=cols,
                 priced=None if priced is None else PricedState.from_dict(priced),
             )
-        return recordings, header["extra"]
+        return recordings, header.get("extra", {})
     except RecordingError:
         raise
-    except (
-        AttributeError,
-        ConfigError,
-        IndexError,
-        KeyError,
-        RecursionError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    except (AttributeError, ConfigError, IndexError, KeyError, RecursionError,
+            TypeError, ValueError) as exc:
         raise RecordingError(f"malformed recording artifact {path}: {exc}") from exc

@@ -224,7 +224,7 @@ class TestArtifactRot:
         spec = header["arrays"][_first_prefix(header) + "pool"]
         spec["offset"], spec["length"] = len(body), max(spec["length"], 1)
         _write_v4(path, header, body)
-        with pytest.raises(RecordingError, match="past"):
+        with pytest.raises(RecordingError, match="malformed"):
             load_recordings(path)
         assert RecordingStore(rdir).get(path.stem) is None
         assert not path.exists()
