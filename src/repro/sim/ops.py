@@ -302,11 +302,7 @@ def save_recordings(
             arr = getattr(cols, name)
             raw = arr.tobytes()
             raw += bytes(-len(raw) % _ALIGN)
-            table[prefix + name] = {
-                "dtype": arr.dtype.str,
-                "length": int(arr.size),
-                "offset": offset,
-            }
+            table[prefix + name] = {"dtype": arr.dtype.str, "length": arr.size, "offset": offset}
             chunks.append(raw)
             offset += len(raw)
         entries[label] = {
@@ -316,20 +312,11 @@ def save_recordings(
             "ops": {"prefix": prefix, "names": list(cols.names)},
             "priced": None if rec.priced is None else rec.priced.to_dict(),
         }
-    header = json.dumps(
-        {
-            "schema": OPS_SCHEMA_VERSION,
-            "entries": entries,
-            "extra": extra_meta or {},
-            "arrays": table,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    meta = {"schema": OPS_SCHEMA_VERSION, "entries": entries, "extra": extra_meta or {}}
+    header = json.dumps({**meta, "arrays": table}, sort_keys=True).encode("utf-8")
     # space-pad the header so the body starts aligned too
     header += b" " * (-(_LEN_BYTES + len(header)) % _ALIGN)
-    payload = b"".join(
-        [len(header).to_bytes(_LEN_BYTES, "little"), header, *chunks]
-    )
+    payload = b"".join([len(header).to_bytes(_LEN_BYTES, "little"), header, *chunks])
     blob = _MAGIC + hashlib.sha256(payload).digest() + zlib.compress(payload)
     if isinstance(path, (str, os.PathLike)):
         Path(path).write_bytes(blob)

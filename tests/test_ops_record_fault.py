@@ -122,7 +122,7 @@ def _rewrite_signed(path, mutate):
         table[name] = {
             "dtype": arr.dtype.str, "length": int(arr.size), "offset": len(body)
         }
-        body += np.ascontiguousarray(arr).tobytes()
+        body += arr.tobytes()
     header["arrays"] = table
     _write_v4(path, header, body)
 
