@@ -36,9 +36,9 @@ from repro.formats.sellcs import SellCSigmaMatrix
 from repro.formats.spc5 import SPC5Matrix
 from repro.kernels.csr5_spmv import spmv_csr5_via
 from repro.kernels.histogram import histogram_via
-from repro.kernels.spma import spma_via
+from repro.kernels.spma import spma_csr_baseline, spma_via
 from repro.kernels.spmm import spmm_via
-from repro.kernels.spmv import SPMV_VARIANTS
+from repro.kernels.spmv import SPMV_VARIANTS, spmv_csr_baseline
 from repro.kernels.stencil import stencil_via
 from repro.matrices.collection import small_collection
 from repro.serve.jobs import JobSpec
@@ -294,6 +294,80 @@ class TestRoundTripAndMachines:
         assert len(recording._machine_memo) == 1
         replay_recording(recording, machine=other, via_config=VIA_16_4P)
         assert len(recording._machine_memo) == 2
+
+
+def _tiny_caches(l1, l2, l3):
+    """``DEFAULT_MACHINE`` with ``(size_kb, ways)`` caches at each level.
+
+    The L1 latency and vector lanes, which shape the op stream, keep their
+    defaults, so a recording made on ``DEFAULT_MACHINE`` replays here.
+    """
+    m = DEFAULT_MACHINE
+    return dataclasses.replace(
+        m,
+        l1=CacheConfig(*l1, m.l1.latency),
+        l2=CacheConfig(*l2, m.l2.latency),
+        l3=CacheConfig(*l3, m.l3.latency),
+    )
+
+
+#: caches far smaller than the test inputs, so dirty lines reach DRAM.
+#: On SpMA baseline the two geometries between them run every write-back
+#: branch of the walk: with three equal levels an L1 victim's write-back
+#: evicts a dirty line from L2, whose write-back evicts one from L3; with a
+#: 4-way L2 over a 2-way L3 of the same size, a dirty L2 victim of a
+#: demand miss evicts a dirty line from L3
+TINY_CACHES = {
+    "l1-victim-cascade": _tiny_caches((1, 2), (1, 2), (1, 2)),
+    "l2-victim-cascade": _tiny_caches((1, 2), (2, 4), (2, 2)),
+}
+
+
+class TestWriteBackCascade:
+    """The walk's write-back branches, down to DRAM, priced bit for bit.
+
+    ``DEFAULT_MACHINE``'s 8 MB L3 holds every test input, so elsewhere no
+    dirty line is ever evicted to DRAM.
+    """
+
+    @staticmethod
+    def _kernel(name, coo, x):
+        a = CSRMatrix.from_coo(coo)
+        return {
+            "spma_baseline": lambda m: spma_csr_baseline(a, a, m),
+            "spma_via": lambda m: spma_via(a, a, m, VIA_16_2P),
+            "spmv_csr_baseline": lambda m: spmv_csr_baseline(a, x, m),
+        }[name]
+
+    @pytest.mark.parametrize("geometry", sorted(TINY_CACHES))
+    @pytest.mark.parametrize(
+        "name", ["spma_baseline", "spma_via", "spmv_csr_baseline"]
+    )
+    def test_direct_run_matches_the_oracle(self, coo, x, name, geometry):
+        run = self._kernel(name, coo, x)
+        got = run(TINY_CACHES[geometry])
+        with scalar_oracle.scalar_pricing():
+            want = run(TINY_CACHES[geometry])
+        assert_result_identical(got, want)
+        if name == "spma_baseline":
+            assert got.cache_stats["dram"]["writes"] > 0
+            assert got.cache_stats["l2"]["writebacks"] > 0
+            assert got.cache_stats["l3"]["writebacks"] > 0
+
+    @pytest.mark.parametrize("geometry", sorted(TINY_CACHES))
+    def test_cross_machine_replay_onto_tiny_caches(self, coo, geometry):
+        machine = TINY_CACHES[geometry]
+        a = CSRMatrix.from_coo(coo)
+        _, recording = _record(
+            lambda backend=None: spma_csr_baseline(
+                a, a, DEFAULT_MACHINE, backend=backend
+            )
+        )
+        with scalar_oracle.scalar_pricing():
+            want = spma_csr_baseline(a, a, machine)
+        got = _replay_both(recording, machine=machine)
+        assert_result_identical(got, want)
+        assert got.cache_stats["dram"]["writes"] > 0
 
 
 # ----------------------------------------------------------------------
