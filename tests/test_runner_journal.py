@@ -181,6 +181,54 @@ class TestResumeMap:
         assert crossed.counters.units_ok == len(units_b)
 
 
+class TestUndecodableResumeRecord:
+    """A completed journal line whose ``record`` is JSON but no sweep
+    record: the unit is recomputed (or served from the cache), counted
+    corrupt, and the rest of the journal still resumes."""
+
+    @staticmethod
+    def _damage_first_line(journal, record):
+        lines = _lines(journal)
+        assert lines[0]["status"] == "ok"
+        lines[0]["record"] = record
+        Path(journal).write_text("".join(json.dumps(l) + "\n" for l in lines))
+
+    @pytest.mark.parametrize(
+        "record", [[1, 2], {"name": "x"}, "text"],
+        ids=["list", "partial-record", "string"],
+    )
+    def test_unit_is_recomputed(self, tmp_path, record):
+        coll = small_collection(3, seed=55, max_n=128)
+        units = spmv_units(coll, formats=("csr",))
+        journal = str(tmp_path / "j.jsonl")
+        clean = run_units(units, RunnerConfig(journal_path=journal))
+        self._damage_first_line(journal, record)
+
+        resumed = run_units(units, RunnerConfig(resume=journal))
+        assert resumed.records == clean.records
+        assert resumed.counters.units_resumed == len(units) - 1
+        assert resumed.counters.units_ok == 1
+        assert resumed.counters.units_corrupt == 1
+
+    def test_unit_falls_through_to_the_cache(self, tmp_path):
+        coll = small_collection(2, seed=57, max_n=128)
+        units = spmv_units(coll, formats=("csr",))
+        cache_dir = str(tmp_path / "c")
+        journal = str(tmp_path / "j.jsonl")
+        clean = run_units(
+            units, RunnerConfig(cache_dir=cache_dir, journal_path=journal)
+        )
+        self._damage_first_line(journal, [1, 2])
+
+        resumed = run_units(
+            units, RunnerConfig(cache_dir=cache_dir, resume=journal)
+        )
+        assert resumed.records == clean.records
+        assert resumed.counters.units_resumed == len(units) - 1
+        assert resumed.counters.units_cached == 1
+        assert resumed.counters.units_corrupt == 1
+
+
 class TestCorruptCacheTelemetry:
     def test_corrupt_entry_is_journaled_and_counted(self, tmp_path):
         coll = small_collection(2, seed=51, max_n=128)
