@@ -535,18 +535,25 @@ def run_units(
                     state.keys[i] = unit_cache_key(unit, version)
                 if cache is not None:
                     state.cache_status[i] = "miss"
+                rotten_resume = False
                 if state.keys[i] is not None and state.keys[i] in resume_map:
-                    prior = resume_map[state.keys[i]]
-                    payload = prior.get("record")
-                    record = (
-                        SweepRecord.from_dict(payload)
-                        if payload is not None
-                        else None
-                    )
-                    state.cache_status[i] = "resume"
-                    _local(i, "resumed", record,
-                           time.perf_counter() - lookup_start)
-                    continue
+                    payload = resume_map[state.keys[i]].get("record")
+                    try:
+                        record = (
+                            SweepRecord.from_dict(payload)
+                            if payload is not None
+                            else None
+                        )
+                    except (KeyError, TypeError, ValueError):
+                        # journal lines are unsigned: a record that does not
+                        # decode falls through to the cache, or recomputes
+                        rotten_resume = True
+                        counters.units_corrupt += 1
+                    else:
+                        state.cache_status[i] = "resume"
+                        _local(i, "resumed", record,
+                               time.perf_counter() - lookup_start)
+                        continue
                 if cache is None:
                     pending.append((i, unit))
                     continue
@@ -567,7 +574,8 @@ def run_units(
                     counters.cache_misses += 1
                     if cache_status == "corrupt":
                         counters.cache_corrupt += 1
-                        counters.units_corrupt += 1
+                        if not rotten_resume:
+                            counters.units_corrupt += 1
                         state.cache_status[i] = "corrupt"
                     pending.append((i, unit))
 

@@ -111,7 +111,9 @@ class SweepCounters:
     in exactly one of ``units_ok`` / ``units_cached`` / ``units_resumed`` /
     ``units_failed`` / ``units_skipped``.  ``cache_corrupt`` counts cache
     entries that failed integrity checks; ``units_corrupt`` counts the
-    units those entries belonged to (recomputed, never served).  The
+    units those entries belonged to (recomputed, never served) and the
+    units whose resume-journal record did not decode (served from the
+    cache or recomputed, never resumed).  The
     supervised-execution counters record watchdog activity:
     ``units_retried`` units that needed more than one attempt,
     ``units_timeout`` units whose final attempt exceeded the wall-clock
