@@ -26,10 +26,10 @@ arrays, and flags the three promotion shapes:
 Only explicit integer evidence seeds the analysis (``dtype=np.int64``
 array constructors, ``.astype(int...)``, integer scalar constructors,
 ``searchsorted`` results) — plain python ints and ambient lists never
-do, so the float accumulators ``hierarchy.py`` uses deliberately (its
-fractional-latency configs price through float on purpose) stay out of
-scope.  Intended promotions are annotated with an explicit ``dtype=``
-or a ``# via: ignore[VIA70x]`` beside the arithmetic.
+do, so an array that is float on purpose, such as the hierarchy's
+cumulative level latencies (``np.cumsum(..., dtype=np.float64)``),
+stays out of scope.  Intended promotions are annotated with an explicit
+``dtype=`` or a ``# via: ignore[VIA70x]`` beside the arithmetic.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.sim.core import (
     narration_flush_count,
 )
 from repro.sim.dram import DRAMModel, DRAMStats
-from repro.sim.hierarchy import AccessResult, MemoryHierarchy
+from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.ops import (
     OPS_SCHEMA_VERSION,
     Recording,
@@ -87,7 +87,6 @@ __all__ = [
     "narration_flush_count",
     "DRAMModel",
     "DRAMStats",
-    "AccessResult",
     "MemoryHierarchy",
     "CycleBreakdown",
     "KernelResult",

@@ -26,7 +26,10 @@ wraps:
 Replay is not a backend but a driver: :func:`replay_recording` re-prices a
 recorded stream under a target machine/VIA pair through the same columnar
 kernels direct execution uses, so replayed results are bit-identical by
-construction.
+construction.  Every run, direct, recorded or replayed, ends as one
+:class:`~repro.sim.stats.PricedState` handed to
+:func:`~repro.sim.core.build_result`; a live core's comes from its
+hierarchy's :meth:`~repro.sim.hierarchy.MemoryHierarchy.priced`.
 """
 
 from __future__ import annotations
@@ -39,12 +42,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.errors import InvariantError
 from repro.sim import columnar
 from repro.sim.config import MachineConfig
-from repro.sim.ops import (
-    PricedState,
-    Recording,
-    ReplayMismatchError,
-    stream_shape_key,
-)
+from repro.sim.ops import Recording, ReplayMismatchError, stream_shape_key
 from repro.sim.stats import OpCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,13 +95,7 @@ class RecorderBackend(Backend):
             machine=core.machine,
             via_config=core.via.config if core.via is not None else None,
             columnar=columnar.concat_columnar(self._chunks),
-            priced=PricedState(
-                counters=dataclasses.replace(core.counters),
-                dram_occupancy_cycles=core.memory.dram.occupancy_cycles(),
-                dram_traffic_bytes=core.memory.dram.traffic_bytes,
-                dram_lines=core.memory.dram.stats.lines,
-                cache_stats=core.memory.level_stats(),
-            ),
+            priced=core.memory.priced(dataclasses.replace(core.counters)),
         )
 
 
@@ -197,7 +189,7 @@ def check_result_invariants(result: "KernelResult") -> "KernelResult":
     """Validate a finished :class:`~repro.sim.stats.KernelResult`.
 
     Used by validating replays (whose fast path is pure arithmetic over a
-    stored :class:`~repro.sim.ops.PricedState`, so there are no counter
+    stored :class:`~repro.sim.stats.PricedState`, so there are no counter
     deltas to check) and by :meth:`InvariantBackend.on_finalize`: the
     cycle breakdown's priced components must all be finite and
     non-negative, and the total must dominate every component — the
@@ -311,7 +303,7 @@ def replay_recording(
     Two cost tiers, both bit-identical to direct execution:
 
     * **same machine** (the Fig. 9 port sweep): the record run's stored
-      :class:`~repro.sim.ops.PricedState` already holds every counter the
+      :class:`~repro.sim.stats.PricedState` already holds every counter the
       ports cannot touch, so only the VIA ops are re-priced
       (:func:`~repro.sim.columnar.columnar_via_totals`) — pure arithmetic,
       no cache simulation;
@@ -360,44 +352,35 @@ def replay_recording(
     if validate:
         columnar.check_columnar_invariants(cols)
     if recording.priced is not None and machine == recording.machine:
-        p = recording.priced
-        counters = dataclasses.replace(p.counters)
+        state = recording.priced
+        counters = dataclasses.replace(state.counters)
         counters.sspm_busy_cycles = via_side.sspm_busy_cycles
-        result = build_result(
-            name=name,
-            machine=machine,
-            counters=counters,
-            dram_occupancy_cycles=p.dram_occupancy_cycles,
-            dram_traffic_bytes=p.dram_traffic_bytes,
-            dram_lines=p.dram_lines,
-            cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
-            via_leakage_mw=via_leak,
-        )
-        return check_result_invariants(result) if validate else result
-    with _MEMO_LOCK:
-        cp = recording._machine_memo.get(machine)
-    if cp is None:
-        cp = columnar.price_columnar(cols, machine, validate=validate)
+    else:
         with _MEMO_LOCK:
-            # recordings are shared across serve executor threads via the
-            # store's load memo; a concurrent pricer may have won the race
-            # to populate this machine's entry — keep the first one so
-            # every thread reads the same state
-            cp = recording._machine_memo.setdefault(machine, cp)
-    counters = dataclasses.replace(cp.counters)
-    counters.via_instructions += via_side.via_instructions
-    counters.vector_uops += via_side.vector_uops
-    counters.sspm_accesses += via_side.sspm_accesses
-    counters.cam_searches += via_side.cam_searches
-    counters.sspm_busy_cycles += via_side.sspm_busy_cycles
+            memo = recording._machine_memo.get(machine)
+        if memo is None:
+            memo = columnar.price_columnar(cols, machine, validate=validate)
+            with _MEMO_LOCK:
+                # recordings are shared across serve executor threads via
+                # the store's load memo; a concurrent pricer may have won
+                # the race to populate this machine's entry — keep the first
+                # one so every thread reads the same state
+                memo = recording._machine_memo.setdefault(machine, memo)
+        state = memo
+        counters = dataclasses.replace(state.counters)
+        counters.via_instructions += via_side.via_instructions
+        counters.vector_uops += via_side.vector_uops
+        counters.sspm_accesses += via_side.sspm_accesses
+        counters.cam_searches += via_side.cam_searches
+        counters.sspm_busy_cycles += via_side.sspm_busy_cycles
     result = build_result(
         name=name,
         machine=machine,
-        counters=counters,
-        dram_occupancy_cycles=cp.dram_occupancy_cycles,
-        dram_traffic_bytes=cp.dram_traffic_bytes,
-        dram_lines=cp.dram_lines,
-        cache_stats={k: dict(v) for k, v in cp.cache_stats.items()},
+        priced=dataclasses.replace(
+            state,
+            counters=counters,
+            cache_stats={k: dict(v) for k, v in state.cache_stats.items()},
+        ),
         via_leakage_mw=via_leak,
     )
     return check_result_invariants(result) if validate else result

@@ -20,9 +20,11 @@ Pricing is array arithmetic over the columns:
 * :func:`columnar_via_totals` prices every ``record_via_op`` row of a
   stream in one vectorized pass (the port-dependent side of replay);
 * :func:`price_columnar` is the cross-machine memory pass: allocation bases
-  from a cumulative sum, per-op counters from masked reductions, cache-level
-  latencies from an ``np.take`` over the machine's latency table, and hit /
-  mispredict attribution from per-kind masks;
+  from a cumulative sum, per-op counters from masked reductions, a walk of
+  a fresh :class:`~repro.sim.hierarchy.MemoryHierarchy`, cache-level
+  latencies from an ``np.take`` over its level latencies, and hit /
+  mispredict attribution from per-kind masks; it returns the
+  :class:`~repro.sim.stats.PricedState` the hierarchy snapshots;
 * :func:`check_columnar_invariants` expresses the model's conservation
   laws (the ones :class:`~repro.sim.backends.InvariantBackend` checks) as
   whole-array assertions, including SSPM occupancy as a running prefix
@@ -30,7 +32,8 @@ Pricing is array arithmetic over the columns:
 * :class:`ColumnarBuilder` / :func:`price_flush` run the same kernels on
   the *record* path: a :class:`~repro.sim.core.Core` appends one row per
   narration call (no per-op object) and flushes batches through the
-  pricing helpers against its live cache hierarchy — op streams are born
+  pricing helpers against its own long-lived
+  :class:`~repro.sim.hierarchy.MemoryHierarchy` — op streams are born
   columnar and :func:`concat_columnar` stitches the flushed batches back
   into one stream for the recorder.
 
@@ -51,7 +54,8 @@ because nothing about the arithmetic is reordered where order could matter:
   latencies are integers (``CacheConfig.latency`` / ``dram_latency``;
   the configs reject anything else), so every per-line latency is an
   integer-valued float64;
-* the stateful cache walk itself drives the model's
+* the stateful cache walk itself,
+  :meth:`~repro.sim.hierarchy.MemoryHierarchy.walk`, drives the model's
   :class:`~repro.sim.cache.Cache` objects in recorded op order — only the
   *attribution* of its outcomes is vectorized.
 
@@ -71,7 +75,7 @@ int64 indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -90,10 +94,10 @@ import numpy.typing as npt
 
 from repro.errors import InvariantError, RecordingError, SimulationError
 from repro.sim import calibration as cal
-from repro.sim.cache import Cache, compress_lines, stream_lines
+from repro.sim.cache import compress_lines, stream_lines
 from repro.sim.config import MachineConfig
-from repro.sim.dram import DRAMModel
-from repro.sim.stats import OpCounters
+from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.stats import OpCounters, PricedState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.core import Array, Core
@@ -109,7 +113,6 @@ __all__ = [
     "VECTOR_OP_KINDS",
     "ColumnarBuilder",
     "ColumnarOps",
-    "ColumnarPriced",
     "FlushBatch",
     "OpKind",
     "Operand",
@@ -117,7 +120,6 @@ __all__ = [
     "columnar_via_totals",
     "concat_columnar",
     "decode_row",
-    "machine_latency_table",
     "price_columnar",
     "price_flush",
     "stream_uop_count",
@@ -548,41 +550,6 @@ def columnar_via_totals(
 # ---------------------------------------------------------------------------
 # Cross-machine memory pricing
 # ---------------------------------------------------------------------------
-def machine_latency_table(machine: MachineConfig) -> _FloatArray:
-    """Cumulative hit latency per service level (L1, L2, L3, DRAM).
-
-    Indexed by the level an access was served at; ``np.take`` over this
-    table prices a whole trace of classified accesses at once.
-    """
-    m = machine
-    return np.asarray(
-        [
-            float(m.l1.latency),
-            float(m.l1.latency + m.l2.latency),
-            float(m.l1.latency + m.l2.latency + m.l3.latency),
-            float(m.l1.latency + m.l2.latency + m.l3.latency + m.dram_latency),
-        ],
-        dtype=np.float64,
-    )
-
-
-@dataclass
-class ColumnarPriced:
-    """Output of :func:`price_columnar`: the machine-dependent pricing state.
-
-    The exact shape :func:`repro.sim.core.build_result` consumes — the VIA
-    side (:func:`columnar_via_totals`) is added on top by the replay
-    driver (VIA ops never touch the memory hierarchy, so the split is
-    exact).
-    """
-
-    counters: OpCounters = field(default_factory=OpCounters)
-    dram_occupancy_cycles: float = 0.0
-    dram_traffic_bytes: int = 0
-    dram_lines: int = 0
-    cache_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-
 def _alloc_tables(
     cols: ColumnarOps,
 ) -> Tuple[_IntArray, _IntArray, _IntArray, _IntArray]:
@@ -731,21 +698,19 @@ def _price_memory_rows(
     row_base: _IntArray,
     row_eb: _IntArray,
     row_nbytes: _IntArray,
-    machine: MachineConfig,
-    l1: Cache,
-    l2: Cache,
-    l3: Cache,
-    dram: DRAMModel,
+    memory: MemoryHierarchy,
     counters: OpCounters,
 ) -> None:
-    """Walk a stream's memory rows through live caches, attribute the costs.
+    """Walk a stream's memory rows through a live hierarchy, attribute the
+    costs.
 
     The only sequential work in the engine — LRU state makes the per-line
-    hit/miss classification order-dependent, so the walk drives the passed
-    :class:`~repro.sim.cache.Cache` / :class:`~repro.sim.dram.DRAMModel`
-    objects in recorded op order.  Everything around it is whole-array:
-    latency by ``np.take`` over the machine's table, per-op latency sums by
-    ``np.bincount`` segments, hit counters by level masks.
+    hit/miss classification order-dependent, so
+    :meth:`~repro.sim.hierarchy.MemoryHierarchy.walk` drives the
+    hierarchy's caches in recorded op order.  Everything around it is
+    whole-array: latency by ``np.take`` over the hierarchy's level
+    latencies, per-op latency sums by ``np.bincount`` segments, hit
+    counters by level masks.
 
     ``row_base`` / ``row_eb`` / ``row_nbytes`` carry the governing
     allocation per memory row (cross-machine replay derives them from the
@@ -754,45 +719,17 @@ def _price_memory_rows(
     so flush batches compose against a long-lived hierarchy.
     """
     kinds = cols.kinds
-
-    def walk_line(line: int, write: bool) -> int:
-        """One demand access; returns the service level (0=L1 .. 3=DRAM).
-
-        Replicates :meth:`repro.sim.hierarchy.MemoryHierarchy.access_line`
-        call for call — including mid-miss dirty-victim write-backs, which
-        perturb lower-level LRU state and therefore must stay in sequence.
-        """
-        hit, victim = l1.access_line(line, write)
-        if victim is not None:
-            _h, v2 = l2.access_line(victim, True)
-            if v2 is not None:
-                _h, v3 = l3.access_line(v2, True)
-                if v3 is not None:
-                    dram.write_line()
-        if hit:
-            return 0
-        hit, victim = l2.access_line(line, False)
-        if victim is not None:
-            _h, v3 = l3.access_line(victim, True)
-            if v3 is not None:
-                dram.write_line()
-        if hit:
-            return 1
-        hit, victim = l3.access_line(line, False)
-        if victim is not None:
-            dram.write_line()
-        if hit:
-            return 2
-        dram.read_line()
-        return 3
-
+    machine = memory.machine
+    walk = memory.walk
+    latency = memory.level_latency
     line_bytes = machine.l1.line_bytes
-    levels_per_op: List[npt.NDArray[np.int8]] = []
+    walked: List[int] = []
     nlines = np.zeros(mem_rows.size, dtype=np.int64)
     dependent = np.zeros(mem_rows.size, dtype=bool)
     stream_extra_latency = np.zeros(mem_rows.size, dtype=np.float64)
     stream_uops_total = 0
-    bulk_extra_lines = {"l1": 0, "l2": 0, "l3": 0, "dram": 0}
+    # repeat-pass lines of bulk streams, by the level that serves them
+    bulk_lines = [0, 0, 0, 0]
     l1_cap = machine.l1.size_kb * 1024
     l2_cap = machine.l2.size_kb * 1024
     l3_cap = machine.l3.size_kb * 1024
@@ -817,26 +754,19 @@ def _price_memory_rows(
             extra = int(cols.count[row]) - 1
             if extra > 0:
                 blines = -(-nb // _LINE)
+                # served by the smallest cache that holds the whole array
                 if nb <= l1_cap:
-                    level_latency, level = 0.0, "l1"
+                    level = 0
                 elif nb <= l2_cap:
-                    level_latency, level = float(machine.l2.latency), "l2"
+                    level = 1
                 elif nb <= l3_cap:
-                    level_latency, level = (
-                        float(machine.l2.latency + machine.l3.latency),
-                        "l3",
-                    )
+                    level = 2
                 else:
-                    level_latency, level = (
-                        float(
-                            machine.l2.latency
-                            + machine.l3.latency
-                            + machine.dram_latency
-                        ),
-                        "dram",
-                    )
-                bulk_extra_lines[level] += extra * blines
-                stream_extra_latency[j] = extra * blines * level_latency
+                    level = 3
+                bulk_lines[level] += extra * blines
+                stream_extra_latency[j] = (
+                    extra * blines * (latency[level] - latency[0])
+                )
                 stream_uops_total += stream_uop_count(
                     machine, num_elems * extra, eb
                 )
@@ -853,24 +783,14 @@ def _price_memory_rows(
             dependent[j] = k in (_GATHER, _SCATTER, _LOAD_WINDOWS) or (
                 k in (_SCALAR_LOAD, _SCALAR_STORE) and bool(cols.aux[row])
             )
-        lv = np.fromiter(
-            (walk_line(line, write) for line in lines.tolist()),
-            dtype=np.int8,
-            count=lines.size,
-        )
-        levels_per_op.append(lv)
+        walked += walk(lines.tolist(), write)
         nlines[j] = lines.size
 
-    levels = (
-        np.concatenate(levels_per_op)
-        if levels_per_op
-        else np.zeros(0, dtype=np.int8)
-    )
+    levels = np.array(walked, dtype=np.int8)
     counters.vector_uops += stream_uops_total
 
     # vectorized attribution: latency-table lookup + per-op segments
-    table = machine_latency_table(machine)
-    lat = np.take(table, levels)
+    lat = np.take(latency, levels)
     seg = np.repeat(np.arange(mem_rows.size, dtype=np.int64), nlines)
     latsum = np.bincount(seg, weights=lat, minlength=mem_rows.size)
     miss = np.maximum(latsum - nlines * float(machine.l1.latency), 0.0)
@@ -883,51 +803,31 @@ def _price_memory_rows(
         counters.dependent_miss_latency = _seeded_cumsum(
             counters.dependent_miss_latency, dep_terms
         )
-    counters.mem_line_accesses += int(levels.size) + sum(bulk_extra_lines.values())
-    counters.l1_hits += int((levels == 0).sum()) + bulk_extra_lines["l1"]
-    counters.l2_hits += int((levels == 1).sum()) + bulk_extra_lines["l2"]
-    counters.l3_hits += int((levels == 2).sum()) + bulk_extra_lines["l3"]
-    counters.dram_fills += int((levels == 3).sum()) + bulk_extra_lines["dram"]
-    if bulk_extra_lines["dram"]:
-        dram.read_lines(bulk_extra_lines["dram"])
-
-
-def _cache_stats(
-    l1: Cache, l2: Cache, l3: Cache, dram: DRAMModel
-) -> Dict[str, Dict[str, object]]:
-    """Per-level statistics in the shape ``build_result`` consumes."""
-    cache_stats: Dict[str, Dict[str, object]] = {}
-    for name, cache in (("l1", l1), ("l2", l2), ("l3", l3)):
-        s = cache.stats
-        cache_stats[name] = {
-            "accesses": s.accesses,
-            "hits": s.hits,
-            "misses": s.misses,
-            "writebacks": s.writebacks,
-            "hit_rate": s.hit_rate,
-        }
-    cache_stats["dram"] = {
-        "reads": dram.stats.reads,
-        "writes": dram.stats.writes,
-        "traffic_bytes": dram.traffic_bytes,
-    }
-    return cache_stats
+    served = np.bincount(levels, minlength=4) + bulk_lines
+    counters.mem_line_accesses += int(served.sum())
+    counters.l1_hits += int(served[0])
+    counters.l2_hits += int(served[1])
+    counters.l3_hits += int(served[2])
+    counters.dram_fills += int(served[3])
+    if bulk_lines[3]:
+        memory.dram.read_lines(bulk_lines[3])
 
 
 def price_columnar(
     cols: ColumnarOps, machine: MachineConfig, *, validate: bool = False
-) -> ColumnarPriced:
+) -> PricedState:
     """Price a stream's non-VIA side on a fresh machine (cross-machine replay).
 
-    The only sequential work is the cache walk itself — LRU state makes the
-    per-line hit/miss classification order-dependent, so the walk drives
-    the model's own :class:`~repro.sim.cache.Cache` objects in recorded op
-    order (identical call sequence, identical state).  Every
-    attribution step around it is whole-array: allocation bases by
-    cumulative sum, per-access latency by ``np.take`` over the machine's
-    latency table, per-op latency sums by ``np.bincount`` segments, hit
-    counters by level masks, and the order-sensitive float counters by
-    ``np.cumsum`` in op order.
+    The result is the :class:`~repro.sim.stats.PricedState` a record run on
+    ``machine`` would have finalized with, less its VIA ops, which the
+    replay driver adds on top (VIA ops never touch the memory hierarchy, so
+    the split is exact).  The only sequential work is the cache walk of a
+    fresh :class:`~repro.sim.hierarchy.MemoryHierarchy`, in recorded op
+    order.  Every attribution step around it is whole-array: allocation
+    bases by cumulative sum, per-access latency by ``np.take`` over the
+    hierarchy's level latencies, per-op latency sums by ``np.bincount``
+    segments, hit counters by level masks, and the order-sensitive float
+    counters by ``np.cumsum`` in op order.
 
     With ``validate=True`` the stream and the finished counters are run
     through :func:`check_columnar_invariants`.
@@ -941,38 +841,19 @@ def price_columnar(
         np.isin(cols.kinds, np.asarray(_MEM_KINDS, dtype=np.uint8))
     )
     governing = _governing_alloc(cols, alloc_rows, mem_rows)
-    l1 = Cache(machine.l1)
-    l2 = Cache(machine.l2)
-    l3 = Cache(machine.l3)
-    dram = DRAMModel(
-        machine.dram_latency,
-        machine.dram_bw_bytes_per_cycle,
-        machine.l1.line_bytes,
-    )
-
+    memory = MemoryHierarchy(machine)
     _price_memory_rows(
         cols,
         mem_rows,
         bases[governing],
         a_eb[governing],
         a_nbytes[governing],
-        machine,
-        l1,
-        l2,
-        l3,
-        dram,
+        memory,
         counters,
-    )
-    priced = ColumnarPriced(
-        counters=counters,
-        dram_occupancy_cycles=dram.occupancy_cycles(),
-        dram_traffic_bytes=dram.traffic_bytes,
-        dram_lines=dram.stats.lines,
-        cache_stats=_cache_stats(l1, l2, l3, dram),
     )
     if validate:
         check_columnar_invariants(cols, counters=counters)
-    return priced
+    return memory.priced(counters)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,18 +1089,13 @@ def price_flush(batch: FlushBatch, core: "Core") -> None:
         np.isin(cols.kinds, np.asarray(_MEM_KINDS, dtype=np.uint8))
     )
     if mem_rows.size:
-        mh = core.memory
         _price_memory_rows(
             cols,
             mem_rows,
             batch.base[mem_rows],
             batch.elem_bytes[mem_rows],
             batch.nbytes[mem_rows],
-            core.machine,
-            mh.l1,
-            mh.l2,
-            mh.l3,
-            mh.dram,
+            core.memory,
             counters,
         )
     _add_via_rows(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -47,7 +47,7 @@ from repro.sim.backends import Backend, DirectBackend
 from repro.sim.columnar import APPEND, ColumnarBuilder
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.stats import CycleBreakdown, KernelResult, OpCounters
+from repro.sim.stats import CycleBreakdown, KernelResult, OpCounters, PricedState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.via.engine import ViaDevice
@@ -81,22 +81,21 @@ def build_result(
     *,
     name: str,
     machine: MachineConfig,
-    counters: OpCounters,
-    dram_occupancy_cycles: float,
-    dram_traffic_bytes: int,
-    dram_lines: int,
-    cache_stats: Dict[str, Dict[str, Any]],
+    priced: PricedState,
     via_leakage_mw: float,
     output: object = None,
 ) -> KernelResult:
-    """Combine priced counters into a :class:`KernelResult`.
+    """Combine a run's priced state into a :class:`KernelResult`.
 
     This is the single cycles/energy formula, shared by
-    :meth:`Core.finalize` and by replay (which reconstructs results from a
-    recording's stored pricing state without a live core) — keeping them on
-    one code path is what makes replayed results bit-identical.
+    :meth:`Core.finalize` (over its live hierarchy's
+    :meth:`~repro.sim.hierarchy.MemoryHierarchy.priced` snapshot) and by
+    replay (over a recording's stored or re-priced state, without a live
+    core) — keeping them on one code path is what makes replayed results
+    bit-identical.  The result holds ``priced.counters`` and
+    ``priced.cache_stats`` themselves, not copies.
     """
-    m, c = machine, counters
+    m, c = machine, priced.counters
     breakdown = CycleBreakdown(
         issue_cycles=(c.scalar_uops + c.vector_uops) / m.issue_width,
         vfu_cycles=c.vector_uops / cal.VFU_THROUGHPUT_PER_CYCLE,
@@ -104,7 +103,7 @@ def build_result(
             c.gathers * m.gather_base_latency
             + c.scatters * m.scatter_base_latency
         ),
-        dram_occupancy_cycles=dram_occupancy_cycles,
+        dram_occupancy_cycles=priced.dram_occupancy_cycles,
         sspm_cycles=c.sspm_busy_cycles,
         commit_serial_cycles=c.via_instructions * cal.COMMIT_ISSUE_OVERHEAD,
         exposed_stream_latency=c.stream_miss_latency / m.mlp_stream,
@@ -114,18 +113,18 @@ def build_result(
     )
     cycles = breakdown.total_cycles
     seconds = m.cycles_to_seconds(cycles)
-    bandwidth = dram_traffic_bytes / seconds / 1e9 if seconds else 0.0
-    energy = _energy_pj(c, dram_lines, via_leakage_mw, seconds)
+    bandwidth = priced.dram_traffic_bytes / seconds / 1e9 if seconds else 0.0
+    energy = _energy_pj(c, priced.dram_lines, via_leakage_mw, seconds)
     return KernelResult(
         name=name,
         cycles=cycles,
         seconds=seconds,
         breakdown=breakdown,
         counters=c,
-        dram_traffic_bytes=dram_traffic_bytes,
+        dram_traffic_bytes=priced.dram_traffic_bytes,
         energy_pj=energy,
         memory_bandwidth_gbs=bandwidth,
-        cache_stats=cache_stats,
+        cache_stats=priced.cache_stats,
         output=output,
     )
 
@@ -513,11 +512,7 @@ class Core:
         return build_result(
             name=name,
             machine=self.machine,
-            counters=self._counters,
-            dram_occupancy_cycles=self.memory.dram.occupancy_cycles(),
-            dram_traffic_bytes=self.memory.dram.traffic_bytes,
-            dram_lines=self.memory.dram.stats.lines,
-            cache_stats=self.memory.level_stats(),
+            priced=self.memory.priced(self._counters),
             via_leakage_mw=self.via.leakage_mw if self.via is not None else 0.0,
             output=output,
         )

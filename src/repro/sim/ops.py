@@ -4,8 +4,9 @@ Kernels narrate their execution as coarse events (streaming loads, gathers,
 vector ALU groups, VIA instructions...).  The event vocabulary is the
 op-kind table :data:`repro.sim.columnar.OP_KINDS`, and a stream is its
 columns.  This module defines the :class:`Recording` — a stream, the
-configurations it was narrated under and its priced state, nothing the
-pricing does not read — that lets the *same* stream be
+configurations it was narrated under and its priced state (a
+:class:`~repro.sim.stats.PricedState`, also importable from here),
+nothing the pricing does not read — that lets the *same* stream be
 
 * priced immediately (the direct backend),
 * captured to a compact on-disk artifact (the recorder backend), and
@@ -56,16 +57,15 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigError, InvariantError, RecordingError, ReplayMismatchError
-from repro.sim.columnar import COLUMNS, ColumnarOps, ColumnarPriced
+from repro.sim.columnar import COLUMNS, ColumnarOps
 from repro.sim.config import CacheConfig, MachineConfig
-from repro.sim.stats import OpCounters
+from repro.sim.stats import PricedState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.via.config import ViaConfig
@@ -161,44 +161,6 @@ def stream_shape_key(
 # ---------------------------------------------------------------------------
 # Recordings
 # ---------------------------------------------------------------------------
-@dataclass
-class PricedState:
-    """Priced totals captured when a recording's run finalized.
-
-    Everything :func:`repro.sim.core.build_result` needs, frozen at record
-    time.  SSPM port counts touch exactly one of these numbers
-    (``counters.sspm_busy_cycles``, recomputed per target by
-    :func:`repro.sim.columnar.columnar_via_totals`), so a same-machine
-    replay is pure arithmetic over this state — no cache re-simulation at
-    all.
-    """
-
-    counters: OpCounters
-    dram_occupancy_cycles: float
-    dram_traffic_bytes: int
-    dram_lines: int
-    cache_stats: Dict[str, Dict[str, Any]]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": self.counters.as_dict(),
-            "dram_occupancy_cycles": self.dram_occupancy_cycles,
-            "dram_traffic_bytes": self.dram_traffic_bytes,
-            "dram_lines": self.dram_lines,
-            "cache_stats": self.cache_stats,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PricedState":
-        return cls(
-            counters=OpCounters(**data["counters"]),
-            dram_occupancy_cycles=data["dram_occupancy_cycles"],
-            dram_traffic_bytes=data["dram_traffic_bytes"],
-            dram_lines=data["dram_lines"],
-            cache_stats=data["cache_stats"],
-        )
-
-
 class Recording:
     """One kernel execution captured as exactly what replay prices.
 
@@ -228,7 +190,7 @@ class Recording:
         self._columnar = columnar
         #: per-machine memoized memory passes; shared across serve executor
         #: threads, guarded by backends._MEMO_LOCK
-        self._machine_memo: Dict[MachineConfig, ColumnarPriced] = {}
+        self._machine_memo: Dict[MachineConfig, PricedState] = {}
 
     @property
     def shape_key(self) -> Dict[str, Any]:

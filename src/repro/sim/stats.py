@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 
 @dataclass
@@ -37,6 +37,46 @@ class OpCounters:
 
     def as_dict(self) -> Dict[str, float]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+@dataclass
+class PricedState:
+    """The priced totals of one run, before cycles and energy.
+
+    Everything :func:`repro.sim.core.build_result` needs besides the
+    machine: the counters, and the DRAM totals and per-level cache stats
+    that :meth:`repro.sim.hierarchy.MemoryHierarchy.priced` snapshots.  A
+    recording stores the one its record run finalized with.  SSPM port
+    counts touch exactly one of these numbers (``counters.sspm_busy_cycles``,
+    recomputed per target by :func:`repro.sim.columnar.columnar_via_totals`),
+    so a same-machine replay is pure arithmetic over this state, with no
+    cache re-simulation at all.
+    """
+
+    counters: OpCounters
+    dram_occupancy_cycles: float
+    dram_traffic_bytes: int
+    dram_lines: int
+    cache_stats: Dict[str, Dict[str, Any]]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "counters": self.counters.as_dict(),
+            "dram_occupancy_cycles": self.dram_occupancy_cycles,
+            "dram_traffic_bytes": self.dram_traffic_bytes,
+            "dram_lines": self.dram_lines,
+            "cache_stats": self.cache_stats,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "PricedState":
+        return cls(
+            counters=OpCounters(**data["counters"]),
+            dram_occupancy_cycles=data["dram_occupancy_cycles"],
+            dram_traffic_bytes=data["dram_traffic_bytes"],
+            dram_lines=data["dram_lines"],
+            cache_stats=data["cache_stats"],
+        )
 
 
 @dataclass
@@ -113,8 +153,8 @@ class SweepCounters:
     entries that failed integrity checks; ``units_corrupt`` counts the
     units those entries belonged to (recomputed, never served) and the
     units whose resume-journal record did not decode (served from the
-    cache or recomputed, never resumed).  The
-    supervised-execution counters record watchdog activity:
+    cache or recomputed, never resumed).  The supervised-execution
+    counters record watchdog activity:
     ``units_retried`` units that needed more than one attempt,
     ``units_timeout`` units whose final attempt exceeded the wall-clock
     timeout, and ``worker_deaths`` worker processes that died (or were

@@ -10,7 +10,13 @@ time, each priced against a live :class:`~repro.sim.core.Core` — and the
 differential, property and invariant suites compare production against it
 bit for bit:
 
-* :func:`apply` prices one op on a core;
+* :func:`apply` prices one op on a core; its memory side walks each line
+  through the core's caches with a reference walk of its own
+  (:func:`_walk`, one line per call, dirty victims written back through
+  helpers), independent of
+  :meth:`repro.sim.hierarchy.MemoryHierarchy.walk`, the walk production
+  runs, though both drive the same :class:`~repro.sim.cache.Cache`
+  objects;
 * :func:`via_totals` prices a stream's VIA ops under a port configuration;
 * :func:`price_flush` is a per-op stand-in for
   :func:`repro.sim.columnar.price_flush`;
@@ -34,10 +40,11 @@ from repro.errors import InvariantError, SimulationError
 from repro.sim import calibration as cal
 from repro.sim import columnar
 from repro.sim.backends import _counters_violation, check_result_invariants
+from repro.sim.cache import compress_lines, stream_lines
 from repro.sim.columnar import FlushBatch, stream_uop_count
 from repro.sim.config import MachineConfig
 from repro.sim.core import Array, Core, build_result
-from repro.sim.hierarchy import AccessResult
+from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.ops import Recording
 from repro.sim.stats import KernelResult, OpCounters
 from repro.via.config import ViaConfig
@@ -61,22 +68,86 @@ _LINE = cal.CACHE_LINE_BYTES
 
 
 # ----------------------------------------------------------------------
-# shared memory-side helpers
+# the reference walk: one line at a time through a core's caches
 # ----------------------------------------------------------------------
-def _record_mem(core: Core, res: AccessResult, *, dependent: bool) -> None:
+def _walk(memory: MemoryHierarchy, line: int, write: bool) -> int:
+    """Walk one demand access through the hierarchy; returns the fill level.
+
+    0 = L1 hit, 1 = L2 hit, 2 = L3 hit, 3 = DRAM fill.  Dirty victims
+    cascade downwards as a side effect (inclusive write-back).
+    """
+    hit, victim = memory.l1.access_line(line, write)
+    if victim is not None:
+        _writeback_to_l2(memory, victim)
+    if hit:
+        return 0
+    hit, victim = memory.l2.access_line(line, False)
+    if victim is not None:
+        _writeback_to_l3(memory, victim)
+    if hit:
+        return 1
+    hit, victim = memory.l3.access_line(line, False)
+    if victim is not None:
+        memory.dram.write_line()
+    if hit:
+        return 2
+    memory.dram.read_line()
+    return 3
+
+
+def _writeback_to_l2(memory: MemoryHierarchy, line: int) -> None:
+    _hit, victim = memory.l2.access_line(line, True)
+    if victim is not None:
+        _writeback_to_l3(memory, victim)
+
+
+def _writeback_to_l3(memory: MemoryHierarchy, line: int) -> None:
+    _hit, victim = memory.l3.access_line(line, True)
+    if victim is not None:
+        memory.dram.write_line()
+
+
+def _access_lines(
+    core: Core, lines: np.ndarray, *, write: bool, dependent: bool
+) -> None:
+    """Walk line ids in order and add their cost to the core's counters.
+
+    Latency accumulates per line as ``0.0 + lat_0 + lat_1 + ...``, a left
+    fold over each line's cumulative fill latency.
+    """
+    m = core.machine
+    level_latency = (
+        m.l1.latency,
+        m.l1.latency + m.l2.latency,
+        m.l1.latency + m.l2.latency + m.l3.latency,
+        m.l1.latency + m.l2.latency + m.l3.latency + m.dram_latency,
+    )
+    hits = [0, 0, 0, 0]
+    latency_sum = 0.0
+    for line in lines.tolist():
+        level = _walk(core.memory, line, write)
+        hits[level] += 1
+        latency_sum = latency_sum + level_latency[level]
     c = core.counters
-    c.mem_line_accesses += res.line_accesses
-    c.l1_hits += res.l1_hits
-    c.l2_hits += res.l2_hits
-    c.l3_hits += res.l3_hits
-    c.dram_fills += res.dram_fills
+    c.mem_line_accesses += int(lines.size)
+    c.l1_hits += hits[0]
+    c.l2_hits += hits[1]
+    c.l3_hits += hits[2]
+    c.dram_fills += hits[3]
     # latency beyond the (pipelined) L1 hit cost is what stalls expose
-    miss_latency = res.latency_sum - res.line_accesses * core.machine.l1.latency
-    miss_latency = max(miss_latency, 0.0)
+    miss_latency = max(latency_sum - int(lines.size) * m.l1.latency, 0.0)
     if dependent:
         c.dependent_miss_latency += miss_latency
     else:
         c.stream_miss_latency += miss_latency
+
+
+def _access_addresses(
+    core: Core, addresses: np.ndarray, *, write: bool, dependent: bool
+) -> None:
+    """Access byte addresses, LSQ-coalesced per line."""
+    lines, _counts = compress_lines(addresses, core.machine.l1.line_bytes)
+    _access_lines(core, lines, write=write, dependent=dependent)
 
 
 def _stream_uops(core: Core, count: int, elem_bytes: int) -> None:
@@ -88,8 +159,8 @@ def _price_stream(
 ) -> None:
     """Detailed-model cost of one contiguous stream access."""
     base, nbytes = array.addr_range(start, count)
-    res = core.memory.access_stream(base, nbytes, write=write)
-    _record_mem(core, res, dependent=False)
+    lines = stream_lines(base, nbytes, core.machine.l1.line_bytes)
+    _access_lines(core, lines, write=write, dependent=False)
     _stream_uops(core, count, array.elem_bytes)
 
 
@@ -162,8 +233,7 @@ def _indexed_vector(op, core: Core) -> None:
         c.gather_elements += int(op.indices.size)
     c.vector_uops += op.n_instr
     arr = core.mem[op.array]
-    res = core.memory.access_addresses(arr.addr(op.indices), write=write)
-    _record_mem(core, res, dependent=True)
+    _access_addresses(core, arr.addr(op.indices), write=write, dependent=True)
 
 
 def _serial_indexed(op, core: Core) -> None:
@@ -183,17 +253,18 @@ def _load_windows(op: LoadWindowsOp, core: Core) -> None:
     offsets = np.arange(op.width, dtype=np.int64)
     addrs = (op.starts[:, None] + offsets[None, :]).ravel() * arr.elem_bytes
     addrs += arr.base
-    res = core.memory.access_addresses(addrs, write=False)
-    _record_mem(core, res, dependent=True)
+    _access_addresses(core, addrs, write=False, dependent=True)
 
 
 def _scalar_indexed(op, core: Core) -> None:
     core.counters.scalar_uops += int(op.indices.size)
     arr = core.mem[op.array]
-    res = core.memory.access_addresses(
-        arr.addr(op.indices), write=op.kind == "scalar_store"
+    _access_addresses(
+        core,
+        arr.addr(op.indices),
+        write=op.kind == "scalar_store",
+        dependent=op.dependent,
     )
-    _record_mem(core, res, dependent=op.dependent)
 
 
 def _bulk_stream(op: BulkStreamOp, core: Core) -> None:
@@ -373,11 +444,11 @@ def replay(
         result = build_result(
             name=name,
             machine=machine,
-            counters=counters,
-            dram_occupancy_cycles=p.dram_occupancy_cycles,
-            dram_traffic_bytes=p.dram_traffic_bytes,
-            dram_lines=p.dram_lines,
-            cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
+            priced=dataclasses.replace(
+                p,
+                counters=counters,
+                cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
+            ),
             via_leakage_mw=via_leak,
         )
         return check_result_invariants(result) if validate else result
@@ -402,11 +473,7 @@ def replay(
     result = build_result(
         name=name,
         machine=machine,
-        counters=counters,
-        dram_occupancy_cycles=core.memory.dram.occupancy_cycles(),
-        dram_traffic_bytes=core.memory.dram.traffic_bytes,
-        dram_lines=core.memory.dram.stats.lines,
-        cache_stats=core.memory.level_stats(),
+        priced=core.memory.priced(counters),
         via_leakage_mw=via_leak,
     )
     return check_result_invariants(result) if validate else result

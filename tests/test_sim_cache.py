@@ -10,6 +10,7 @@ from repro.sim import (
     DRAMModel,
     MachineConfig,
     MemoryHierarchy,
+    OpCounters,
     compress_lines,
     stream_lines,
 )
@@ -125,55 +126,44 @@ class TestDRAM:
 
 
 class TestHierarchy:
+    """The hierarchy's walk, the one production pricing runs."""
+
     def setup_method(self):
         self.h = MemoryHierarchy(MachineConfig())
 
     def test_first_touch_goes_to_dram(self):
-        res = self.h.access_line(1000, write=False)
-        assert res.dram_fills == 1
-        assert res.latency_sum >= self.h.machine.dram_latency
+        assert self.h.walk([1000], write=False) == [3]
+        assert self.h.dram.stats.reads == 1
+        assert self.h.level_latency[3] >= self.h.machine.dram_latency
 
     def test_second_touch_hits_l1(self):
-        self.h.access_line(1000, write=False)
-        res = self.h.access_line(1000, write=False)
-        assert res.l1_hits == 1
-        assert res.latency_sum == self.h.machine.l1.latency
+        assert self.h.walk([1000, 1000], write=False) == [3, 0]
+        assert self.h.level_latency[0] == self.h.machine.l1.latency
 
     def test_l2_hit_after_l1_eviction(self):
         # fill L1 set with conflicting lines, first line falls to L2
         sets = self.h.l1.num_sets
         ways = self.h.l1.ways
-        for i in range(ways + 1):
-            self.h.access_line(i * sets, write=False)
-        res = self.h.access_line(0, write=False)
-        assert res.l2_hits == 1
+        self.h.walk([i * sets for i in range(ways + 1)], write=False)
+        assert self.h.walk([0], write=False) == [1]
 
     def test_dirty_eviction_reaches_dram_eventually(self):
-        sets = self.h.l1.num_sets
-        ways = self.h.l1.ways
-        self.h.access_line(0, write=True)
-        for i in range(1, ways + 1):
-            self.h.access_line(i * sets, write=False)
-        # line 0 was evicted dirty from L1 into L2
-        assert self.h.l2.stats.accesses > 0
-
-    def test_stream_access_counts_lines(self):
-        res = self.h.access_stream(0, 64 * 10)
-        assert res.line_accesses == 10
-        assert res.dram_fills == 10
-
-    def test_address_batch(self):
-        res = self.h.access_addresses(np.arange(0, 640, 8))
-        assert res.raw_accesses == 80
-        assert res.line_accesses == 10
+        # lines a multiple of the L3 set count apart share a set at every
+        # level, so the dirty line 0 is evicted from L1, then L2, then L3,
+        # and each write-back refreshes it one level down
+        sets = self.h.l3.num_sets
+        conflicting = [i * sets for i in range(1, 3 * self.h.l3.ways)]
+        self.h.walk([0], write=True)
+        self.h.walk(conflicting, write=False)
+        for cache in (self.h.l1, self.h.l2, self.h.l3):
+            assert cache.stats.writebacks == 1
+        assert self.h.dram.stats.writes == 1
 
     def test_level_stats_keys(self):
-        self.h.access_line(0, False)
-        stats = self.h.level_stats()
-        assert set(stats) == {"l1", "l2", "l3", "dram"}
-
-    def test_reset(self):
-        self.h.access_line(0, False)
-        self.h.reset()
-        assert self.h.l1.stats.accesses == 0
-        assert self.h.dram.stats.reads == 0
+        self.h.walk([0], write=False)
+        counters = OpCounters()
+        state = self.h.priced(counters)
+        assert set(state.cache_stats) == {"l1", "l2", "l3", "dram"}
+        assert state.counters is counters
+        assert state.dram_lines == 1
+        assert state.dram_traffic_bytes == self.h.dram.traffic_bytes
