@@ -376,11 +376,7 @@ def replay_recording(
     result = build_result(
         name=name,
         machine=machine,
-        priced=dataclasses.replace(
-            state,
-            counters=counters,
-            cache_stats={k: dict(v) for k, v in state.cache_stats.items()},
-        ),
+        priced=state.with_counters(counters),
         via_leakage_mw=via_leak,
     )
     return check_result_invariants(result) if validate else result

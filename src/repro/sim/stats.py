@@ -78,6 +78,17 @@ class PricedState:
             cache_stats=data["cache_stats"],
         )
 
+    def with_counters(self, counters: OpCounters) -> "PricedState":
+        """This state with ``counters`` and its own copy of the cache stats,
+        so a result built from it cannot reach this state."""
+        return PricedState(
+            counters,
+            self.dram_occupancy_cycles,
+            self.dram_traffic_bytes,
+            self.dram_lines,
+            {k: dict(v) for k, v in self.cache_stats.items()},
+        )
+
 
 @dataclass
 class CycleBreakdown:
@@ -154,11 +165,11 @@ class SweepCounters:
     units those entries belonged to (recomputed, never served) and the
     units whose resume-journal record did not decode (served from the
     cache or recomputed, never resumed).  The supervised-execution
-    counters record watchdog activity:
-    ``units_retried`` units that needed more than one attempt,
-    ``units_timeout`` units whose final attempt exceeded the wall-clock
-    timeout, and ``worker_deaths`` worker processes that died (or were
-    killed by the watchdog) and were replenished.
+    counters record watchdog activity: ``units_retried`` units that needed
+    more than one attempt, ``units_timeout`` units whose final attempt
+    exceeded the wall-clock timeout, and ``worker_deaths`` worker
+    processes that died (or were killed by the watchdog) and were
+    replenished.
 
     ``narration_flushes`` counts builder flushes through the columnar
     record path: each unit measures its own flushes wherever it runs and

@@ -444,11 +444,7 @@ def replay(
         result = build_result(
             name=name,
             machine=machine,
-            priced=dataclasses.replace(
-                p,
-                counters=counters,
-                cache_stats={k: dict(v) for k, v in p.cache_stats.items()},
-            ),
+            priced=p.with_counters(counters),
             via_leakage_mw=via_leak,
         )
         return check_result_invariants(result) if validate else result

@@ -18,6 +18,7 @@ choice, configs reject the fractional latencies the engine's exactness
 rests on, and the cross-machine memo keeps one entry per machine.
 """
 
+import copy
 import dataclasses
 import tempfile
 
@@ -294,6 +295,29 @@ class TestRoundTripAndMachines:
         assert len(recording._machine_memo) == 1
         replay_recording(recording, machine=other, via_config=VIA_16_4P)
         assert len(recording._machine_memo) == 2
+
+    def test_results_do_not_alias_the_recorded_state(self, coo, x):
+        """Both replay tiers hand out their own counters and cache stats:
+        editing a result leaves the recording's stored state and its
+        cross-machine memo as they were."""
+        target = dataclasses.replace(
+            DEFAULT_MACHINE, dram_latency=DEFAULT_MACHINE.dram_latency + 60
+        )
+        csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
+        _, recording = _record(
+            lambda backend=None: SPMV_VARIANTS["csb"][1](
+                csb, x, DEFAULT_MACHINE, VIA_16_2P, backend=backend
+            )
+        )
+        for machine in (DEFAULT_MACHINE, target):
+            want = copy.deepcopy(replay_recording(recording, machine=machine))
+            spoiled = replay_recording(recording, machine=machine)
+            spoiled.cache_stats["l1"]["hits"] += 1
+            spoiled.cache_stats["dram"] = {}
+            spoiled.counters.l1_hits += 1
+            assert_result_identical(
+                replay_recording(recording, machine=machine), want
+            )
 
 
 def _tiny_caches(l1, l2, l3):
