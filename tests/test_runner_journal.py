@@ -228,6 +228,25 @@ class TestUndecodableResumeRecord:
         assert resumed.counters.units_cached == 1
         assert resumed.counters.units_corrupt == 1
 
+    def test_rotten_record_is_journaled_and_summarized(self, tmp_path):
+        coll = small_collection(3, seed=55, max_n=128)
+        units = spmv_units(coll, formats=("csr",))
+        journal = str(tmp_path / "j.jsonl")
+        run_units(units, RunnerConfig(journal_path=journal))
+        self._damage_first_line(journal, [1, 2])
+
+        fresh = str(tmp_path / "resumed.jsonl")
+        resumed = run_units(
+            units, RunnerConfig(resume=journal, journal_path=fresh)
+        )
+        by_unit = {line["unit"]: line for line in _lines(fresh)}
+        assert by_unit[0]["status"] == "ok"
+        assert by_unit[0]["resume"] == "corrupt"
+        for i in range(1, len(units)):
+            assert by_unit[i]["status"] == "resumed"
+            assert "resume" not in by_unit[i]
+        assert "[1 corrupt unit(s)]" in resumed.counters.summary()
+
 
 class TestCorruptCacheTelemetry:
     def test_corrupt_entry_is_journaled_and_counted(self, tmp_path):
