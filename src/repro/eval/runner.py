@@ -22,7 +22,8 @@ turns a list of :class:`~repro.eval.units.WorkUnit` into
   failed (or never ran) are recomputed — bit-identically, because the
   journal stores each completed unit's full record;
 * **telemetry** — the journal records per-unit wall time, cycles, cache
-  status (including ``corrupt``), worker id and retry history, and
+  status (including ``corrupt``), worker id and retry history, marks a
+  unit whose resume record did not decode with ``"resume": "corrupt"``, and
   aggregate :class:`repro.sim.stats.SweepCounters` summarize the run; a
   unit that raises becomes a recorded :class:`UnitFailure` instead of
   killing the sweep (when ``capture_errors`` is on).
@@ -54,7 +55,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import repro
 from repro.errors import SweepError, SweepInterrupted
@@ -336,6 +337,8 @@ class _SweepState:
         self.slots: List[Optional[Tuple[str, object]]] = [None] * len(units)
         self.keys: List[Optional[str]] = [None] * len(units)
         self.cache_status: List[str] = ["off"] * len(units)
+        # units whose resume-journal record did not decode
+        self.rotten_resume: Set[int] = set()
 
     def finish(self, outcome: UnitOutcome) -> None:
         """Score one unit's final outcome: counters, cache, journal."""
@@ -353,6 +356,8 @@ class _SweepState:
         }
         if self.keys[i] is not None:
             entry["key"] = self.keys[i]
+        if i in self.rotten_resume:
+            entry["resume"] = "corrupt"
         if outcome.attempts > 1 or outcome.history:
             entry["attempts"] = outcome.attempts
             entry["retry_history"] = list(outcome.history)
@@ -535,7 +540,6 @@ def run_units(
                     state.keys[i] = unit_cache_key(unit, version)
                 if cache is not None:
                     state.cache_status[i] = "miss"
-                rotten_resume = False
                 if state.keys[i] is not None and state.keys[i] in resume_map:
                     payload = resume_map[state.keys[i]].get("record")
                     try:
@@ -547,7 +551,7 @@ def run_units(
                     except (KeyError, TypeError, ValueError):
                         # journal lines are unsigned: a record that does not
                         # decode falls through to the cache, or recomputes
-                        rotten_resume = True
+                        state.rotten_resume.add(i)
                         counters.units_corrupt += 1
                     else:
                         state.cache_status[i] = "resume"
@@ -574,7 +578,7 @@ def run_units(
                     counters.cache_misses += 1
                     if cache_status == "corrupt":
                         counters.cache_corrupt += 1
-                        if not rotten_resume:
+                        if i not in state.rotten_resume:
                             counters.units_corrupt += 1
                         state.cache_status[i] = "corrupt"
                     pending.append((i, unit))

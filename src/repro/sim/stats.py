@@ -216,6 +216,7 @@ class SweepCounters:
             + (f"[{self.units_retried} retried] " if self.units_retried else "")
             + (f"[{self.units_timeout} timed out] " if self.units_timeout else "")
             + (f"[{self.worker_deaths} worker death(s)] " if self.worker_deaths else "")
+            + (f"[{self.units_corrupt} corrupt unit(s)] " if self.units_corrupt else "")
             + f"(cache {self.cache_hits} hit / {self.cache_misses} miss"
             + (f" / {self.cache_corrupt} corrupt" if self.cache_corrupt else "")
             + f") in {self.wall_seconds:.2f}s with {self.workers} worker(s)"
