@@ -279,7 +279,6 @@ class Job:
     finished_at: Optional[float] = None
     result: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, Any]] = None
-    cancel_requested: bool = False
     #: set when a timed-out job's worker was SIGKILLed and its pool slot
     #: respawned: the attempt was reclaimed, not left running
     abandoned: bool = False

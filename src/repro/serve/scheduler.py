@@ -440,7 +440,6 @@ class Scheduler:
         job = self.get(job_id)
         if job.terminal:
             return job
-        job.cancel_requested = True
         if job.state == JobState.PENDING:
             self._queue = [entry for entry in self._queue if entry[3] is not job]
             self._m_depth.set(len(self._queue))
