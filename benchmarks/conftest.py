@@ -3,7 +3,8 @@
 Scaling knobs (environment variables):
 
 * ``REPRO_BENCH_MATRICES`` — matrices in the evaluation collection
-  (default 24; the paper uses 1,024).
+  (default 24; the paper uses 1,024); the SpMM collection takes half as
+  many, and at least 6.
 * ``REPRO_BENCH_MAXN`` — largest matrix dimension (default 2048; the paper
   caps at 20,000).
 * ``REPRO_FULL_COLLECTION=1`` — use the full 1,024-matrix paper-envelope
@@ -20,8 +21,10 @@ Sweep-runner knobs (see :mod:`repro.eval.runner`):
 * ``REPRO_SWEEP_JOURNAL`` — JSONL run journal (default
   ``benchmarks/results/sweep_journal.jsonl``, truncated per session).
 
-Every artifact module writes its rendered table/figure into
-``benchmarks/results/`` so EXPERIMENTS.md can quote the regenerated data.
+Each artifact module runs its artifact's one definition in
+:mod:`repro.eval.experiments`, which the report CLI also runs, writes the
+text into ``benchmarks/results/`` for EXPERIMENTS.md to quote, and checks
+its values.
 """
 
 from __future__ import annotations
@@ -31,20 +34,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval import RunnerConfig
+from repro.eval import RunnerConfig, experiments
 from repro.matrices import MatrixCollection, paper_collection
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SWEEP_CACHE_DIR = Path(__file__).parent / ".sweep-cache"
 SWEEP_JOURNAL = RESULTS_DIR / "sweep_journal.jsonl"
-
-
-def bench_collection() -> MatrixCollection:
-    if os.environ.get("REPRO_FULL_COLLECTION") == "1":
-        return paper_collection()
-    count = int(os.environ.get("REPRO_BENCH_MATRICES", "24"))
-    max_n = int(os.environ.get("REPRO_BENCH_MAXN", "2048"))
-    return MatrixCollection(count, seed=2021, min_n=192, max_n=max_n)
 
 
 def bench_runner() -> RunnerConfig:
@@ -58,8 +53,16 @@ def bench_runner() -> RunnerConfig:
 
 
 @pytest.fixture(scope="session")
-def collection() -> MatrixCollection:
-    return bench_collection()
+def matrices() -> int:
+    return int(os.environ.get("REPRO_BENCH_MATRICES", experiments.MATRICES))
+
+
+@pytest.fixture(scope="session")
+def collection(matrices) -> MatrixCollection:
+    if os.environ.get("REPRO_FULL_COLLECTION") == "1":
+        return paper_collection()
+    max_n = int(os.environ.get("REPRO_BENCH_MAXN", experiments.MAX_N))
+    return experiments.collection(matrices, max_n=max_n)
 
 
 @pytest.fixture(scope="session")

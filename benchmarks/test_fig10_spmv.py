@@ -11,40 +11,19 @@ import numpy as np
 import pytest
 from conftest import save_artifact
 
-from repro.eval import (
-    aggregate_ratio,
-    categorize,
-    render_categories,
-    render_ratio_line,
-    sweep_spmv,
-)
+from repro.eval import aggregate_ratio, categorize, experiments
 
 
 pytestmark = pytest.mark.figure
 
 
-@pytest.fixture(scope="module")
-def spmv_records(collection, runner):
-    return sweep_spmv(collection, runner=runner)
-
-
-def test_fig10_artifact(spmv_records, benchmark, results_dir):
+def test_fig10_artifact(collection, runner, benchmark, results_dir):
+    fig = benchmark.pedantic(
+        experiments.fig10, args=(collection, runner), rounds=1, iterations=1
+    )
+    save_artifact(results_dir, fig.name, fig.text)
+    spmv_records = fig.data
     cats = categorize(spmv_records)
-
-    def render():
-        text = render_categories(
-            "Figure 10 — SpMV speedup by CSB block-density category",
-            cats,
-            metric_label="nnz/block",
-        )
-        energy = aggregate_ratio(spmv_records, "energy_ratio", "csb")
-        bandwidth = aggregate_ratio(spmv_records, "bandwidth_ratio", "csb")
-        text += "\n" + render_ratio_line("CSB energy reduction", energy, 3.8)
-        text += "\n" + render_ratio_line("CSB bandwidth increase", bandwidth, 2.5)
-        return text
-
-    text = benchmark(render)
-    save_artifact(results_dir, "fig10_spmv", text)
 
     overall = cats.overall
     # CSB wins biggest (paper: 4.22x average)

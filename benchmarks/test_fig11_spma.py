@@ -7,29 +7,18 @@ CSR merge, with the categories sorted by non-zero elements per row.
 import pytest
 from conftest import save_artifact
 
-from repro.eval import categorize, render_categories, sweep_spma
+from repro.eval import categorize, experiments
 
 
 pytestmark = pytest.mark.figure
 
 
-@pytest.fixture(scope="module")
-def spma_records(collection, runner):
-    return sweep_spma(collection, runner=runner)
-
-
-def test_fig11_artifact(spma_records, benchmark, results_dir):
-    cats = categorize(spma_records)
-
-    def render():
-        return render_categories(
-            "Figure 11 — SpMA speedup by nnz-per-row category",
-            cats,
-            metric_label="nnz/row",
-        ) + "\n(paper average: 6.14x)"
-
-    text = benchmark(render)
-    save_artifact(results_dir, "fig11_spma", text)
+def test_fig11_artifact(collection, runner, benchmark, results_dir):
+    fig = benchmark.pedantic(
+        experiments.fig11, args=(collection, runner), rounds=1, iterations=1
+    )
+    save_artifact(results_dir, fig.name, fig.text)
+    cats = categorize(fig.data)
 
     avg = cats.overall["csr"]
     assert 2.5 < avg < 10.0  # paper: 6.14x — VIA wins by a large factor

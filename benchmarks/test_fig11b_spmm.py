@@ -4,38 +4,21 @@ Paper reference: VIA-SpMM averages 6.00x over the inner-product CSRxCSC
 implementation with software index matching (Algorithm 3).
 """
 
-import os
-
 import pytest
 from conftest import save_artifact
 
-from repro.eval import categorize, render_categories, sweep_spmm
-from repro.matrices import MatrixCollection
+from repro.eval import categorize, experiments
 
 
 pytestmark = pytest.mark.figure
 
 
-@pytest.fixture(scope="module")
-def spmm_records(runner):
-    # smaller, denser matrices: the golden dense product is cubic
-    count = int(os.environ.get("REPRO_BENCH_MATRICES", "24")) // 2
-    coll = MatrixCollection(max(count, 6), seed=77, min_n=192, max_n=768)
-    return sweep_spmm(coll, max_n=1024, runner=runner)
-
-
-def test_fig11b_artifact(spmm_records, benchmark, results_dir):
-    cats = categorize(spmm_records)
-
-    def render():
-        return render_categories(
-            "SpMM speedup by nnz-per-row category (paper avg: 6.00x)",
-            cats,
-            metric_label="nnz/row",
-        )
-
-    text = benchmark(render)
-    save_artifact(results_dir, "fig11b_spmm", text)
+def test_fig11b_artifact(matrices, runner, benchmark, results_dir):
+    fig = benchmark.pedantic(
+        experiments.fig11b, args=(matrices, runner), rounds=1, iterations=1
+    )
+    save_artifact(results_dir, fig.name, fig.text)
+    cats = categorize(fig.data)
 
     avg = cats.overall["csr"]
     assert 3.0 < avg < 12.0  # paper: 6.00x

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from conftest import save_artifact
 
-from repro.eval import geomean, render_table
+from repro.eval import experiments, geomean
+from repro.eval.experiments import HISTOGRAM_BINS, histogram_key_streams
 from repro.kernels import (
     histogram_scalar_baseline,
     histogram_vector_baseline,
@@ -20,62 +21,11 @@ from repro.kernels import (
 
 pytestmark = pytest.mark.figure
 
-NUM_BINS = 1024
-NUM_KEYS = 32_768
 
-
-def key_streams():
-    rng = np.random.default_rng(42)
-    uniform = rng.integers(0, NUM_BINS, size=NUM_KEYS)
-    gaussian = np.clip(
-        (rng.normal(NUM_BINS / 2, NUM_BINS / 8, NUM_KEYS)).astype(np.int64),
-        0,
-        NUM_BINS - 1,
-    )
-    zipf = np.minimum(
-        (NUM_BINS * rng.random(NUM_KEYS) ** 3).astype(np.int64), NUM_BINS - 1
-    )
-    return {"uniform": uniform, "gaussian": gaussian, "zipf": zipf}
-
-
-@pytest.fixture(scope="module")
-def histogram_results():
-    out = {}
-    for name, keys in key_streams().items():
-        scalar = histogram_scalar_baseline(keys, NUM_BINS)
-        vector = histogram_vector_baseline(keys, NUM_BINS)
-        via = histogram_via(keys, NUM_BINS, functional=False)
-        out[name] = (scalar, vector, via)
-    return out
-
-
-def test_fig12a_artifact(histogram_results, benchmark, results_dir):
-    def render():
-        rows = []
-        for name, (s, v, via) in histogram_results.items():
-            rows.append(
-                [
-                    name,
-                    f"{s.cycles / via.cycles:.2f}x",
-                    f"{v.cycles / via.cycles:.2f}x",
-                ]
-            )
-        s_avg = geomean(
-            s.cycles / via.cycles for s, v, via in histogram_results.values()
-        )
-        v_avg = geomean(
-            v.cycles / via.cycles for s, v, via in histogram_results.values()
-        )
-        rows.append(["geomean", f"{s_avg:.2f}x", f"{v_avg:.2f}x"])
-        return render_table(
-            "Figure 12a — histogram speedup of VIA "
-            "(paper: 5.49x scalar, 4.51x vector)",
-            ["keys", "vs scalar", "vs vector"],
-            rows,
-        )
-
-    text = benchmark(render)
-    save_artifact(results_dir, "fig12a_histogram", text)
+def test_fig12a_artifact(benchmark, results_dir):
+    fig = benchmark.pedantic(experiments.fig12a, rounds=1, iterations=1)
+    save_artifact(results_dir, fig.name, fig.text)
+    histogram_results = fig.data
 
     s_avg = geomean(s.cycles / via.cycles for s, v, via in histogram_results.values())
     v_avg = geomean(v.cycles / via.cycles for s, v, via in histogram_results.values())
@@ -86,21 +36,21 @@ def test_fig12a_artifact(histogram_results, benchmark, results_dir):
         assert s.cycles >= v.cycles * 0.9, name
         assert via.cycles < v.cycles, name
     # outputs stay correct
-    for name, keys in key_streams().items():
+    for name, keys in histogram_key_streams().items():
         _s, _v, via = histogram_results[name]
         np.testing.assert_array_equal(
-            via.output, reference.histogram(keys, NUM_BINS)
+            via.output, reference.histogram(keys, HISTOGRAM_BINS)
         )
 
 
 def test_fig12a_trio_benchmark(benchmark):
-    keys = key_streams()["uniform"][:8192]
+    keys = histogram_key_streams()["uniform"][:8192]
 
     def trio():
         return (
-            histogram_scalar_baseline(keys, NUM_BINS).cycles,
-            histogram_vector_baseline(keys, NUM_BINS).cycles,
-            histogram_via(keys, NUM_BINS, functional=False).cycles,
+            histogram_scalar_baseline(keys, HISTOGRAM_BINS).cycles,
+            histogram_vector_baseline(keys, HISTOGRAM_BINS).cycles,
+            histogram_via(keys, HISTOGRAM_BINS, functional=False).cycles,
         )
 
     s, v, via = benchmark.pedantic(trio, rounds=1, iterations=1)

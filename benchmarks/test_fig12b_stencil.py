@@ -8,47 +8,16 @@ import numpy as np
 import pytest
 from conftest import save_artifact
 
-from repro.eval import geomean, render_table
+from repro.eval import experiments, geomean
 from repro.kernels import reference, stencil_vector_baseline, stencil_via
 
 pytestmark = pytest.mark.figure
 
-SIZES = (128, 256, 512)
 
-
-@pytest.fixture(scope="module")
-def stencil_results():
-    rng = np.random.default_rng(3)
-    out = {}
-    for size in SIZES:
-        image = rng.standard_normal((size, size))
-        base = stencil_vector_baseline(image)
-        via = stencil_via(image, functional=False)
-        out[size] = (base, via)
-    return out
-
-
-def test_fig12b_artifact(stencil_results, benchmark, results_dir):
-    def render():
-        rows = [
-            [
-                f"{size}px",
-                f"{b.cycles:,.0f}",
-                f"{v.cycles:,.0f}",
-                f"{b.cycles / v.cycles:.2f}x",
-            ]
-            for size, (b, v) in stencil_results.items()
-        ]
-        avg = geomean(b.cycles / v.cycles for b, v in stencil_results.values())
-        rows.append(["geomean", "", "", f"{avg:.2f}x"])
-        return render_table(
-            "Figure 12b — 4x4 Gaussian filter speedup (paper avg: 3.39x)",
-            ["image", "baseline cycles", "VIA cycles", "speedup"],
-            rows,
-        )
-
-    text = benchmark(render)
-    save_artifact(results_dir, "fig12b_stencil", text)
+def test_fig12b_artifact(benchmark, results_dir):
+    fig = benchmark.pedantic(experiments.fig12b, rounds=1, iterations=1)
+    save_artifact(results_dir, fig.name, fig.text)
+    stencil_results = fig.data
 
     avg = geomean(b.cycles / v.cycles for b, v in stencil_results.values())
     assert 2.0 < avg < 6.0  # paper: 3.39x

@@ -11,31 +11,19 @@ shape.
 import pytest
 from conftest import save_artifact
 
-from repro.eval import render_dse, run_dse
-from repro.matrices import MatrixCollection, dse_collection
-
-
-def spmm_dse_collection() -> MatrixCollection:
-    """Smaller but denser matrices: SpMM's golden product is cubic."""
-    return MatrixCollection(6, seed=99, min_n=256, max_n=768)
+from repro.eval import experiments
+from repro.matrices import MatrixCollection
 
 
 pytestmark = pytest.mark.figure
 
 
-@pytest.fixture(scope="module")
-def dse_result(runner):
-    return run_dse(
-        dse_collection(),
-        spmm_collection=spmm_dse_collection(),
-        spmm_max_n=1024,
-        runner=runner,
+def test_fig9_artifact(runner, benchmark, results_dir):
+    fig = benchmark.pedantic(
+        experiments.fig9, kwargs={"runner": runner}, rounds=1, iterations=1
     )
-
-
-def test_fig9_artifact(dse_result, benchmark, results_dir):
-    text = benchmark(lambda: render_dse(dse_result))
-    save_artifact(results_dir, "fig9_dse", text)
+    save_artifact(results_dir, fig.name, fig.text)
+    dse_result = fig.data
 
     # best configuration overall is 16_4p (paper Section VI-A)
     for kernel in ("spmv", "spma"):

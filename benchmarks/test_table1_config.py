@@ -6,37 +6,12 @@ the VIA configuration rows of the design space).
 
 from conftest import save_artifact
 
-from repro.eval import render_table
-from repro.sim import table1
-from repro.via import all_configs
-
-
-def render_via_rows() -> str:
-    rows = [
-        (
-            cfg.name,
-            f"{cfg.sram_kb} KB",
-            f"{cfg.cam_kb} KB",
-            cfg.ports,
-            cfg.sram_entries,
-            cfg.cam_entries,
-            cfg.csb_block_size,
-        )
-        for cfg in all_configs()
-    ]
-    return render_table(
-        "Table I (VIA rows) — SSPM configurations",
-        ["config", "SRAM", "CAM", "ports", "entries", "cam entries", "CSB beta"],
-        rows,
-    )
+from repro.eval import experiments
 
 
 def test_table1_artifact(benchmark, results_dir):
-    def build():
-        return table1() + "\n\n" + render_via_rows()
-
-    text = benchmark(build)
-    save_artifact(results_dir, "table1_config", text)
-    assert "Table I" in text
-    assert "16_2p" in text
-    assert "DRAM" in text
+    table = benchmark(experiments.table1)
+    save_artifact(results_dir, table.name, table.text)
+    assert "Table I" in table.text
+    assert "16_2p" in table.text
+    assert "DRAM" in table.text

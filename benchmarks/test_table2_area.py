@@ -8,19 +8,19 @@ the chip-level overhead claims (~5 % / ~3 % of a Haswell core for the
 import pytest
 from conftest import save_artifact
 
+from repro.eval import experiments
 from repro.via import (
     PUBLISHED_SYNTHESIS,
     ViaConfig,
     area_mm2,
     core_area_overhead,
     leakage_mw,
-    table2,
 )
 
 
 def test_table2_artifact(benchmark, results_dir):
-    text = benchmark(table2)
-    save_artifact(results_dir, "table2_area", text)
+    table = benchmark(experiments.table2)
+    save_artifact(results_dir, table.name, table.text)
     for (kb, ports), (area, leak) in PUBLISHED_SYNTHESIS.items():
         cfg = ViaConfig(kb, ports)
         assert area_mm2(cfg) == pytest.approx(area)
