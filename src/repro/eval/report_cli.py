@@ -8,10 +8,10 @@ Usage::
     python -m repro.eval.report_cli --dse-timing   # record/replay speedup
 
 The report prints the same artifacts as ``pytest benchmarks/``: both run
-the one definition of each in :mod:`repro.eval.experiments`, so at the
-default scale (24 matrices, seed 2021, n up to 2,048) every section's
-body equals its checked-in ``benchmarks/results/`` file.  Use this to
-get the artifacts without the benchmarking machinery.
+the one definition of each in :mod:`repro.eval.experiments` at the same
+default scale, so every section's body equals its checked-in
+``benchmarks/results/`` file.  Use this to get the artifacts without the
+benchmarking machinery.
 
 Naming note: this module *renders and runs* the full report; the
 text-table renderers live in :mod:`repro.eval.reporting`.
