@@ -62,7 +62,7 @@ def collection(matrices) -> MatrixCollection:
     if os.environ.get("REPRO_FULL_COLLECTION") == "1":
         return paper_collection()
     max_n = int(os.environ.get("REPRO_BENCH_MAXN", experiments.MAX_N))
-    return experiments.collection(matrices, max_n=max_n)
+    return experiments.evaluation_collection(matrices, max_n=max_n)
 
 
 @pytest.fixture(scope="session")

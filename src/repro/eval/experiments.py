@@ -62,10 +62,10 @@ class Artifact:
     data: Any = None
 
 
-def collection(
+def evaluation_collection(
     matrices: int = MATRICES, *, max_n: int = MAX_N, seed: int = SEED
 ) -> MatrixCollection:
-    """The evaluation collection Figures 10 and 11 sweep."""
+    """The collection Figures 10 and 11 sweep."""
     return MatrixCollection(matrices, seed=seed, min_n=192, max_n=max_n)
 
 
@@ -113,11 +113,11 @@ def fig9(runner: Optional[RunnerConfig] = None) -> Artifact:
 
 
 def fig10(
-    matrices: MatrixCollection, runner: Optional[RunnerConfig] = None
+    collection: MatrixCollection, runner: Optional[RunnerConfig] = None
 ) -> Artifact:
     """Figure 10 and its Section VII-A prose claims; ``data`` is the
     SpMV sweep records."""
-    records = sweep_spmv(matrices, runner=runner)
+    records = sweep_spmv(collection, runner=runner)
     text = render_categories(
         "Figure 10 — SpMV speedup by CSB block-density category",
         categorize(records),
@@ -131,10 +131,10 @@ def fig10(
 
 
 def fig11(
-    matrices: MatrixCollection, runner: Optional[RunnerConfig] = None
+    collection: MatrixCollection, runner: Optional[RunnerConfig] = None
 ) -> Artifact:
     """Figure 11; ``data`` is the SpMA sweep records."""
-    records = sweep_spma(matrices, runner=runner)
+    records = sweep_spma(collection, runner=runner)
     text = render_categories(
         "Figure 11 — SpMA speedup by nnz-per-row category",
         categorize(records),
@@ -242,11 +242,11 @@ def evaluation(
     include_dse: bool = True,
 ) -> Iterator[Artifact]:
     """Run every artifact in report order, yielding each as it finishes."""
-    sweep = collection(matrices, max_n=max_n, seed=seed)
+    collection = evaluation_collection(matrices, max_n=max_n, seed=seed)
     yield table1()
     yield table2()
-    yield fig10(sweep)
-    yield fig11(sweep)
+    yield fig10(collection)
+    yield fig11(collection)
     yield fig11b(matrices)
     yield fig12a()
     yield fig12b()
