@@ -1,5 +1,7 @@
 """Tests for the Table II area/leakage model and VIA energy helpers."""
 
+import re
+
 import pytest
 
 from repro.via import (
@@ -64,6 +66,12 @@ class TestModelShape:
         text = table2()
         for cfg in all_configs():
             assert cfg.name in text
+
+    def test_table2_header_columns_are_separate(self):
+        header = table2().splitlines()[2]
+        assert re.split(r"\s{2,}", header.strip()) == [
+            "Config", "Area (mm^2)", "Leakage (mW)", "Core ovh", "Chip ovh",
+        ]
 
     def test_dse_configs_are_the_four_from_fig9(self):
         names = {c.name for c in dse_configs()}
