@@ -90,13 +90,13 @@ def table2(configs=None) -> str:
     configs = list(configs) if configs is not None else all_configs()
     lines = [
         "Table II — SSPM synthesis results (22 nm, 2 GHz)",
-        "-" * 56,
+        "-" * 58,
         f"{'Config':<10}{'Area (mm^2)':>14}{'Leakage (mW)':>14}"
-        f"{'Core ovh':>10}{'Chip ovh':>8}",
+        f"{'Core ovh':>10}{'Chip ovh':>10}",
     ]
     for cfg in sorted(configs, key=lambda c: (-c.sram_kb, -c.ports)):
         lines.append(
             f"{cfg.name:<10}{area_mm2(cfg):>14.3f}{leakage_mw(cfg):>14.2f}"
-            f"{core_area_overhead(cfg):>10.1%}{chip_area_overhead(cfg):>8.1%}"
+            f"{core_area_overhead(cfg):>10.1%}{chip_area_overhead(cfg):>10.1%}"
         )
     return "\n".join(lines)
