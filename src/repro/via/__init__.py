@@ -9,8 +9,10 @@
   SSPM/FIVU into the simulated out-of-order core (commit-time execution,
   Section IV-E);
 * :mod:`repro.via.area` — Table II area/leakage model (RTL-synthesis
-  substitute);
-* :mod:`repro.via.energy` — geometry-aware dynamic-energy helpers.
+  substitute).
+
+Cycles and energy come from the core (:func:`repro.sim.core.build_result`),
+which prices the FIVU profile each executed instruction reports.
 """
 
 from repro.via.area import (
@@ -44,10 +46,9 @@ from repro.via.assembler import (
     execute_program,
 )
 from repro.via.engine import ViaDevice
-from repro.via.energy import ViaEnergyBreakdown, via_energy
 from repro.via.fivu import FivuTiming, fivu_timing
 from repro.via.isa import Dest, Mode, Opcode, ViaInstruction
-from repro.via.sspm import SSPM, SSPMCounters
+from repro.via.sspm import SSPM
 
 __all__ = [
     "PUBLISHED_SYNTHESIS",
@@ -75,8 +76,6 @@ __all__ = [
     "disassemble_word",
     "encode",
     "execute_program",
-    "ViaEnergyBreakdown",
-    "via_energy",
     "FivuTiming",
     "fivu_timing",
     "Dest",
@@ -84,5 +83,4 @@ __all__ = [
     "Opcode",
     "ViaInstruction",
     "SSPM",
-    "SSPMCounters",
 ]

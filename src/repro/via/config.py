@@ -18,9 +18,6 @@ from typing import List
 from repro.errors import ConfigError
 from repro.sim import calibration as cal
 
-#: index-table bank granularity for clock gating (Section IV-A, Fig. 6)
-CAM_BANK_ENTRIES = 8
-
 
 @dataclass(frozen=True)
 class ViaConfig:
@@ -54,11 +51,6 @@ class ViaConfig:
     def cam_entries(self) -> int:
         """Index-table capacity in tracked indices."""
         return self.cam_kb * 1024 // cal.SSPM_ELEMENT_BYTES
-
-    @property
-    def cam_banks(self) -> int:
-        """Number of 8-entry banks the index table is split into."""
-        return -(-self.cam_entries // CAM_BANK_ENTRIES)
 
     @property
     def csb_block_size(self) -> int:

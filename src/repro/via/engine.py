@@ -43,7 +43,6 @@ class ViaDevice:
         self.config = config
         self.sspm = SSPM(config)
         self._core = None
-        self.instructions_executed = 0
         #: set to the machine's 32-bit VL by kernels operating on 4-byte
         #: elements (the SSPM's native block size) — doubles lanes per op
         self.vl_override: Optional[int] = None
@@ -88,7 +87,6 @@ class ViaDevice:
             )
         result = self._dispatch(instr)
         timing = fivu_timing(instr)
-        self.instructions_executed += 1
         if self._core is not None:
             # pass the FIVU profile, not pre-computed port cycles: the op is
             # priced against the VIA config of whichever core replays it
@@ -219,7 +217,9 @@ class ViaDevice:
         semantics are identical across instructions, so the harness computes
         the functional result in numpy and accounts the instructions here.
         The per-instruction timing is the same FIVU model used by
-        :meth:`execute` — one instruction per VL elements.
+        :meth:`execute`: one instruction per VL elements, each priced at
+        ``min(VL, total_elements)``, so a partial tail costs a full one.
+        The SSPM is not touched.
 
         Only vector-operand opcodes make sense in bulk.
         """
@@ -231,18 +231,6 @@ class ViaDevice:
         n_instr = -(-int(total_elements) // vl)
         proto = self._prototype(opcode, mode, dest, min(vl, total_elements))
         timing = fivu_timing(proto)
-        self.instructions_executed += n_instr
-        # mirror the SSPM event counters the functional path would produce
-        cnt = self.sspm.counters
-        if mode is Mode.CAM:
-            cnt.cam_searches += total_elements
-            cnt.bank_activations += total_elements * self.sspm.active_banks()
-            cnt.cam_reads += total_elements
-        elif dest is Dest.SSPM or opcode is Opcode.VIDXBLKMULT:
-            cnt.dm_reads += total_elements
-            cnt.dm_writes += total_elements
-        else:
-            cnt.dm_reads += total_elements
         if self._core is not None:
             self._core.record_via_op(
                 sspm_elements=timing.sspm_elements,

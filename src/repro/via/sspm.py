@@ -22,42 +22,24 @@ Two operating modes share the SRAM:
   index is searched in the index table; reads of unmatched indices return
   zero, writes of unmatched indices insert a new tracked entry.
 
-The class also keeps event counters (reads, writes, searches, insertions,
-active banks) feeding the timing and energy models.  Banked clock gating is
-modeled through :meth:`active_banks`: only banks holding tracked indices
-participate in a search (Figure 6).
+The class is functional only.  What each VIA instruction asks of the
+scratchpad (element touches, CAM searches, port passes) is the FIVU's
+profile (:func:`repro.via.fivu.fivu_timing`), which the core prices; the
+index table's banking and clock gating (Figure 6) are not modeled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SSPMCapacityError, SSPMError
-from repro.via.config import CAM_BANK_ENTRIES, DEFAULT_VIA, ViaConfig
-
-
-@dataclass
-class SSPMCounters:
-    """Dynamic-event counters for energy/timing accounting."""
-
-    dm_reads: int = 0
-    dm_writes: int = 0
-    cam_reads: int = 0
-    cam_writes: int = 0
-    cam_searches: int = 0
-    cam_insertions: int = 0
-    clears: int = 0
-    bank_activations: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+from repro.via.config import DEFAULT_VIA, ViaConfig
 
 
 class SSPM:
-    """Functional + event-counting model of the smart scratchpad.
+    """Functional model of the smart scratchpad.
 
     Parameters
     ----------
@@ -73,7 +55,6 @@ class SSPM:
         self._cam_index = np.full(config.cam_entries, -1, dtype=np.int64)
         self._cam_map: Dict[int, int] = {}
         self._element_count = 0
-        self.counters = SSPMCounters()
 
     # ------------------------------------------------------------------
     # Shared state
@@ -83,10 +64,6 @@ class SSPM:
         """Value of the element count register (tracked CAM indices)."""
         return self._element_count
 
-    def active_banks(self) -> int:
-        """Index-table banks with live entries (the rest are clock-gated)."""
-        return -(-self._element_count // CAM_BANK_ENTRIES)
-
     def clear(self, *, segment: Optional[Tuple[int, int]] = None) -> None:
         """Flash-zero the valid bitmap and reset the index tracking logic.
 
@@ -94,7 +71,6 @@ class SSPM:
         ``vidxclear`` segment mode does; the index table and element count
         register are reset in both modes (Section IV-C).
         """
-        self.counters.clears += 1
         if segment is None:
             self._valid[:] = False
         else:
@@ -120,7 +96,6 @@ class SSPM:
         # scatter: the highest lane wins
         self._sram[idx] = vals
         self._valid[idx] = True
-        self.counters.dm_writes += idx.size
 
     def dm_accumulate(self, indices, values, op: str = "add") -> np.ndarray:
         """Read-modify-write: ``sram[idx] = sram[idx] (op) value``.
@@ -137,8 +112,6 @@ class SSPM:
         func = _OPS.get(op)
         if func is None:
             raise SSPMError(f"unknown accumulate op {op!r}")
-        self.counters.dm_reads += idx.size
-        self.counters.dm_writes += idx.size
         out = np.empty(idx.size, dtype=float)
         for lane in range(idx.size):  # lane order matters for duplicates
             i = int(idx[lane])
@@ -152,7 +125,6 @@ class SSPM:
     def dm_read(self, indices) -> np.ndarray:
         """Read SRAM positions; unwritten entries return zero."""
         idx = self._check_indices(indices)
-        self.counters.dm_reads += idx.size
         out = np.where(self._valid[idx], self._sram[idx], 0.0)
         return out.astype(float)
 
@@ -174,7 +146,7 @@ class SSPM:
         if op != "store" and op not in _OPS:
             raise SSPMError(f"unknown CAM write op {op!r}")
         for app_idx, v in zip(idx, vals):
-            slot = self._cam_search(int(app_idx))
+            slot = self._cam_map.get(int(app_idx))
             if slot is None:
                 slot = self._cam_insert(int(app_idx))
                 self._sram[slot] = v if op == "store" else _OPS.get(op, _store)(0.0, v)
@@ -184,7 +156,6 @@ class SSPM:
                 else:
                     self._sram[slot] = _OPS[op](self._sram[slot], v)
             self._valid[slot] = True
-            self.counters.cam_writes += 1
 
     def cam_read(self, indices) -> Tuple[np.ndarray, np.ndarray]:
         """Search the index table and read matched SRAM slots.
@@ -197,11 +168,10 @@ class SSPM:
         values = np.zeros(idx.size, dtype=float)
         matched = np.zeros(idx.size, dtype=bool)
         for lane, app_idx in enumerate(idx):
-            slot = self._cam_search(int(app_idx))
+            slot = self._cam_map.get(int(app_idx))
             if slot is not None:
                 values[lane] = self._sram[slot]
                 matched[lane] = True
-                self.counters.cam_reads += 1
         return values, matched
 
     def cam_tracked_indices(self, offset: int, count: int) -> np.ndarray:
@@ -216,7 +186,6 @@ class SSPM:
         hi = min(offset + count, self._element_count)
         if hi > offset:
             out[: hi - offset] = self._cam_index[offset:hi]
-        self.counters.cam_reads += count
         return out
 
     def cam_slot_values(self, offset: int, count: int) -> np.ndarray:
@@ -227,17 +196,11 @@ class SSPM:
         hi = min(offset + count, self._element_count)
         if hi > offset:
             out[: hi - offset] = self._sram[offset:hi]
-        self.counters.cam_reads += count
         return out
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cam_search(self, app_idx: int) -> Optional[int]:
-        self.counters.cam_searches += 1
-        self.counters.bank_activations += self.active_banks()
-        return self._cam_map.get(app_idx)
-
     def _cam_insert(self, app_idx: int) -> int:
         if self._element_count >= self.config.cam_entries:
             raise SSPMCapacityError(
@@ -248,7 +211,6 @@ class SSPM:
         self._cam_index[slot] = app_idx
         self._cam_map[app_idx] = slot
         self._element_count += 1
-        self.counters.cam_insertions += 1
         return slot
 
     def _check_indices(self, indices) -> np.ndarray:

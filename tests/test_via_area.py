@@ -1,4 +1,4 @@
-"""Tests for the Table II area/leakage model and VIA energy helpers."""
+"""Tests for the Table II area/leakage model."""
 
 import re
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.via import (
     PUBLISHED_SYNTHESIS,
-    SSPM,
     ViaConfig,
     all_configs,
     area_mm2,
@@ -15,9 +14,7 @@ from repro.via import (
     dse_configs,
     leakage_mw,
     table2,
-    via_energy,
 )
-from repro.via.energy import cam_search_energy_pj, sram_access_energy_pj
 
 
 class TestPublishedAnchors:
@@ -77,40 +74,3 @@ class TestModelShape:
         names = {c.name for c in dse_configs()}
         assert names == {"4_2p", "4_4p", "16_2p", "16_4p"}
 
-
-class TestViaEnergy:
-    def test_sram_energy_scales_with_capacity(self):
-        assert sram_access_energy_pj(ViaConfig(16, 2)) > sram_access_energy_pj(
-            ViaConfig(4, 2)
-        )
-
-    def test_cam_energy_scales_with_active_banks(self):
-        cfg = ViaConfig(16, 2)
-        assert cam_search_energy_pj(cfg, 8) > cam_search_energy_pj(cfg, 1)
-
-    def test_cam_energy_capped_at_bank_count(self):
-        cfg = ViaConfig(4, 2)
-        assert cam_search_energy_pj(cfg, 10**6) == cam_search_energy_pj(
-            cfg, cfg.cam_banks
-        )
-
-    def test_via_energy_from_counters(self):
-        s = SSPM(ViaConfig(16, 2))
-        s.cam_write(range(32), [1.0] * 32)
-        s.dm_write(range(16), [1.0] * 16)
-        e = via_energy(s.config, s.counters)
-        assert e.sram_pj > 0 and e.cam_pj > 0
-        assert e.total_pj == pytest.approx(e.sram_pj + e.cam_pj)
-
-    def test_gated_banks_burn_less(self):
-        # few tracked entries -> fewer bank activations per search
-        small, big = SSPM(ViaConfig(16, 2)), SSPM(ViaConfig(16, 2))
-        small.cam_write(range(4), [1.0] * 4)
-        big.cam_write(range(256), [1.0] * 256)
-        small.counters.bank_activations = 0
-        big.counters.bank_activations = 0
-        small.cam_read(range(4))
-        big.cam_read(range(4))
-        e_small = via_energy(small.config, small.counters)
-        e_big = via_energy(big.config, big.counters)
-        assert e_big.cam_pj > e_small.cam_pj

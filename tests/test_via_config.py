@@ -13,7 +13,6 @@ from repro.via import (
     all_configs,
     dse_configs,
 )
-from repro.via.config import CAM_BANK_ENTRIES
 
 
 class TestGeometry:
@@ -27,10 +26,6 @@ class TestGeometry:
         assert VIA_8_4P.cam_kb == 2
         assert VIA_16_2P.cam_kb == 4
         assert VIA_4_2P.cam_kb == 1
-
-    def test_cam_banks_of_eight(self):
-        assert CAM_BANK_ENTRIES == 8
-        assert VIA_16_2P.cam_banks == VIA_16_2P.cam_entries // 8
 
     def test_csb_block_size_is_half_capacity(self):
         # Section V-B: CSB blocks tuned to half the SSPM storage

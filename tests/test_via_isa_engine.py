@@ -176,9 +176,10 @@ class TestEngineFunctional:
         np.testing.assert_allclose(out, [20.0, 400.0])  # 10*2, 100*4
 
     def test_chunking_splits_long_operands(self):
+        core = Core(MachineConfig(), via=self.dev)
         n = 3 * self.dev.vl + 1
         self.dev.vidxload(np.ones(n), np.arange(n))
-        assert self.dev.instructions_executed == 4
+        assert core.counters.via_instructions == 4
 
     def test_oversize_instruction_rejected(self):
         with pytest.raises(ISAError):

@@ -59,12 +59,6 @@ class TestDirectMapped:
         with pytest.raises(SSPMError):
             sspm.dm_accumulate([1, 2], [1.0])
 
-    def test_counters_track_events(self, sspm):
-        sspm.dm_write([1, 2], [1.0, 2.0])
-        sspm.dm_read([1])
-        assert sspm.counters.dm_writes == 2
-        assert sspm.counters.dm_reads == 1
-
 
 class TestClear:
     def test_full_clear_invalidates_everything(self, sspm):
@@ -147,22 +141,6 @@ class TestCAM:
         with pytest.raises(SSPMError):
             sspm.cam_write([1], [1.0], op="max")
 
-    def test_search_counters_and_banks(self, sspm):
-        sspm.cam_write(np.arange(20), np.ones(20))
-        before = sspm.counters.cam_searches
-        sspm.cam_read([0])
-        assert sspm.counters.cam_searches == before + 1
-        assert sspm.active_banks() == -(-20 // 8)
-
-    def test_bank_activations_grow_with_occupancy(self):
-        s = SSPM(ViaConfig(16, 2))
-        s.cam_write(np.arange(8), np.ones(8))
-        a1 = s.counters.bank_activations
-        s.counters.bank_activations = 0
-        s.cam_write(np.arange(100, 164), np.ones(64))
-        a2 = s.counters.bank_activations
-        assert a2 > a1  # more live banks -> more compare energy per search
-
 
 class TestGeometry:
     def test_entries_follow_config(self):
@@ -175,8 +153,3 @@ class TestGeometry:
     def test_config_names(self):
         assert ViaConfig(16, 2).name == "16_2p"
         assert ViaConfig(4, 4).name == "4_4p"
-
-    def test_counters_as_dict(self, sspm):
-        sspm.dm_write([1], [1.0])
-        d = sspm.counters.as_dict()
-        assert d["dm_writes"] == 1
