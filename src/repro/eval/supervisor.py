@@ -210,7 +210,6 @@ class PoolTask:
     future: "Future[Any]"
     timeout_s: Optional[float] = None
     poison_key: Optional[str] = None
-    kind: str = "job"
     attempt: int = 1
     ready_at: float = 0.0
     started_at: float = 0.0
@@ -477,7 +476,6 @@ class SupervisedPool:
         *,
         timeout_s: Optional[float] = None,
         poison_key: Optional[str] = None,
-        kind: str = "job",
     ) -> PoolTask:
         """Queue one job; returns its :class:`PoolTask` immediately.
 
@@ -494,7 +492,6 @@ class SupervisedPool:
             future=Future(),
             timeout_s=timeout_s,
             poison_key=poison_key,
-            kind=kind,
         )
         with self._lock:
             if self._stopped or not self._started:

@@ -586,7 +586,6 @@ class Scheduler:
             request,
             timeout_s=timeout,
             poison_key=job.spec.poison_key(),
-            kind=job.spec.kind,
         )
         self._pool_tasks[job.job_id] = handle
         try:

@@ -257,10 +257,6 @@ class Core:
             self._flush()
         return self._counters
 
-    @counters.setter
-    def counters(self, value: OpCounters) -> None:
-        self._counters = value
-
     @property
     def backend(self) -> Backend:
         return self._backend

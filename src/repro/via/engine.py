@@ -64,11 +64,6 @@ class ViaDevice:
         """Static power the device adds to the core (Table II model)."""
         return area.leakage_mw(self.config)
 
-    @property
-    def area_mm2(self) -> float:
-        """Silicon area of the device (Table II model)."""
-        return area.area_mm2(self.config)
-
     # ------------------------------------------------------------------
     # Instruction execution
     # ------------------------------------------------------------------

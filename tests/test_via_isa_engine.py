@@ -12,6 +12,7 @@ from repro.via import (
     ViaConfig,
     ViaDevice,
     ViaInstruction,
+    area_mm2,
     fivu_timing,
 )
 
@@ -216,4 +217,4 @@ class TestEngineTiming:
     def test_leakage_and_area_exposed(self):
         dev = ViaDevice(ViaConfig(16, 2))
         assert dev.leakage_mw == pytest.approx(0.50)
-        assert dev.area_mm2 == pytest.approx(0.515)
+        assert area_mm2(dev.config) == pytest.approx(0.515)
