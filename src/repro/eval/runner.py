@@ -665,7 +665,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--max-n", type=int, default=512,
                         help="largest matrix dimension")
-    parser.add_argument("--workers", type=positive_int, default=1)
+    parser.add_argument("--workers", type=positive_int,
+                        default=RunnerConfig.workers)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true",
                         help="escape hatch: ignore --cache-dir")
@@ -676,12 +677,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--resume", default=None, metavar="JOURNAL",
                         help="serve units already completed in this prior "
                         "run journal; only the rest recompute")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=float,
+                        default=RunnerConfig.timeout_s,
                         help="per-unit wall-clock timeout in seconds")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=int, default=RunnerConfig.retries,
                         help="extra attempts for transient failures "
                         "(worker death, timeout)")
-    parser.add_argument("--backoff", type=float, default=0.1,
+    parser.add_argument("--backoff", type=float,
+                        default=RunnerConfig.backoff_s,
                         help="base seconds for exponential retry backoff")
     parser.add_argument("--validate", action="store_true",
                         help="run the op-stream invariant checks "

@@ -58,21 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ready-file", default=None,
                        help="write 'host port' here once listening "
                        "(atomically; lets scripts use --port 0)")
-    serve.add_argument("--max-queue", type=int, default=64)
-    serve.add_argument("--max-batch", type=int, default=16)
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--max-queue", type=int,
+                       default=ServiceConfig.max_queue)
+    serve.add_argument("--max-batch", type=int,
+                       default=ServiceConfig.max_batch)
+    serve.add_argument("--workers", type=int,
+                       default=ServiceConfig.executor_workers,
                        help="subprocess pool workers (concurrent jobs)")
-    serve.add_argument("--default-timeout", type=float, default=120.0,
+    serve.add_argument("--default-timeout", type=float,
+                       default=ServiceConfig.default_timeout_s,
                        help="per-job execution timeout (seconds)")
-    serve.add_argument("--pool-retries", type=int, default=2,
+    serve.add_argument("--pool-retries", type=int,
+                       default=ServiceConfig.pool_retries,
                        help="extra attempts for jobs whose worker died")
-    serve.add_argument("--pool-backoff", type=float, default=0.05,
+    serve.add_argument("--pool-backoff", type=float,
+                       default=ServiceConfig.pool_backoff_s,
                        help="base retry backoff after a worker crash "
                        "(seconds, doubles per attempt)")
-    serve.add_argument("--poison-threshold", type=int, default=3,
+    serve.add_argument("--poison-threshold", type=int,
+                       default=ServiceConfig.poison_threshold,
                        help="worker crashes per job key before the "
                        "poison circuit breaker opens")
-    serve.add_argument("--spawn-timeout", type=float, default=60.0,
+    serve.add_argument("--spawn-timeout", type=float,
+                       default=ServiceConfig.spawn_timeout_s,
                        help="worker bootstrap (spawn-to-ready) budget "
                        "(seconds)")
     serve.add_argument("--mp-context", default=None,
@@ -159,12 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_serve(args) -> int:
+def service_config(args) -> ServiceConfig:
+    """The :class:`ServiceConfig` that parsed ``serve`` arguments describe."""
     if args.chaos:
         chaos = ChaosConfig.parse(args.chaos, args.chaos_dir)
     else:
         chaos = ChaosConfig.from_env()  # REPRO_SERVE_CHAOS, or None
-    config = ServiceConfig(
+    return ServiceConfig(
         max_queue=args.max_queue,
         max_batch=args.max_batch,
         executor_workers=args.workers,
@@ -181,6 +190,10 @@ def _cmd_serve(args) -> int:
         model_dir=args.model_dir,
         max_queue_cost=args.max_queue_cost,
     )
+
+
+def _cmd_serve(args) -> int:
+    config = service_config(args)
 
     async def _run() -> None:
         scheduler = Scheduler(config)
