@@ -10,7 +10,7 @@ from repro.kernels.common import (
     row_fragmented_elements,
 )
 from repro.sim import Core, MachineConfig
-from repro.via import VIA_4_2P, ViaDevice
+from repro.via import VIA_4_2P, Dest, Mode, Opcode, ViaDevice
 
 
 class TestChunkInstrCount:
@@ -69,43 +69,66 @@ class TestCoreFactories:
         assert dev2.sspm.dm_read([0])[0] == 0.0
 
 
+#: (opcode, mode, dest) of every form a kernel accounts in bulk
+BULK_FORMS = {
+    "vidxload.d": (Opcode.VIDXLOAD, Mode.DIRECT, Dest.VRF),  # stencil
+    "vidxload.c": (Opcode.VIDXLOAD, Mode.CAM, Dest.VRF),  # SpMM
+    "vidxmult.c-vrf": (Opcode.VIDXMULT, Mode.CAM, Dest.VRF),  # SpMM
+    # SPC5, Sell-C-sigma, histogram, CSR5 and stencil
+    "vidxadd.d-sspm": (Opcode.VIDXADD, Mode.DIRECT, Dest.SSPM),
+    "vidxadd.d-vrf": (Opcode.VIDXADD, Mode.DIRECT, Dest.VRF),
+    "vidxmult.d-vrf": (Opcode.VIDXMULT, Mode.DIRECT, Dest.VRF),  # stencil
+}
+
+
+def assert_bulk_prices_like_functional(form: str, n: int) -> None:
+    """``account_bulk`` of ``n`` elements prices as the per-chunk helper."""
+    opcode, mode, dest = BULK_FORMS[form]
+    core_f, dev_f = make_via_core()
+    data, idx = np.ones(n), np.arange(n)
+    if opcode is Opcode.VIDXLOAD:
+        dev_f.vidxload(data, idx, mode)
+    else:
+        helper = dev_f.vidxadd if opcode is Opcode.VIDXADD else dev_f.vidxmult
+        helper(data, idx, mode=mode, dest=dest)
+    core_b, dev_b = make_via_core()
+    dev_b.account_bulk(opcode, n, mode=mode, dest=dest)
+    f, b = core_f.counters, core_b.counters
+    for name in (
+        "via_instructions", "sspm_accesses", "cam_searches", "sspm_busy_cycles"
+    ):
+        assert getattr(b, name) == getattr(f, name), name
+
+
 class TestBulkVsFunctionalConsistency:
-    """The bulk FIVU accounting must price identically to functional runs."""
+    """The bulk FIVU accounting must price identically to functional runs.
+
+    Element counts are multiples of VL: ``account_bulk`` prices a partial
+    tail as a full instruction, which the per-chunk helpers do not.
+    """
 
     def test_vidxload_bulk_matches_functional(self):
-        from repro.via import Mode, Opcode
-
-        core_f, dev_f = make_via_core()
-        dev_f.vidxload(np.ones(64), np.arange(64))
-        core_b, dev_b = make_via_core()
-        dev_b.account_bulk(Opcode.VIDXLOAD, 64, mode=Mode.DIRECT)
-        assert core_b.counters.sspm_busy_cycles == pytest.approx(
-            core_f.counters.sspm_busy_cycles
-        )
-        assert core_b.counters.via_instructions == core_f.counters.via_instructions
+        assert_bulk_prices_like_functional("vidxload.d", 64)
 
     def test_vidxadd_sspm_bulk_matches_functional(self):
-        from repro.via import Dest, Opcode
+        assert_bulk_prices_like_functional("vidxadd.d-sspm", 32)
 
-        core_f, dev_f = make_via_core()
-        dev_f.vidxadd(np.ones(32), np.arange(32), dest=Dest.SSPM)
-        core_b, dev_b = make_via_core()
-        dev_b.account_bulk(Opcode.VIDXADD, 32, dest=Dest.SSPM)
-        assert core_b.counters.sspm_busy_cycles == pytest.approx(
-            core_f.counters.sspm_busy_cycles
-        )
+    @pytest.mark.parametrize(
+        "form",
+        # the two forms above have their own tests
+        [f for f in BULK_FORMS if f not in ("vidxload.d", "vidxadd.d-sspm")],
+    )
+    def test_bulk_form_matches_functional(self, form):
+        assert_bulk_prices_like_functional(form, 64)
 
     def test_bulk_rejects_scalar_opcodes(self):
         from repro.errors import ISAError
-        from repro.via import Opcode
 
         _core, dev = make_via_core()
         with pytest.raises(ISAError):
             dev.account_bulk(Opcode.VIDXCOUNT, 4)
 
     def test_bulk_zero_elements_is_noop(self):
-        from repro.via import Opcode
-
         core, dev = make_via_core()
         dev.account_bulk(Opcode.VIDXLOAD, 0)
         assert core.counters.via_instructions == 0
