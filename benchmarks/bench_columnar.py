@@ -16,7 +16,8 @@ and the serving layer's replay path perform.  Two phases per pricer:
 * **warm** — recordings already resident (the steady state behind the
   store's load memo): pure re-pricing arithmetic.  The oracle walks every
   op in Python; the columnar engine reduces whole columns.  This is the
-  headline number.
+  headline number, the fastest of ``--repeats`` timed passes per pricer,
+  so a scheduling stall in one pass does not move it.
 * **cold** — each iteration reloads every artifact from disk first, so
   the oracle also pays per-op materialization of the columnar columns
   while the columnar engine prices them directly.  Dominated by shared
@@ -120,13 +121,15 @@ def _fingerprint(results):
 
 
 def bench_engine(engine, paths, port_variants, repeats):
-    # warm: load once, replay once to populate lazy state, then time
+    # warm: load once, replay once to populate lazy state, then time each
+    # pass and keep the fastest
     recordings = _load_all(paths)
     results = _replay_all(recordings, engine, port_variants)
-    t0 = time.perf_counter()
+    warm_s = float("inf")
     for _ in range(repeats):
+        t0 = time.perf_counter()
         results = _replay_all(recordings, engine, port_variants)
-    warm_s = (time.perf_counter() - t0) / repeats
+        warm_s = min(warm_s, time.perf_counter() - t0)
     # cold: a fresh load every iteration (fresh Recording objects, so the
     # oracle re-materializes per-op dataclasses each time)
     t0 = time.perf_counter()
