@@ -162,6 +162,17 @@ class TestEngineFunctional:
         idx, vals = self.dev.drain()
         assert idx.size == 0 and vals.size == 0
 
+    def test_mov_zero_count_returns_empty_arrays(self):
+        core = Core(MachineConfig(), via=self.dev)
+        idx, vals = self.dev.vidxmov(0, 0)
+        assert idx.dtype == np.int64 and idx.size == 0
+        assert vals.dtype == np.float64 and vals.size == 0
+        assert core.counters.via_instructions == 0  # no builder row
+
+    def test_mov_negative_count_rejected(self):
+        with pytest.raises(ISAError):
+            self.dev.vidxmov(0, -1)
+
     def test_clear_resets(self):
         self.dev.vidxload([1.0], [5])
         self.dev.vidxclear()
