@@ -40,7 +40,8 @@ path (fresh simulations, nothing cached).  Two measurements:
   (functional kernel execution, narration, pricing, artifact IO,
   replays), once priced by the oracle (``scalar``: every flush op by op,
   every replay a per-op walk) and once by the columnar engine
-  (``batched``), with the DSE cycle tables compared for bit-identity.
+  (``batched``), with the DSE cycle tables compared for bit-identity;
+  each pricer reports the fastest of ``--repeats`` runs.
   Amdahl applies here: functional simulation (the VIA engine's CAM/SSPM
   bookkeeping), the order-dependent cache walk, and artifact IO are
   identical in both modes and dominate wall-clock, so this number hovers
@@ -229,7 +230,7 @@ def run_cold(args) -> int:
     flushes_before = narration_flush_count()
     for mode in ("scalar", "batched"):
         cold[mode], cold_prints[mode] = bench_cold_dse(
-            mode, collection, max(1, args.repeats // 2)
+            mode, collection, args.repeats
         )
         print(f"  {mode:<8} {cold[mode]['best_s']*1e3:8.1f}ms")
     cold_flushes = narration_flush_count() - flushes_before

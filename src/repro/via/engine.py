@@ -2,9 +2,16 @@
 
 :class:`ViaDevice` bundles the SSPM with the FIVU timing model and plugs
 into a :class:`repro.sim.core.Core`.  Kernels talk to it through
-assembly-like helpers (``vidxload``, ``vidxadd`` ...) that chunk arbitrary
-arrays into VL-sized instructions, execute each functionally against the
-SSPM, and report the SSPM work to the core's cycle model.
+assembly-like helpers (``vidxload``, ``vidxadd`` ...) that take operands of
+any length.  Architecturally an operand is one VL-wide instruction per
+chunk.  The helpers run the whole operand against the SSPM in one
+vectorized step — the SSPM applies lanes in order, which is chunk order —
+and append the chunks' rows to the core's cycle model in bulk: one
+full-width row per whole chunk, then the tail at its own width, the rows
+:meth:`ViaDevice.execute` appends chunk by chunk.  ``execute`` remains the
+single-instruction path: the assembler, ``vidxclear`` and ``vidxcount``,
+and the chunk-by-chunk runs of an operand that fails partway or of a
+``vidxblkmult`` whose read and write windows meet.
 
 Operand-order conventions for the arithmetic instructions (Section IV-C:
 "These instructions always use data placed in the VRF (Data) to compute
@@ -19,14 +26,16 @@ with values stored in the SSPM"):
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ISAError
+from repro.errors import ISAError, SSPMCapacityError, SSPMError
 from repro.via import area
 from repro.via.config import DEFAULT_VIA, ViaConfig
-from repro.via.fivu import fivu_timing
+from repro.via.fivu import FivuTiming, fivu_timing
 from repro.via.isa import ARITH_OPS, Dest, Mode, Opcode, ViaInstruction
 from repro.via.sspm import SSPM
 
@@ -146,7 +155,7 @@ class ViaDevice:
         return None
 
     # ------------------------------------------------------------------
-    # Assembly-like helpers (auto-chunking to VL)
+    # Assembly-like helpers (one VL-wide instruction per chunk)
     # ------------------------------------------------------------------
     def vidxclear(self, segment: Optional[Tuple[int, int]] = None) -> None:
         """Reset the SSPM (``vidxclear``)."""
@@ -157,9 +166,10 @@ class ViaDevice:
         return self.execute(ViaInstruction.count_())
 
     def vidxload(self, data, idx, mode: Mode = Mode.DIRECT) -> None:
-        """Store VRF data into the SSPM, chunked to VL (``vidxload.X``)."""
-        for d, i in _chunks(data, idx, self.vl):
-            self.execute(ViaInstruction.load(d, i, mode))
+        """Store VRF data into the SSPM, one ``vidxload.X`` per VL chunk."""
+        data, idx = _operands(data, idx)
+        if idx.size:
+            self._run(ViaInstruction.load(data, idx, mode))
 
     def vidxadd(self, data, idx, *, mode=Mode.DIRECT, dest=Dest.VRF, offset=0):
         return self._arith_helper(Opcode.VIDXADD, data, idx, mode, dest, offset)
@@ -171,32 +181,65 @@ class ViaDevice:
         return self._arith_helper(Opcode.VIDXMULT, data, idx, mode, dest, offset)
 
     def vidxblkmult(self, data, idx, *, idx_offset: int, offset: int) -> None:
-        """Block multiply-accumulate, chunked to VL (``vidxblkmult.d``)."""
-        for d, i in _chunks(data, idx, self.vl):
-            self.execute(ViaInstruction.blkmult(d, i, idx_offset, offset))
+        """Block multiply-accumulate, one ``vidxblkmult.d`` per VL chunk.
+
+        In one step the whole operand reads the input half, then
+        accumulates into the output half.  That is chunk order only when
+        no lane reads a position the operand writes, so an operand whose
+        read and write sets meet runs chunk by chunk instead.
+        """
+        data, idx = _operands(data, idx)
+        if not idx.size:
+            return
+        instr = ViaInstruction.blkmult(data, idx, idx_offset, offset)
+        cols = idx & ((1 << idx_offset) - 1)
+        if np.isin(cols, offset + (idx >> idx_offset)).any():
+            self._per_chunk(instr)
+        else:
+            self._run(instr)
 
     def vidxmov(self, offset: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
         """Drain ``count`` CAM entries starting at ``offset`` (``vidxmov``)."""
-        idx_parts, val_parts = [], []
-        done = 0
-        while done < count:
-            take = min(self.vl, count - done)
-            i, v = self.execute(ViaInstruction.mov(offset + done, take))
-            idx_parts.append(i)
-            val_parts.append(v)
-            done += take
-        return np.concatenate(idx_parts), np.concatenate(val_parts)
+        if count == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=float)
+        return self._run(ViaInstruction.mov(offset, count))
 
     def drain(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Read back every tracked (index, value) pair: count + mov loop."""
-        n = self.vidxcount()
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=float)
-        return self.vidxmov(0, n)
+        """Read back every tracked (index, value) pair: count + mov."""
+        return self.vidxmov(0, self.vidxcount())
 
     # ------------------------------------------------------------------
-    # Bulk timing-only accounting
+    # Timing-only accounting
     # ------------------------------------------------------------------
+    def account_chunks(
+        self,
+        opcode: Opcode,
+        total_elements: int,
+        *,
+        mode: Mode = Mode.DIRECT,
+        dest: Dest = Dest.VRF,
+    ) -> None:
+        """Append the rows of ``total_elements`` elements run one VL chunk
+        per instruction, exactly as :meth:`execute` would per chunk.
+
+        ``total_elements // VL`` full-width rows go in as one block, then
+        one row for the tail at its own width.  The helpers call this after
+        running an operand against the SSPM; a kernel that runs the SSPM
+        work of several operands in one step narrates each operand here.
+        """
+        if self._core is None or total_elements <= 0:
+            return
+        full, tail = divmod(int(total_elements), self.vl)
+        for width, rows in ((self.vl, full), (tail, 1)):
+            if width and rows:
+                timing = _chunk_timing(opcode, mode, dest, width)
+                self._core.record_via_op(
+                    sspm_elements=timing.sspm_elements,
+                    cam_searches=timing.cam_searches,
+                    port_passes=timing.port_passes,
+                    rows=rows,
+                )
+
     def account_bulk(
         self,
         opcode: Opcode,
@@ -224,8 +267,7 @@ class ViaDevice:
             raise ISAError(f"{opcode.value} carries no vector elements")
         vl = self.vl
         n_instr = -(-int(total_elements) // vl)
-        proto = self._prototype(opcode, mode, dest, min(vl, total_elements))
-        timing = fivu_timing(proto)
+        timing = _chunk_timing(opcode, mode, dest, min(vl, total_elements))
         if self._core is not None:
             self._core.record_via_op(
                 sspm_elements=timing.sspm_elements,
@@ -234,38 +276,84 @@ class ViaDevice:
                 count=n_instr,
             )
 
-    def _prototype(self, opcode, mode, dest, k) -> ViaInstruction:
-        data = np.zeros(k)
-        idx = np.zeros(k, dtype=np.int64)
-        if opcode is Opcode.VIDXBLKMULT:
-            return ViaInstruction.blkmult(data, idx, 1, 0)
-        if opcode is Opcode.VIDXLOAD:
-            return ViaInstruction.load(data, idx, mode)
-        if opcode in ARITH_OPS:
-            return ViaInstruction.arith(opcode, data, idx, mode, dest=dest)
-        if opcode is Opcode.VIDXMOV:
-            return ViaInstruction.mov(0, k)
-        raise ISAError(f"cannot build bulk prototype for {opcode}")
-
+    # ------------------------------------------------------------------
+    # Whole-operand execution
+    # ------------------------------------------------------------------
     def _arith_helper(self, op, data, idx, mode, dest, offset):
-        outs, masks = [], []
-        for d, i in _chunks(data, idx, self.vl):
-            res = self.execute(
-                ViaInstruction.arith(op, d, i, mode, dest=dest, offset=offset)
-            )
-            if res is None:
-                continue
-            if isinstance(res, tuple):
-                outs.append(res[0])
-                masks.append(res[1])
-            else:
-                outs.append(res)
-        if not outs:
+        data, idx = _operands(data, idx)
+        if not idx.size:
             return None
-        values = np.concatenate(outs)
-        if masks:
-            return values, np.concatenate(masks)
-        return values
+        return self._run(
+            ViaInstruction.arith(op, data, idx, mode, dest=dest, offset=offset)
+        )
+
+    def _run(self, instr: ViaInstruction):
+        """Execute a whole operand's instruction in one step, then append
+        the rows of its VL chunks.
+
+        ``instr`` carries the whole operand; it is checked as each chunk's
+        instruction would be and runs through the same dispatch as
+        :meth:`execute`.  An error leaves what chunk-by-chunk execution
+        leaves: a CAM overflow keeps every lane before the overflowing one
+        and the rows of the whole chunks before it; any other SSPM error is
+        raised before the SSPM changes, so the operand re-runs chunk by
+        chunk, which applies and accounts the chunks before the failing
+        one and raises its error.
+        """
+        try:
+            result = self._dispatch(instr)
+        except SSPMCapacityError:
+            _, matched = self.sspm.cam_read(instr.idx + instr.offset)
+            lane = int(np.argmin(matched))
+            self.account_chunks(
+                instr.opcode, lane - lane % self.vl, mode=instr.mode, dest=instr.dest
+            )
+            raise
+        except SSPMError:
+            self._per_chunk(instr)
+            raise
+        self.account_chunks(
+            instr.opcode, instr.num_elements, mode=instr.mode, dest=instr.dest
+        )
+        return result
+
+    def _per_chunk(self, instr: ViaInstruction) -> None:
+        """Execute a whole operand's instruction one VL chunk at a time."""
+        vl = self.vl
+        for lo in range(0, instr.num_elements, vl):
+            if instr.opcode is Opcode.VIDXMOV:
+                chunk = dataclasses.replace(
+                    instr, offset=instr.offset + lo, count=min(vl, instr.count - lo)
+                )
+            else:
+                chunk = dataclasses.replace(
+                    instr, data=instr.data[lo : lo + vl], idx=instr.idx[lo : lo + vl]
+                )
+            self.execute(chunk)
+
+
+@functools.lru_cache(maxsize=None)
+def _chunk_timing(opcode: Opcode, mode: Mode, dest: Dest, k: int) -> FivuTiming:
+    """FIVU profile of one ``k``-element instruction of a given form.
+
+    Memoized without a bound: ``k`` never exceeds VL, so there are a few
+    dozen keys, and the profile is frozen.
+    """
+    return fivu_timing(_prototype(opcode, mode, dest, k))
+
+
+def _prototype(opcode, mode, dest, k) -> ViaInstruction:
+    data = np.zeros(k)
+    idx = np.zeros(k, dtype=np.int64)
+    if opcode is Opcode.VIDXBLKMULT:
+        return ViaInstruction.blkmult(data, idx, 1, 0)
+    if opcode is Opcode.VIDXLOAD:
+        return ViaInstruction.load(data, idx, mode)
+    if opcode in ARITH_OPS:
+        return ViaInstruction.arith(opcode, data, idx, mode, dest=dest)
+    if opcode is Opcode.VIDXMOV:
+        return ViaInstruction.mov(0, k)
+    raise ISAError(f"cannot build bulk prototype for {opcode}")
 
 
 def _vrf_combine(op_name: str, data: np.ndarray, stored: np.ndarray) -> np.ndarray:
@@ -276,11 +364,10 @@ def _vrf_combine(op_name: str, data: np.ndarray, stored: np.ndarray) -> np.ndarr
     return data * stored
 
 
-def _chunks(data, idx, vl: int):
-    """Split (data, idx) into VL-sized instruction operands."""
+def _operands(data, idx) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten a helper's (data, idx) operand pair; the lengths must match."""
     data = np.asarray(data, dtype=float).ravel()
     idx = np.asarray(idx, dtype=np.int64).ravel()
     if data.size != idx.size:
         raise ISAError(f"data ({data.size}) and idx ({idx.size}) must match")
-    for lo in range(0, data.size, vl):
-        yield data[lo : lo + vl], idx[lo : lo + vl]
+    return data, idx

@@ -22,6 +22,14 @@ Two operating modes share the SRAM:
   index is searched in the index table; reads of unmatched indices return
   zero, writes of unmatched indices insert a new tracked entry.
 
+Every access takes a whole operand — any number of lanes, not just one
+VL-wide instruction's — in one vectorized step, with the semantics of its
+lanes applied one at a time in order: a repeated index keeps its last
+store and accumulates in lane order, CAM misses insert in order of first
+occurrence, and a CAM overflow applies every lane before the overflowing
+one.  (``tests/test_via_bulk.py`` pins each access against a lane-by-lane
+reference.)
+
 The class is functional only.  What each VIA instruction asks of the
 scratchpad (element touches, CAM searches, port passes) is the FIVU's
 profile (:func:`repro.via.fivu.fivu_timing`), which the core prices; the
@@ -30,7 +38,7 @@ index table's banking and clock gating (Figure 6) are not modeled.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +61,6 @@ class SSPM:
         self._valid = np.zeros(config.sram_entries, dtype=bool)
         # CAM index table: tracked application indices, allocated in order.
         self._cam_index = np.full(config.cam_entries, -1, dtype=np.int64)
-        self._cam_map: Dict[int, int] = {}
         self._element_count = 0
 
     # ------------------------------------------------------------------
@@ -78,49 +85,46 @@ class SSPM:
             self._check_range(start, count)
             self._valid[start : start + count] = False
         self._cam_index[: self._element_count] = -1
-        self._cam_map.clear()
         self._element_count = 0
 
     # ------------------------------------------------------------------
     # Direct-mapped mode (Section III-B1)
     # ------------------------------------------------------------------
     def dm_write(self, indices, values) -> None:
-        """Write ``values`` at SRAM positions ``indices``; set valid bits."""
+        """Write ``values`` at SRAM positions ``indices``; set valid bits.
+
+        A repeated index keeps its last lane, as lane-by-lane stores do.
+        """
         idx = self._check_indices(indices)
         vals = np.asarray(values, dtype=float)
         if vals.shape != idx.shape:
             raise SSPMError(
                 f"indices and values must match, got {idx.shape} vs {vals.shape}"
             )
-        # duplicate indices within one vector resolve in lane order, like a
-        # scatter: the highest lane wins
-        self._sram[idx] = vals
+        last = _last_lanes(idx)
+        self._sram[idx[last]] = vals[last]
         self._valid[idx] = True
 
     def dm_accumulate(self, indices, values, op: str = "add") -> np.ndarray:
         """Read-modify-write: ``sram[idx] = sram[idx] (op) value``.
 
         Unwritten entries behave as zero (valid bitmap semantics) and become
-        valid afterwards.  Duplicate indices within the vector combine
-        sequentially in lane order, matching the element-serial SSPM port
-        pipeline.  Returns the values written back.
+        valid afterwards.  Duplicate indices within the operand combine
+        sequentially in lane order (``ufunc.at`` applies its lanes in
+        order), matching the element-serial SSPM port pipeline.  Returns
+        the value each lane's entry holds afterwards.
         """
         idx = self._check_indices(indices)
         vals = np.asarray(values, dtype=float)
         if vals.shape != idx.shape:
             raise SSPMError("indices and values must have the same shape")
-        func = _OPS.get(op)
+        func = _UFUNCS.get(op)
         if func is None:
             raise SSPMError(f"unknown accumulate op {op!r}")
-        out = np.empty(idx.size, dtype=float)
-        for lane in range(idx.size):  # lane order matters for duplicates
-            i = int(idx[lane])
-            current = self._sram[i] if self._valid[i] else 0.0
-            result = func(current, float(vals[lane]))
-            self._sram[i] = result
-            self._valid[i] = True
-            out[lane] = result
-        return out
+        self._sram[idx[~self._valid[idx]]] = 0.0
+        self._valid[idx] = True
+        func.at(self._sram, idx, vals)
+        return self._sram[idx]
 
     def dm_read(self, indices) -> np.ndarray:
         """Read SRAM positions; unwritten entries return zero."""
@@ -131,31 +135,47 @@ class SSPM:
     # ------------------------------------------------------------------
     # CAM-based mode (Section III-B2)
     # ------------------------------------------------------------------
+    def cam_insert(self, indices) -> np.ndarray:
+        """Track every index the index table misses; return each lane's slot.
+
+        The insertion logic allocates the next free table/SRAM slots in
+        order of first occurrence; a new entry reads as 0.0 until written.
+        If the table fills, the indices before the overflowing lane stay
+        inserted and :class:`~repro.errors.SSPMCapacityError` is raised.
+        """
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        slots, stop = self._cam_slots(idx)
+        if stop < idx.size:
+            raise self._table_full()
+        return slots
+
     def cam_write(self, indices, values, op: str = "store") -> None:
         """Write through the index table (Section IV-A, CAM write).
 
         Each application index is searched; a match updates the existing
         SRAM slot (``store`` overwrites, ``add``/``sub``/``mult``
         accumulate), a miss makes the insertion logic allocate the next
-        free table/SRAM slot in order.
+        free table/SRAM slot in order (:meth:`cam_insert`).  The operand
+        applies as its lanes would one at a time: a repeated index keeps
+        its last ``store`` lane and accumulates in lane order, and if the
+        table fills, every lane before the overflowing one is applied
+        before :class:`~repro.errors.SSPMCapacityError` is raised.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         vals = np.asarray(values, dtype=float).ravel()
         if vals.shape != idx.shape:
             raise SSPMError("indices and values must have the same shape")
-        if op != "store" and op not in _OPS:
+        if op != "store" and op not in _UFUNCS:
             raise SSPMError(f"unknown CAM write op {op!r}")
-        for app_idx, v in zip(idx, vals):
-            slot = self._cam_map.get(int(app_idx))
-            if slot is None:
-                slot = self._cam_insert(int(app_idx))
-                self._sram[slot] = v if op == "store" else _OPS.get(op, _store)(0.0, v)
-            else:
-                if op == "store":
-                    self._sram[slot] = v
-                else:
-                    self._sram[slot] = _OPS[op](self._sram[slot], v)
-            self._valid[slot] = True
+        slots, stop = self._cam_slots(idx)
+        slots, vals = slots[:stop], vals[:stop]
+        if op == "store":
+            last = _last_lanes(slots)
+            self._sram[slots[last]] = vals[last]
+        else:
+            _UFUNCS[op].at(self._sram, slots, vals)
+        if stop < idx.size:
+            raise self._table_full()
 
     def cam_read(self, indices) -> Tuple[np.ndarray, np.ndarray]:
         """Search the index table and read matched SRAM slots.
@@ -165,13 +185,10 @@ class SSPM:
         exposes to the vector unit (Figure 4, step 3).
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
+        slots = self._cam_find(idx)
+        matched = slots >= 0
         values = np.zeros(idx.size, dtype=float)
-        matched = np.zeros(idx.size, dtype=bool)
-        for lane, app_idx in enumerate(idx):
-            slot = self._cam_map.get(int(app_idx))
-            if slot is not None:
-                values[lane] = self._sram[slot]
-                matched[lane] = True
+        values[matched] = self._sram[slots[matched]]
         return values, matched
 
     def cam_tracked_indices(self, offset: int, count: int) -> np.ndarray:
@@ -201,17 +218,51 @@ class SSPM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cam_insert(self, app_idx: int) -> int:
-        if self._element_count >= self.config.cam_entries:
-            raise SSPMCapacityError(
-                f"index table full ({self.config.cam_entries} entries); "
-                "the working set must be tiled to fit the SSPM"
-            )
-        slot = self._element_count
-        self._cam_index[slot] = app_idx
-        self._cam_map[app_idx] = slot
-        self._element_count += 1
-        return slot
+    def _cam_find(self, idx: np.ndarray) -> np.ndarray:
+        """Each lane's index-table slot, or -1 where the index is untracked."""
+        n = self._element_count
+        slots = np.full(idx.size, -1, dtype=np.int64)
+        if n and idx.size:
+            table = self._cam_index[:n]
+            order = np.argsort(table)
+            pos = np.minimum(np.searchsorted(table, idx, sorter=order), n - 1)
+            hit = table[order[pos]] == idx
+            slots[hit] = order[pos[hit]]
+        return slots
+
+    def _cam_slots(self, idx: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Search every lane and insert the misses in first-occurrence order.
+
+        Returns the lanes' slots and how many leading lanes were served:
+        all of them, or those before the first lane whose new index found
+        the table full (that index and later new ones are not inserted).
+        """
+        slots = self._cam_find(idx)
+        miss = np.flatnonzero(slots < 0)
+        if not miss.size:
+            return slots, idx.size
+        keys, first, inverse = np.unique(
+            idx[miss], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)  # insertion order: first occurrence
+        rank = np.empty(keys.size, dtype=np.int64)
+        rank[order] = np.arange(keys.size)
+        base = self._element_count
+        free = self.config.cam_entries - base
+        stop = idx.size if keys.size <= free else int(miss[first[order[free]]])
+        new = base + np.arange(min(keys.size, free))
+        self._cam_index[new] = keys[order[: new.size]]
+        self._sram[new] = 0.0
+        self._valid[new] = True
+        self._element_count = base + new.size
+        slots[miss] = base + rank[inverse.ravel()]
+        return slots, stop
+
+    def _table_full(self) -> SSPMCapacityError:
+        return SSPMCapacityError(
+            f"index table full ({self.config.cam_entries} entries); "
+            "the working set must be tiled to fit the SSPM"
+        )
 
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -229,12 +280,11 @@ class SSPM:
             )
 
 
-def _store(_current: float, value: float) -> float:
-    return value
+def _last_lanes(idx: np.ndarray) -> np.ndarray:
+    """Lane of each distinct index's last occurrence (store semantics)."""
+    _, first_from_end = np.unique(idx[::-1], return_index=True)
+    return idx.size - 1 - first_from_end
 
 
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mult": lambda a, b: a * b,
-}
+#: accumulate ops; ``ufunc.at`` applies repeated indices in lane order
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mult": np.multiply}
