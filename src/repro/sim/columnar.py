@@ -1105,7 +1105,9 @@ APPEND: Dict[str, Callable[..., bool]] = {k: f[0] for k, f in _COMPILED.items()}
 #: validate once and store up to ``m`` identical rows, stopping where the
 #: buffer fills (the kinds of :data:`_ROW_BLOCK_KINDS`)
 APPEND_ROWS: Dict[str, Callable[..., Tuple[int, bool]]] = {
-    k: f[2] for k, f in _COMPILED.items() if f[2] is not None
+    k: append_rows
+    for k, (_, _, append_rows) in _COMPILED.items()
+    if append_rows is not None
 }
 
 #: kind name -> ``validate(*operands)``: the same checks, without a row
