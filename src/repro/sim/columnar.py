@@ -1106,7 +1106,7 @@ APPEND: Dict[str, Callable[..., bool]] = {k: f[0] for k, f in _COMPILED.items()}
 #: buffer fills (the kinds of :data:`_ROW_BLOCK_KINDS`)
 APPEND_ROWS: Dict[str, Callable[..., Tuple[int, bool]]] = {
     k: append_rows
-    for k, (_, _, append_rows) in _COMPILED.items()
+    for k, (_append, _validate, append_rows) in _COMPILED.items()
     if append_rows is not None
 }
 
