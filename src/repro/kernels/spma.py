@@ -25,7 +25,7 @@ from repro.kernels.common import (
 )
 from repro.sim.backends import Backend
 from repro.sim import KernelResult, MachineConfig, calibration as cal
-from repro.via import Dest, Mode, Opcode, ViaConfig
+from repro.via import Dest, Mode, ViaConfig
 
 
 def _check_pair(a: CSRMatrix, b: CSRMatrix) -> None:
@@ -113,15 +113,20 @@ def spma_via(
     cap = dev.config.cam_entries
     out_rows, out_cols, out_vals = [], [], []
     total_out = 0
-    a_len, b_len = a.row_lengths(), b.row_lengths()
-    row_keys = (_linear_keys(a, a_len), _linear_keys(b, b_len))
 
     def flush(batch_rows) -> None:
         nonlocal total_out
         if not batch_rows:
             return
         dev.vidxclear()
-        _fill(dev, core, a, b, batch_rows, row_keys)
+        for r in batch_rows:
+            ac, av = a.row_slice(r)
+            bc, bv = b.row_slice(r)
+            if ac.size:
+                dev.vidxload(av, r * cols + ac, Mode.CAM)
+            if bc.size:
+                dev.vidxadd(bv, r * cols + bc, mode=Mode.CAM, dest=Dest.SSPM)
+            core.scalar_ops(6)
         n = dev.vidxcount()
         if n:
             keys, vals = dev.vidxmov(0, n)
@@ -133,6 +138,7 @@ def spma_via(
             total_out += n
         core.scalar_ops(4)
 
+    a_len, b_len = a.row_lengths(), b.row_lengths()
     batch, batch_fill = [], 0
     for r in range(rows):
         upper = int(a_len[r] + b_len[r])  # union upper bound
@@ -179,41 +185,6 @@ def spma_via(
     else:
         result = COOMatrix.empty(a.shape)
     return core.finalize(f"spma_via_{dev.config.name}", output=CSRMatrix.from_coo(result))
-
-
-def _fill(dev, core, a: CSRMatrix, b: CSRMatrix, rows, keys) -> None:
-    """One fill's CAM work and narration, on a cleared SSPM.
-
-    Row by row, the fill is ``vidxload.c`` of A's row, ``vidxadd.c`` of
-    B's row into the SSPM, and the row's loop overhead.  The CAM work runs
-    in one step: insert every key in that order (a row's A keys, then its
-    B keys), then store A's values and accumulate B's.  Keys of different
-    rows never match, so this is the row-by-row result bit for bit, CAM
-    slot order included; a fill never overflows the index table.  The
-    loop then narrates each row's instruction rows in their order.
-    """
-    a_keys, b_keys = keys
-    r0, r1 = rows[0], rows[-1] + 1
-    a_lo, a_hi = int(a.row_ptr[r0]), int(a.row_ptr[r1])
-    b_lo, b_hi = int(b.row_ptr[r0]), int(b.row_ptr[r1])
-    fill = np.concatenate((a_keys[a_lo:a_hi], b_keys[b_lo:b_hi]))
-    dev.sspm.cam_insert(fill[np.argsort(fill // a.cols, kind="stable")])
-    dev.sspm.cam_write(a_keys[a_lo:a_hi], a.data[a_lo:a_hi], op="store")
-    dev.sspm.cam_write(b_keys[b_lo:b_hi], b.data[b_lo:b_hi], op="add")
-    a_n = np.diff(a.row_ptr[r0 : r1 + 1]).tolist()
-    b_n = np.diff(b.row_ptr[r0 : r1 + 1]).tolist()
-    for r in rows:
-        dev.account_chunks(Opcode.VIDXLOAD, a_n[r - r0], mode=Mode.CAM)
-        dev.account_chunks(
-            Opcode.VIDXADD, b_n[r - r0], mode=Mode.CAM, dest=Dest.SSPM
-        )
-        core.scalar_ops(6)
-
-
-def _linear_keys(m: CSRMatrix, lengths: np.ndarray) -> np.ndarray:
-    """Every entry's linearized ``row * cols + col`` key, in storage order."""
-    rows = np.repeat(np.arange(m.rows, dtype=np.int64), lengths)
-    return rows * m.cols + m.col_idx
 
 
 def _spma_reference(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

@@ -9,9 +9,7 @@ table:
 
 * :class:`ColumnarBuilder` appends narration rows through :data:`APPEND`,
   one straight-line function per kind generated from the table (checks,
-  then one store per column), and blocks of identical rows (the VIA
-  engine's per-chunk rows) through :data:`APPEND_ROWS`, generated from
-  the same rows;
+  then one store per column);
 * :func:`decode_row` reads a row back into its operand values, and
   :meth:`OpKind.render` turns them into a trace event;
 * :class:`ColumnarOps` validation and :func:`check_columnar_invariants`
@@ -107,7 +105,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "APPEND",
-    "APPEND_ROWS",
     "COLUMNS",
     "KIND_IDS",
     "KIND_ORDER",
@@ -1006,15 +1003,9 @@ class ColumnarBuilder:
 #: the Python source of each bound's failing condition
 _BOUND_FAILS = {">= 0": "< 0", "> 0": "<= 0"}
 
-#: kinds appended in blocks of identical rows: the VIA engine's one row
-#: per VL chunk of an operand (their operands are all plain columns)
-_ROW_BLOCK_KINDS = ("record_via_op",)
 
-
-def _compile(
-    kind_id: int, kind: OpKind
-) -> Tuple[Callable[..., bool], Callable[..., None], Optional[Callable[..., Tuple[int, bool]]]]:
-    """Generate a kind's append, validate and bulk-append functions.
+def _compile(kind_id: int, kind: OpKind) -> Tuple[Callable[..., bool], Callable[..., None]]:
+    """Generate a kind's append and validate functions from its table row.
 
     ``append(builder, *operands)`` runs the kind's checks, then the
     operand bounds, each raising :class:`~repro.errors.SimulationError`
@@ -1024,13 +1015,6 @@ def _compile(
     ``if`` per check and one store per column: a narrated op costs what a
     hand-written method did, where a loop over the row's operands cost
     about half as much again per ``record_via_op`` row.
-
-    ``append_rows(builder, m, *operands)`` exists for the kinds in
-    :data:`_ROW_BLOCK_KINDS`.  It runs the same checks once, then stores
-    up to ``m`` identical rows with one slice store per column — as many
-    as fit before the buffer reaches ``flush_rows``, so a caller that
-    flushes when told to and repeats with the rest flushes at the rows
-    appending one at a time would — and returns ``(rows stored, full)``.
     """
     checks = list(kind.checks)
     for o in kind.operands:
@@ -1064,34 +1048,17 @@ def _compile(
             store = f"if {o.name} is not None:\n        {store}"
         store_lines.append(f"    {store}")
     params = ", ".join(o.name for o in kind.operands)
-    source = [f"def validate_{kind.name}({params}):", *check_lines, "    return None", ""]
-    source += [f"def append_{kind.name}(self, {params}):", *check_lines]
-    source += ["    i = self.rows", "    if i == self._cap:", "        self._grow()"]
-    source += store_lines
-    source += ["    self.rows = i + 1", "    return i + 1 >= self.flush_rows", ""]
-    bulk = kind.name in _ROW_BLOCK_KINDS
-    if bulk:
-        # the single-row stores, with the row index ``i`` as the slice
-        # ``i:j`` of the rows this call stores
-        slice_lines = [line.replace("[i]", "[i:j]") for line in store_lines]
-        source += [f"def append_rows_{kind.name}(self, m, {params}):", *check_lines]
-        source += [
-            "    i = self.rows",
-            "    j = i + max(1, min(m, self.flush_rows - i))",
-            "    while j > self._cap:",
-            "        self._grow()",
-            *slice_lines,
-            "    self.rows = j",
-            "    return j - i, j >= self.flush_rows",
-            "",
-        ]
-    exec(compile("\n".join(source), f"<op kind {kind.name}>", "exec"), namespace)
+    source = "\n".join(
+        [f"def validate_{kind.name}({params}):", *check_lines, "    return None", ""]
+        + [f"def append_{kind.name}(self, {params}):", *check_lines]
+        + ["    i = self.rows", "    if i == self._cap:", "        self._grow()"]
+        + store_lines
+        + ["    self.rows = i + 1", "    return i + 1 >= self.flush_rows", ""]
+    )
+    exec(compile(source, f"<op kind {kind.name}>", "exec"), namespace)
     return (
         cast(Callable[..., bool], namespace[f"append_{kind.name}"]),
         cast(Callable[..., None], namespace[f"validate_{kind.name}"]),
-        cast(Callable[..., Tuple[int, bool]], namespace[f"append_rows_{kind.name}"])
-        if bulk
-        else None,
     )
 
 
@@ -1100,15 +1067,6 @@ _COMPILED = {kind.name: _compile(i, kind) for i, kind in enumerate(OP_KINDS)}
 #: kind name -> ``append(builder, *operands) -> full``: validate one
 #: narrated op and store it as a builder row (see :func:`_compile`)
 APPEND: Dict[str, Callable[..., bool]] = {k: f[0] for k, f in _COMPILED.items()}
-
-#: kind name -> ``append_rows(builder, m, *operands) -> (stored, full)``:
-#: validate once and store up to ``m`` identical rows, stopping where the
-#: buffer fills (the kinds of :data:`_ROW_BLOCK_KINDS`)
-APPEND_ROWS: Dict[str, Callable[..., Tuple[int, bool]]] = {
-    k: append_rows
-    for k, (_append, _validate, append_rows) in _COMPILED.items()
-    if append_rows is not None
-}
 
 #: kind name -> ``validate(*operands)``: the same checks, without a row
 VALIDATE: Dict[str, Callable[..., None]] = {k: f[1] for k, f in _COMPILED.items()}

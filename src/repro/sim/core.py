@@ -6,9 +6,7 @@ instruction or scalar bookkeeping group) while computing their functional
 results in numpy.  Narration is **born columnar**: each narration call
 appends one row to an in-core :class:`~repro.sim.columnar.ColumnarBuilder`
 through :data:`~repro.sim.columnar.APPEND`, the append path generated from
-the op-kind table (the VIA engine's one row per VL chunk of an operand
-goes in as one block through :data:`~repro.sim.columnar.APPEND_ROWS`,
-split where a flush falls), and the buffered rows flush to the core's backend,
+the op-kind table, and the buffered rows flush to the core's backend,
 which prices them through the columnar kernels
 (:func:`~repro.sim.columnar.price_flush`) — no per-op object is ever
 allocated.  The differential suites pin the priced counters bit for bit
@@ -46,7 +44,7 @@ import numpy.typing as npt
 from repro.errors import SimulationError
 from repro.sim import calibration as cal
 from repro.sim.backends import Backend, DirectBackend
-from repro.sim.columnar import APPEND, APPEND_ROWS, ColumnarBuilder
+from repro.sim.columnar import APPEND, ColumnarBuilder
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.stats import CycleBreakdown, KernelResult, OpCounters, PricedState
@@ -475,7 +473,6 @@ class Core:
         port_cycles: Optional[float] = None,
         port_passes: Optional[int] = None,
         count: int = 1,
-        rows: int = 1,
     ) -> None:
         """Account VIA instructions' SSPM work (called by the engine).
 
@@ -490,29 +487,16 @@ class Core:
         commit (Section IV-E).  ``count`` bulk-records that many identical
         instructions (per-instruction operand values do not change the
         timing, only the element counts do).
-
-        ``rows`` appends that many identical rows — the engine's one row
-        per VL chunk of an operand — in one builder call per flush: a
-        block that reaches the flush threshold flushes at that row, as
-        appending the rows one at a time would.
         """
-        operands = (
+        if APPEND["record_via_op"](
+            self._builder,
             int(sspm_elements),
             int(cam_searches),
             int(count),
             None if port_passes is None else int(port_passes),
             None if port_cycles is None else float(port_cycles),
-        )
-        if rows == 1:
-            if APPEND["record_via_op"](self._builder, *operands):
-                self._flush()
-            return
-        left = int(rows)
-        while left > 0:
-            stored, full = APPEND_ROWS["record_via_op"](self._builder, left, *operands)
-            if full:
-                self._flush()
-            left -= stored
+        ):
+            self._flush()
 
     # ------------------------------------------------------------------
     # Finalization

@@ -6,7 +6,7 @@ assembly-like helpers (``vidxload``, ``vidxadd`` ...) that take operands of
 any length.  Architecturally an operand is one VL-wide instruction per
 chunk.  The helpers run the whole operand against the SSPM in one
 vectorized step — the SSPM applies lanes in order, which is chunk order —
-and append the chunks' rows to the core's cycle model in bulk: one
+and then append the chunks' rows to the core's cycle model: one
 full-width row per whole chunk, then the tail at its own width, the rows
 :meth:`ViaDevice.execute` appends chunk by chunk.  ``execute`` remains the
 single-instruction path: the assembler, ``vidxclear`` and ``vidxcount``,
@@ -209,37 +209,8 @@ class ViaDevice:
         return self.vidxmov(0, self.vidxcount())
 
     # ------------------------------------------------------------------
-    # Timing-only accounting
+    # Bulk timing-only accounting
     # ------------------------------------------------------------------
-    def account_chunks(
-        self,
-        opcode: Opcode,
-        total_elements: int,
-        *,
-        mode: Mode = Mode.DIRECT,
-        dest: Dest = Dest.VRF,
-    ) -> None:
-        """Append the rows of ``total_elements`` elements run one VL chunk
-        per instruction, exactly as :meth:`execute` would per chunk.
-
-        ``total_elements // VL`` full-width rows go in as one block, then
-        one row for the tail at its own width.  The helpers call this after
-        running an operand against the SSPM; a kernel that runs the SSPM
-        work of several operands in one step narrates each operand here.
-        """
-        if self._core is None or total_elements <= 0:
-            return
-        full, tail = divmod(int(total_elements), self.vl)
-        for width, rows in ((self.vl, full), (tail, 1)):
-            if width and rows:
-                timing = _chunk_timing(opcode, mode, dest, width)
-                self._core.record_via_op(
-                    sspm_elements=timing.sspm_elements,
-                    cam_searches=timing.cam_searches,
-                    port_passes=timing.port_passes,
-                    rows=rows,
-                )
-
     def account_bulk(
         self,
         opcode: Opcode,
@@ -305,17 +276,31 @@ class ViaDevice:
         except SSPMCapacityError:
             _, matched = self.sspm.cam_read(instr.idx + instr.offset)
             lane = int(np.argmin(matched))
-            self.account_chunks(
-                instr.opcode, lane - lane % self.vl, mode=instr.mode, dest=instr.dest
-            )
+            self._account_chunks(instr, lane - lane % self.vl)
             raise
         except SSPMError:
             self._per_chunk(instr)
             raise
-        self.account_chunks(
-            instr.opcode, instr.num_elements, mode=instr.mode, dest=instr.dest
-        )
+        self._account_chunks(instr, instr.num_elements)
         return result
+
+    def _account_chunks(self, instr: ViaInstruction, n: int) -> None:
+        """Append the rows :meth:`execute` appends for the first ``n``
+        elements of ``instr`` run one VL chunk per instruction: ``n // VL``
+        full-width rows, then one row for the tail at its own width.
+        """
+        if self._core is None:
+            return
+        full, tail = divmod(n, self.vl)
+        for width, rows in ((self.vl, full), (tail, 1)):
+            if width and rows:
+                timing = _chunk_timing(instr.opcode, instr.mode, instr.dest, width)
+                for _ in range(rows):
+                    self._core.record_via_op(
+                        sspm_elements=timing.sspm_elements,
+                        cam_searches=timing.cam_searches,
+                        port_passes=timing.port_passes,
+                    )
 
     def _per_chunk(self, instr: ViaInstruction) -> None:
         """Execute a whole operand's instruction one VL chunk at a time."""

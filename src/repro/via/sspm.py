@@ -135,27 +135,13 @@ class SSPM:
     # ------------------------------------------------------------------
     # CAM-based mode (Section III-B2)
     # ------------------------------------------------------------------
-    def cam_insert(self, indices) -> np.ndarray:
-        """Track every index the index table misses; return each lane's slot.
-
-        The insertion logic allocates the next free table/SRAM slots in
-        order of first occurrence; a new entry reads as 0.0 until written.
-        If the table fills, the indices before the overflowing lane stay
-        inserted and :class:`~repro.errors.SSPMCapacityError` is raised.
-        """
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        slots, stop = self._cam_slots(idx)
-        if stop < idx.size:
-            raise self._table_full()
-        return slots
-
     def cam_write(self, indices, values, op: str = "store") -> None:
         """Write through the index table (Section IV-A, CAM write).
 
         Each application index is searched; a match updates the existing
         SRAM slot (``store`` overwrites, ``add``/``sub``/``mult``
         accumulate), a miss makes the insertion logic allocate the next
-        free table/SRAM slot in order (:meth:`cam_insert`).  The operand
+        free table/SRAM slot in order of first occurrence.  The operand
         applies as its lanes would one at a time: a repeated index keeps
         its last ``store`` lane and accumulates in lane order, and if the
         table fills, every lane before the overflowing one is applied
@@ -175,7 +161,10 @@ class SSPM:
         else:
             _UFUNCS[op].at(self._sram, slots, vals)
         if stop < idx.size:
-            raise self._table_full()
+            raise SSPMCapacityError(
+                f"index table full ({self.config.cam_entries} entries); "
+                "the working set must be tiled to fit the SSPM"
+            )
 
     def cam_read(self, indices) -> Tuple[np.ndarray, np.ndarray]:
         """Search the index table and read matched SRAM slots.
@@ -257,12 +246,6 @@ class SSPM:
         self._element_count = base + new.size
         slots[miss] = base + rank[inverse.ravel()]
         return slots, stop
-
-    def _table_full(self) -> SSPMCapacityError:
-        return SSPMCapacityError(
-            f"index table full ({self.config.cam_entries} entries); "
-            "the working set must be tiled to fit the SSPM"
-        )
 
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()

@@ -1,7 +1,7 @@
 """Whole-operand VIA execution against the per-chunk, per-lane reference.
 
-Production runs each helper operand against the SSPM in one step and
-appends its chunk rows in bulk; :mod:`tests.via_reference` keeps the
+Production runs each helper operand against the SSPM in one step, then
+appends its chunk rows; :mod:`tests.via_reference` keeps the
 chunk-by-chunk device and the lane-by-lane SSPM.  Three levels, compared
 bit for bit:
 
@@ -37,7 +37,7 @@ from repro.sim.columnar import COLUMNS
 from repro.sim.config import DEFAULT_MACHINE
 from repro.sim.core import narration_flush_count
 from repro.via import SSPM, Dest, Mode, ViaConfig, ViaDevice, dse_configs
-from tests.via_reference import ChunkViaDevice, LaneSSPM, fill_per_row
+from tests.via_reference import ChunkViaDevice, LaneSSPM
 
 _CFG = ViaConfig(4, 2)  # 1,024 SRAM entries, 256 index-table entries
 _ENTRIES = _CFG.sram_entries
@@ -134,7 +134,7 @@ def _devices(sspm, vl):
 # SSPM accesses against the lane-by-lane loops
 # ----------------------------------------------------------------------
 _ACCESS = st.sampled_from(
-    ["dm_write", "dm_accumulate", "dm_read", "cam_write", "cam_read", "cam_insert"]
+    ["dm_write", "dm_accumulate", "dm_read", "cam_write", "cam_read"]
 )
 
 
@@ -156,7 +156,7 @@ def test_sspm_access_matches_lane_loop(sspm, access, op, base, lanes):
         op = "add"
 
     def call(s):
-        if access in ("dm_read", "cam_read", "cam_insert"):
+        if access in ("dm_read", "cam_read"):
             return getattr(s, access)(idx)
         if access == "dm_write":
             return s.dm_write(idx, vals)
@@ -263,7 +263,7 @@ def test_direct_range_error_applies_whole_chunks_before_it():
     assert core.counters.via_instructions == ref_core.counters.via_instructions == 2
 
 
-def test_bulk_rows_split_at_the_flush_threshold():
+def test_operand_rows_flush_at_the_threshold():
     flushes = []
     for cls in (ViaDevice, ChunkViaDevice):
         dev = cls(_CFG)
@@ -364,8 +364,6 @@ def _record(monkeypatch, run, cfg, *, reference, flush_ops=None):
     with monkeypatch.context() as patch:
         cls = ChunkViaDevice if reference else ViaDevice
         patch.setattr(common, "ViaDevice", _tapped(cls, drains, devices))
-        if reference:
-            patch.setattr(spma, "_fill", fill_per_row)
         if flush_ops is not None:
             patch.setattr(common, "Core", functools.partial(Core, flush_ops=flush_ops))
         backend = _Capture()

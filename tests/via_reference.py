@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ISAError, SSPMCapacityError, SSPMError
 from repro.via.config import DEFAULT_VIA, ViaConfig
 from repro.via.engine import ViaDevice
-from repro.via.isa import Dest, Mode, Opcode, ViaInstruction
+from repro.via.isa import Mode, Opcode, ViaInstruction
 from repro.via.sspm import SSPM
 
 _OPS = {
@@ -67,18 +67,6 @@ class LaneSSPM(SSPM):
             self._valid[i] = True
             out[lane] = result
         return out
-
-    def cam_insert(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        slots = np.empty(idx.size, dtype=np.int64)
-        for lane, key in enumerate(idx.tolist()):
-            slot = self._lookup(key)
-            if slot is None:
-                slot = self._insert(key)
-                self._sram[slot] = 0.0
-                self._valid[slot] = True
-            slots[lane] = slot
-        return slots
 
     def cam_write(self, indices, values, op: str = "store") -> None:
         idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -180,15 +168,3 @@ class ChunkViaDevice(ViaDevice):
             return values, np.concatenate(masks)
         return values
 
-
-def fill_per_row(dev, core, a, b, rows, keys) -> None:
-    """One SpMA fill the row-by-row way (stands in for ``spma._fill``)."""
-    cols = a.cols
-    for r in rows:
-        ac, av = a.row_slice(r)
-        bc, bv = b.row_slice(r)
-        if ac.size:
-            dev.vidxload(av, r * cols + ac, Mode.CAM)
-        if bc.size:
-            dev.vidxadd(bv, r * cols + bc, mode=Mode.CAM, dest=Dest.SSPM)
-        core.scalar_ops(6)
