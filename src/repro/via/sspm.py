@@ -23,7 +23,7 @@ Two operating modes share the SRAM:
   zero, writes of unmatched indices insert a new tracked entry.
 
 Every access takes a whole operand — any number of lanes, not just one
-VL-wide instruction's — in one vectorized step, with the semantics of its
+VL-wide instruction's — in one step, with the semantics of its
 lanes applied one at a time in order: a repeated index keeps its last
 store and accumulates in lane order, CAM misses insert in order of first
 occurrence, and a CAM overflow applies every lane before the overflowing
@@ -38,7 +38,8 @@ index table's banking and clock gating (Figure 6) are not modeled.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ class SSPM:
         self._valid = np.zeros(config.sram_entries, dtype=bool)
         # CAM index table: tracked application indices, allocated in order.
         self._cam_index = np.full(config.cam_entries, -1, dtype=np.int64)
+        self._cam_map: Dict[int, int] = {}
         self._element_count = 0
 
     # ------------------------------------------------------------------
@@ -85,6 +87,7 @@ class SSPM:
             self._check_range(start, count)
             self._valid[start : start + count] = False
         self._cam_index[: self._element_count] = -1
+        self._cam_map.clear()
         self._element_count = 0
 
     # ------------------------------------------------------------------
@@ -174,7 +177,7 @@ class SSPM:
         exposes to the vector unit (Figure 4, step 3).
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
-        slots = self._cam_find(idx)
+        slots = self._cam_find(idx.tolist())
         matched = slots >= 0
         values = np.zeros(idx.size, dtype=float)
         values[matched] = self._sram[slots[matched]]
@@ -207,17 +210,12 @@ class SSPM:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cam_find(self, idx: np.ndarray) -> np.ndarray:
-        """Each lane's index-table slot, or -1 where the index is untracked."""
-        n = self._element_count
-        slots = np.full(idx.size, -1, dtype=np.int64)
-        if n and idx.size:
-            table = self._cam_index[:n]
-            order = np.argsort(table)
-            pos = np.minimum(np.searchsorted(table, idx, sorter=order), n - 1)
-            hit = table[order[pos]] == idx
-            slots[hit] = order[pos[hit]]
-        return slots
+    def _cam_find(self, keys: List[int]) -> np.ndarray:
+        """Each key's index-table slot, or -1 where the key is untracked."""
+        get = self._cam_map.get
+        return np.fromiter(
+            map(get, keys, itertools.repeat(-1)), dtype=np.int64, count=len(keys)
+        )
 
     def _cam_slots(self, idx: np.ndarray) -> Tuple[np.ndarray, int]:
         """Search every lane and insert the misses in first-occurrence order.
@@ -226,26 +224,23 @@ class SSPM:
         all of them, or those before the first lane whose new index found
         the table full (that index and later new ones are not inserted).
         """
-        slots = self._cam_find(idx)
-        miss = np.flatnonzero(slots < 0)
-        if not miss.size:
-            return slots, idx.size
-        keys, first, inverse = np.unique(
-            idx[miss], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)  # insertion order: first occurrence
-        rank = np.empty(keys.size, dtype=np.int64)
-        rank[order] = np.arange(keys.size)
+        keys = idx.tolist()
+        tracked = self._cam_map
+        new = [k for k in dict.fromkeys(keys) if k not in tracked]
         base = self._element_count
         free = self.config.cam_entries - base
-        stop = idx.size if keys.size <= free else int(miss[first[order[free]]])
-        new = base + np.arange(min(keys.size, free))
-        self._cam_index[new] = keys[order[: new.size]]
-        self._sram[new] = 0.0
-        self._valid[new] = True
-        self._element_count = base + new.size
-        slots[miss] = base + rank[inverse.ravel()]
-        return slots, stop
+        if new:
+            fits = new[:free]
+            end = base + len(fits)
+            self._cam_index[base:end] = fits
+            tracked.update(zip(fits, range(base, end)))
+            self._sram[base:end] = 0.0
+            self._valid[base:end] = True
+            self._element_count = end
+        slots = self._cam_find(keys)
+        if len(new) <= free:
+            return slots, idx.size
+        return slots, int(np.argmax(slots < 0))
 
     def _check_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64).ravel()
@@ -265,8 +260,8 @@ class SSPM:
 
 def _last_lanes(idx: np.ndarray) -> np.ndarray:
     """Lane of each distinct index's last occurrence (store semantics)."""
-    _, first_from_end = np.unique(idx[::-1], return_index=True)
-    return idx.size - 1 - first_from_end
+    last = dict(zip(idx.tolist(), range(idx.size)))
+    return np.fromiter(last.values(), dtype=np.int64, count=len(last))
 
 
 #: accumulate ops; ``ufunc.at`` applies repeated indices in lane order

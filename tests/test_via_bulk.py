@@ -71,7 +71,14 @@ def _copy_state(src, dst):
     dst._sram[:] = src._sram
     dst._valid[:] = src._valid
     dst._cam_index[:] = src._cam_index
+    dst._cam_map = dict(src._cam_map)
     dst._element_count = src._element_count
+
+
+def _assert_cam_map_matches_table(sspm):
+    """The production SSPM's lookup dict holds exactly the table's slots."""
+    table = sspm._cam_index[: sspm.element_count].tolist()
+    assert sspm._cam_map == {key: slot for slot, key in enumerate(table)}
 
 
 def _outcome(fn):
@@ -164,6 +171,7 @@ def test_sspm_access_matches_lane_loop(sspm, access, op, base, lanes):
 
     got, want = _outcome(lambda: call(sspm)), _outcome(lambda: call(lane_sspm))
     assert _state(sspm) == _state(lane_sspm)
+    _assert_cam_map_matches_table(sspm)
     if access == "dm_accumulate" and want[0] == "ok":
         # the vectorized form returns each lane's entry after the operand
         want = ("ok", lane_sspm._sram[idx])
@@ -180,6 +188,7 @@ def test_cam_overflow_applies_lanes_before_the_overflowing_one():
             s.cam_write(keys, np.arange(7.0), op="add")
     assert _state(sspm) == _state(lane_sspm)
     assert sspm.element_count == _CAP
+    _assert_cam_map_matches_table(sspm)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +242,7 @@ def test_helper_matches_per_chunk_execution(sspm, call):
     got, want = _outcome(lambda: run(dev)), _outcome(lambda: run(ref))
     assert got[0] == want[0] and _same(got[1], want[1])
     assert _state(dev.sspm) == _state(ref.sspm)
+    _assert_cam_map_matches_table(dev.sspm)
     core.finalize("bulk")
     ref_core.finalize("chunk")
     assert _columns(core.backend.recording) == _columns(ref_core.backend.recording)
@@ -248,6 +258,7 @@ def test_cam_overflow_partway_keeps_the_chunk_rows_before_it():
         with pytest.raises(SSPMCapacityError, match="index table full"):
             d.vidxadd(np.ones(12), keys, mode=Mode.CAM, dest=Dest.SSPM)
     assert _state(dev.sspm) == _state(ref.sspm)
+    _assert_cam_map_matches_table(dev.sspm)
     assert core.counters.via_instructions == ref_core.counters.via_instructions == 1
 
 
