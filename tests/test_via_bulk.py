@@ -310,6 +310,48 @@ def _wide_pair():
     )
 
 
+#: (A columns, B columns) per row of :func:`_full_fill_pair`
+_FULL_FILL_ROWS = [
+    # fill 1 at 4 KB: 80 + 0 + 64 + 64 + 48 = 256 entries, A and B disjoint
+    (range(37), range(40, 83)),
+    ((), ()),
+    (range(64), ()),
+    ((), range(10, 74)),
+    (range(25), range(100, 123)),
+    ((), ()),
+    # fill 2: 128 + 60 + 0 + 61 + 7 = 256
+    (range(101), range(101, 128)),
+    ((), range(60)),
+    ((), ()),
+    (range(3, 64), ()),
+    (range(3), range(120, 124)),
+    # fill 3: A and B meet, so B accumulates: 180 lanes, 125 distinct keys
+    (range(50), range(25, 75)),
+    (range(9), ()),
+    ((), ()),
+    ((), range(11)),
+    (range(0, 90, 3), range(0, 90, 3)),
+]
+
+
+def _full_fill_pair():
+    """Two CSR operands whose packed fills close at exactly 256 entries.
+
+    At 4 KB (a 256-entry CAM) the rows pack into three fills, the first
+    two of exactly 256 distinct keys, with empty, A-only and B-only rows
+    inside them.
+    """
+    n = 128
+    parts = {}
+    for side in (0, 1):
+        row_cols = [np.asarray(row[side], dtype=np.int64) for row in _FULL_FILL_ROWS]
+        rows = np.repeat(np.arange(len(row_cols)), [c.size for c in row_cols])
+        cols = np.concatenate(row_cols)
+        vals = np.linspace(-1.5 + side, 2.5, rows.size)
+        parts[side] = CSRMatrix.from_coo(COOMatrix((n, n), rows, cols, vals))
+    return parts[0], parts[1]
+
+
 def _spmv_operand(fmt, coo, cfg):
     if fmt == "csr":
         return CSRMatrix.from_coo(coo)
@@ -326,6 +368,7 @@ def _kernel_runs():
     x = np.linspace(-1.0, 1.0, coo.cols)
     a, b = CSRMatrix.from_coo(coo), CSRMatrix.from_coo(other)
     wide_a, wide_b = _wide_pair()
+    full_a, full_b = _full_fill_pair()
     keys = (np.arange(500) * 37 + np.arange(500) // 7) % 80
     image = (np.arange(196, dtype=np.float64) % 9).reshape(14, 14)
     m = DEFAULT_MACHINE
@@ -340,6 +383,8 @@ def _kernel_runs():
         ("spma", lambda cfg, be: spma.spma_via(a, b, m, cfg, backend=be)),
         ("spma_wide_row", lambda cfg, be: spma.spma_via(
             wide_a, wide_b, m, cfg, backend=be)),
+        ("spma_full_fills", lambda cfg, be: spma.spma_via(
+            full_a, full_b, m, cfg, backend=be)),
         ("spmm", lambda cfg, be: spmm_via(
             a, CSCMatrix.from_coo(other), m, cfg, backend=be)),
         ("histogram", lambda cfg, be: histogram_via(keys, 80, m, cfg, backend=be)),
@@ -413,10 +458,20 @@ def test_kernel_records_like_per_chunk_execution(monkeypatch, label, cfg):
     )
 
 
-@pytest.mark.parametrize("label", ["spma", "spma_wide_row", "spmv_csb", "spmv_csr"])
+@pytest.mark.parametrize(
+    "label", ["spma", "spma_full_fills", "spma_wide_row", "spmv_csb", "spmv_csr"]
+)
 def test_flushes_inside_an_operand_fall_at_the_same_rows(monkeypatch, label):
     run, cfg = _RUNS[label], dse_configs()[0]
     got = _record(monkeypatch, run, cfg, reference=False, flush_ops=7)
     want = _record(monkeypatch, run, cfg, reference=True, flush_ops=7)
     assert got[2] > 1
     _assert_same_run(got, want)
+
+
+def test_full_fill_pair_closes_its_fills_at_the_cam_size(monkeypatch):
+    """The pair pins what it is for: three 4 KB fills, two of them full."""
+    cfg = dse_configs()[0]
+    assert cfg.cam_entries == 256
+    drains = _record(monkeypatch, _RUNS["spma_full_fills"], cfg, reference=False)[3]
+    assert [keys.size for keys, _ in drains] == [256, 256, 125]
