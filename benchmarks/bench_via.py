@@ -18,8 +18,9 @@ Run::
     PYTHONPATH=src python benchmarks/bench_via.py [--repeats 5] [--json PATH]
 
 To compare two checkouts, run the same script against each one's sources
-(``PYTHONPATH=<checkout>/src``).  It is not a CI gate, and ``pytest
-benchmarks`` does not collect it.  The checked-in run is
+(``PYTHONPATH=<checkout>/src``).  ``pytest benchmarks`` does not collect
+it.  CI runs it once per push (``--repeats 1 --json /tmp/...``) for its
+cycle pins alone; no timing is gated.  The checked-in run is
 ``benchmarks/results/BENCH_via.json``, summarized in EXPERIMENTS.md.
 """
 

@@ -25,7 +25,7 @@ from repro.kernels.common import (
 )
 from repro.sim.backends import Backend
 from repro.sim import KernelResult, MachineConfig, calibration as cal
-from repro.via import Dest, Mode, ViaConfig
+from repro.via import ViaConfig
 
 
 def _check_pair(a: CSRMatrix, b: CSRMatrix) -> None:
@@ -85,14 +85,18 @@ def spma_via(
     Rows are packed into SSPM *fills*: as many consecutive rows as the
     index table holds are processed per ``vidxclear`` (the tracked index
     is the linearized ``row * cols + col`` key, which keeps VL lanes from
-    different rows independent).  Per fill: ``vidxload.c`` inserts the A
-    entries; ``vidxadd.c`` streams the B entries through the index table —
-    matching keys accumulate, new keys insert in order; ``vidxcount`` +
-    ``vidxmov`` drain the result entries to memory.
+    different rows independent).  Per row of a fill: ``vidxload.c``
+    inserts the row's A entries, then ``vidxadd.c`` streams its B entries
+    through the index table — matching keys accumulate, new keys insert
+    in order.  All of a fill's per-row pairs run against the SSPM in one
+    step (:meth:`~repro.via.engine.ViaDevice.cam_fill`), which appends
+    each row's instruction rows as the per-row calls would.  Per fill,
+    ``vidxcount`` + ``vidxmov`` then drain the result entries to memory.
 
     Larger SSPMs pack more rows per fill and amortize the fill overheads —
     the capacity effect the paper's Figure 9 measures for SpMA.  Single
-    rows wider than the index table fall back to column-segment tiling.
+    rows wider than the index table fall back to column-segment tiling,
+    each segment a one-row fill.
 
     The flow runs functionally through the SSPM: the returned matrix is
     assembled from the scratchpad drains.
@@ -113,20 +117,22 @@ def spma_via(
     cap = dev.config.cam_entries
     out_rows, out_cols, out_vals = [], [], []
     total_out = 0
+    a_len, b_len = a.row_lengths(), b.row_lengths()
+    row_base = np.arange(rows, dtype=np.int64) * cols
+    a_keys = np.repeat(row_base, a_len) + a.col_idx
+    b_keys = np.repeat(row_base, b_len) + b.col_idx
 
     def flush(batch_rows) -> None:
         nonlocal total_out
         if not batch_rows:
             return
         dev.vidxclear()
-        for r in batch_rows:
-            ac, av = a.row_slice(r)
-            bc, bv = b.row_slice(r)
-            if ac.size:
-                dev.vidxload(av, r * cols + ac, Mode.CAM)
-            if bc.size:
-                dev.vidxadd(bv, r * cols + bc, mode=Mode.CAM, dest=Dest.SSPM)
-            core.scalar_ops(6)
+        ends = batch_rows + [batch_rows[-1] + 1]
+        dev.cam_fill(
+            _fill_operand(a, a_keys, ends),
+            _fill_operand(b, b_keys, ends),
+            row_uops=6,
+        )
         n = dev.vidxcount()
         if n:
             keys, vals = dev.vidxmov(0, n)
@@ -138,7 +144,6 @@ def spma_via(
             total_out += n
         core.scalar_ops(4)
 
-    a_len, b_len = a.row_lengths(), b.row_lengths()
     batch, batch_fill = [], 0
     for r in range(rows):
         upper = int(a_len[r] + b_len[r])  # union upper bound
@@ -153,10 +158,11 @@ def spma_via(
             bc, bv = b.row_slice(r)
             for a_seg, b_seg in _column_segments(ac, bc, cap):
                 dev.vidxclear()
-                if a_seg.size:
-                    dev.vidxload(av[a_seg], ac[a_seg], Mode.CAM)
-                if b_seg.size:
-                    dev.vidxadd(bv[b_seg], bc[b_seg], mode=Mode.CAM, dest=Dest.SSPM)
+                dev.cam_fill(
+                    (av[a_seg], ac[a_seg], [0, a_seg.size]),
+                    (bv[b_seg], bc[b_seg], [0, b_seg.size]),
+                    row_uops=0,
+                )
                 n = dev.vidxcount()
                 idx, vals = dev.vidxmov(0, n)
                 out_rows.append(np.full(n, r, dtype=np.int64))
@@ -185,6 +191,17 @@ def spma_via(
     else:
         result = COOMatrix.empty(a.shape)
     return core.finalize(f"spma_via_{dev.config.name}", output=CSRMatrix.from_coo(result))
+
+
+def _fill_operand(m: CSRMatrix, keys: np.ndarray, ends: list):
+    """One operand of a fill as ``(values, keys, row_ptr)``.
+
+    ``ends`` is the fill's rows and one past its last.  Only empty rows
+    fall between a fill's rows, so its entries are one contiguous slice.
+    """
+    ptr = m.row_ptr[ends]
+    lo, hi = int(ptr[0]), int(ptr[-1])
+    return m.data[lo:hi], keys[lo:hi], ptr - lo
 
 
 def _spma_reference(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:

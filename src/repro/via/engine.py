@@ -13,6 +13,11 @@ single-instruction path: the assembler, ``vidxclear`` and ``vidxcount``,
 and the chunk-by-chunk runs of an operand that fails partway or of a
 ``vidxblkmult`` whose read and write windows meet.
 
+A SpMA fill issues one ``vidxload.c`` and one ``vidxadd.c`` per row.
+:meth:`ViaDevice.cam_fill` runs a whole fill's pairs against the SSPM in
+one step, in program order, then appends each row's chunk rows as the
+per-row helper calls do.
+
 Operand-order conventions for the arithmetic instructions (Section IV-C:
 "These instructions always use data placed in the VRF (Data) to compute
 with values stored in the SSPM"):
@@ -208,6 +213,60 @@ class ViaDevice:
         """Read back every tracked (index, value) pair: count + mov."""
         return self.vidxmov(0, self.vidxcount())
 
+    def cam_fill(self, a, b, *, row_uops: int) -> None:
+        """Run a run of SpMA rows against the CAM-mode SSPM in one step.
+
+        Row by row, the program is ``vidxload.c`` of the row's A lanes,
+        ``vidxadd.c`` of its B lanes into the SSPM, and ``row_uops`` scalar
+        uops of loop overhead.  ``a`` and ``b`` are CSR-shaped operands
+        ``(values, keys, row_ptr)`` over the same rows, each ``row_ptr``
+        indexing its own arrays from 0.  Every lane runs in one
+        :meth:`SSPM.cam_write <repro.via.sspm.SSPM.cam_write>` in that
+        program order, A lanes storing and B lanes accumulating; then each
+        row appends its chunk rows and its scalar uops, the rows the
+        per-row helper calls append.  A CAM overflow leaves what those
+        calls leave: the lanes before the overflowing one applied, and the
+        rows before it accounted up to its operand's last whole chunk.
+        """
+        (a_vals, a_keys, a_ptr), (b_vals, b_keys, b_ptr) = a, b
+        a_vals, a_keys = _operands(a_vals, a_keys)
+        b_vals, b_keys = _operands(b_vals, b_keys)
+        a_ptr = np.asarray(a_ptr, dtype=np.int64)
+        b_ptr = np.asarray(b_ptr, dtype=np.int64)
+        a_len, b_len = np.diff(a_ptr), np.diff(b_ptr)
+        # program order: row r's A lanes, then its B lanes, then row r + 1
+        a_pos = np.arange(a_keys.size) + np.repeat(b_ptr[:-1], a_len)
+        b_pos = np.arange(b_keys.size) + np.repeat(a_ptr[1:], b_len)
+        n = a_keys.size + b_keys.size
+        keys, vals = np.empty(n, dtype=np.int64), np.empty(n)
+        keys[a_pos], keys[b_pos] = a_keys, b_keys
+        vals[a_pos], vals[b_pos] = a_vals, b_vals
+        stores = np.zeros(n, dtype=bool)
+        stores[a_pos] = True
+        try:
+            self.sspm.cam_write(keys, vals, op="add", stores=stores)
+        except SSPMCapacityError:
+            _, matched = self.sspm.cam_read(keys)
+            self._account_fill(a_len, b_len, row_uops, int(np.argmin(matched)))
+            raise
+        self._account_fill(a_len, b_len, row_uops, n)
+
+    def _account_fill(self, a_len, b_len, row_uops: int, stop: int) -> None:
+        """Append the rows a fill's per-row helper calls append, for its
+        first ``stop`` lanes in program order.
+        """
+        if self._core is None:
+            return
+        for a_n, b_n in zip(a_len.tolist(), b_len.tolist()):
+            for form, k in ((_LOAD_CAM, a_n), (_ADD_CAM_SSPM, b_n)):
+                if stop < k:
+                    self._account_chunks(form, stop - stop % self.vl)
+                    return
+                self._account_chunks(form, k)
+                stop -= k
+            if row_uops:
+                self._core.scalar_ops(row_uops)
+
     # ------------------------------------------------------------------
     # Bulk timing-only accounting
     # ------------------------------------------------------------------
@@ -271,30 +330,32 @@ class ViaDevice:
         chunk, which applies and accounts the chunks before the failing
         one and raises its error.
         """
+        form = (instr.opcode, instr.mode, instr.dest)
         try:
             result = self._dispatch(instr)
         except SSPMCapacityError:
             _, matched = self.sspm.cam_read(instr.idx + instr.offset)
             lane = int(np.argmin(matched))
-            self._account_chunks(instr, lane - lane % self.vl)
+            self._account_chunks(form, lane - lane % self.vl)
             raise
         except SSPMError:
             self._per_chunk(instr)
             raise
-        self._account_chunks(instr, instr.num_elements)
+        self._account_chunks(form, instr.num_elements)
         return result
 
-    def _account_chunks(self, instr: ViaInstruction, n: int) -> None:
+    def _account_chunks(self, form: Tuple[Opcode, Mode, Dest], n: int) -> None:
         """Append the rows :meth:`execute` appends for the first ``n``
-        elements of ``instr`` run one VL chunk per instruction: ``n // VL``
-        full-width rows, then one row for the tail at its own width.
+        elements of an operand of ``form`` (opcode, mode, destination) run
+        one VL chunk per instruction: ``n // VL`` full-width rows, then one
+        row for the tail at its own width.
         """
         if self._core is None:
             return
         full, tail = divmod(n, self.vl)
         for width, rows in ((self.vl, full), (tail, 1)):
             if width and rows:
-                timing = _chunk_timing(instr.opcode, instr.mode, instr.dest, width)
+                timing = _chunk_timing(*form, width)
                 for _ in range(rows):
                     self._core.record_via_op(
                         sspm_elements=timing.sspm_elements,
@@ -315,6 +376,11 @@ class ViaDevice:
                     instr, data=instr.data[lo : lo + vl], idx=instr.idx[lo : lo + vl]
                 )
             self.execute(chunk)
+
+
+#: the forms of a SpMA fill's two instructions (:meth:`ViaDevice.cam_fill`)
+_LOAD_CAM = (Opcode.VIDXLOAD, Mode.CAM, Dest.VRF)
+_ADD_CAM_SSPM = (Opcode.VIDXADD, Mode.CAM, Dest.SSPM)
 
 
 @functools.lru_cache(maxsize=None)

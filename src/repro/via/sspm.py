@@ -138,17 +138,22 @@ class SSPM:
     # ------------------------------------------------------------------
     # CAM-based mode (Section III-B2)
     # ------------------------------------------------------------------
-    def cam_write(self, indices, values, op: str = "store") -> None:
+    def cam_write(
+        self, indices, values, op: str = "store", stores: Optional[np.ndarray] = None
+    ) -> None:
         """Write through the index table (Section IV-A, CAM write).
 
         Each application index is searched; a match updates the existing
         SRAM slot (``store`` overwrites, ``add``/``sub``/``mult``
         accumulate), a miss makes the insertion logic allocate the next
-        free table/SRAM slot in order of first occurrence.  The operand
-        applies as its lanes would one at a time: a repeated index keeps
-        its last ``store`` lane and accumulates in lane order, and if the
-        table fills, every lane before the overflowing one is applied
-        before :class:`~repro.errors.SSPMCapacityError` is raised.
+        free table/SRAM slot in order of first occurrence.  ``stores``, a
+        per-lane mask, makes the lanes it marks store and the others apply
+        ``op``, so one operand can mix ``vidxload.c`` and ``vidxadd.c``
+        lanes.  The operand applies as its lanes would one at a time: each
+        slot keeps its last store, then the accumulations after it in lane
+        order, and if the table fills, every lane before the overflowing
+        one is applied before :class:`~repro.errors.SSPMCapacityError` is
+        raised.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         vals = np.asarray(values, dtype=float).ravel()
@@ -156,13 +161,21 @@ class SSPM:
             raise SSPMError("indices and values must have the same shape")
         if op != "store" and op not in _UFUNCS:
             raise SSPMError(f"unknown CAM write op {op!r}")
+        if stores is None:
+            stores = np.zeros(idx.size, dtype=bool)
+        stores = np.asarray(stores, dtype=bool).ravel() | (op == "store")
+        if stores.shape != idx.shape:
+            raise SSPMError("indices and the store mask must have the same shape")
         slots, stop = self._cam_slots(idx)
-        slots, vals = slots[:stop], vals[:stop]
-        if op == "store":
-            last = _last_lanes(slots)
-            self._sram[slots[last]] = vals[last]
-        else:
-            _UFUNCS[op].at(self._sram, slots, vals)
+        slots, vals, stores = slots[:stop], vals[:stop], stores[:stop]
+        lanes = np.flatnonzero(stores)
+        lanes = lanes[_last_lanes(slots[lanes])]
+        self._sram[slots[lanes]] = vals[lanes]
+        if op != "store":
+            last_store = np.full(self.config.cam_entries, -1, dtype=np.int64)
+            last_store[slots[lanes]] = lanes
+            after = np.arange(stop) > last_store[slots]
+            _UFUNCS[op].at(self._sram, slots[after], vals[after])
         if stop < idx.size:
             raise SSPMCapacityError(
                 f"index table full ({self.config.cam_entries} entries); "

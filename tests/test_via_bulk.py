@@ -10,6 +10,8 @@ bit for bit:
   :class:`~tests.via_reference.ChunkViaDevice`, on pre-filled scratchpads,
   with duplicate indices, both vector lengths, and errors partway through
   an operand — state, return values, exceptions and builder rows;
+* a whole SpMA fill (``ViaDevice.cam_fill``) against the reference's
+  row-by-row helper calls, overflows included;
 * every VIA kernel under each DSE configuration, recorded through a
   :class:`~repro.sim.backends.RecorderBackend` on both devices.
 """
@@ -18,7 +20,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SSPMCapacityError, SSPMError
@@ -127,13 +129,14 @@ def prefilled(draw):
     return sspm
 
 
-def _devices(sspm, vl):
+def _devices(sspm, vl, **core_kw):
     """A production and a reference device on copies of ``sspm``."""
     pair = []
     for dev in (ViaDevice(_CFG), ChunkViaDevice(_CFG)):
         _copy_state(sspm, dev.sspm)
         dev.vl_override = vl
-        pair.append((Core(DEFAULT_MACHINE, via=dev, backend=_Capture()), dev))
+        core = Core(DEFAULT_MACHINE, via=dev, backend=_Capture(), **core_kw)
+        pair.append((core, dev))
     return pair
 
 
@@ -141,7 +144,7 @@ def _devices(sspm, vl):
 # SSPM accesses against the lane-by-lane loops
 # ----------------------------------------------------------------------
 _ACCESS = st.sampled_from(
-    ["dm_write", "dm_accumulate", "dm_read", "cam_write", "cam_read"]
+    ["dm_write", "dm_accumulate", "dm_read", "cam_write", "cam_write_mixed", "cam_read"]
 )
 
 
@@ -150,15 +153,16 @@ _ACCESS = st.sampled_from(
     _ACCESS,
     st.sampled_from(["store", "add", "sub", "mult"]),
     st.sampled_from([0, 5, _ENTRIES - 36, -2]),
-    st.lists(st.tuples(st.integers(0, 40), _values), max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), _values, st.booleans()), max_size=40),
 )
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_sspm_access_matches_lane_loop(sspm, access, op, base, lanes):
     lane_sspm = LaneSSPM(_CFG)
     _copy_state(sspm, lane_sspm)
-    idx = np.asarray([base + i for i, _ in lanes], dtype=np.int64)
-    vals = np.asarray([v for _, v in lanes], dtype=float)
+    idx = np.asarray([base + i for i, _, _ in lanes], dtype=np.int64)
+    vals = np.asarray([v for _, v, _ in lanes], dtype=float)
+    stores = np.asarray([store for _, _, store in lanes], dtype=bool)
     if access == "dm_accumulate" and op == "store":
         op = "add"
 
@@ -167,6 +171,9 @@ def test_sspm_access_matches_lane_loop(sspm, access, op, base, lanes):
             return getattr(s, access)(idx)
         if access == "dm_write":
             return s.dm_write(idx, vals)
+        if access == "cam_write_mixed":
+            # the marked lanes store, the others apply op
+            return s.cam_write(idx, vals, op=op, stores=stores)
         return getattr(s, access)(idx, vals, op=op)
 
     got, want = _outcome(lambda: call(sspm)), _outcome(lambda: call(lane_sspm))
@@ -285,6 +292,87 @@ def test_operand_rows_flush_at_the_threshold():
         dev.vidxload(np.ones(45), np.arange(45))
         flushes.append((narration_flush_count() - before, backend.flush_sizes))
     assert flushes[0] == flushes[1] == (2, [5, 5])
+
+
+# ----------------------------------------------------------------------
+# a whole SpMA fill against its row-by-row helper calls
+# ----------------------------------------------------------------------
+@st.composite
+def fill_call(draw):
+    """(vl, flush_ops, a, b, row_uops) for a fill of 0-5 rows.
+
+    Each row has 0 to 3 * VL + 3 lanes per operand.  Keys are drawn from a
+    small range, so they repeat within and across rows and operands (a key
+    is often stored after it was accumulated), and on the fuller
+    pre-filled scratchpads the new ones overflow the CAM partway through.
+    """
+    vl = draw(st.sampled_from([4, 8]))
+    rows = draw(st.integers(0, 5))
+    lanes = st.integers(0, 3 * vl + 3)
+    operands = []
+    for _ in range(2):
+        lengths = draw(st.lists(lanes, min_size=rows, max_size=rows))
+        n = sum(lengths)
+        keys = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+        vals = draw(st.lists(_values, min_size=n, max_size=n))
+        operands.append((
+            np.asarray(vals, dtype=float),
+            np.asarray(keys, dtype=np.int64),
+            np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        ))
+    flush_ops = draw(st.sampled_from([5, 8192]))
+    row_uops = draw(st.sampled_from([0, 6]))
+    return vl, flush_ops, operands[0], operands[1], row_uops
+
+
+def _operand(vals, keys, lengths):
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    return np.asarray(vals, dtype=float), np.asarray(keys, dtype=np.int64), ptr
+
+
+@given(prefilled(), fill_call())
+@example(
+    # key 9 accumulates after its store; key 5 is stored after it was
+    # accumulated, then accumulates again
+    SSPM(_CFG),
+    (4, 8192, _operand([1.0, 4.0], [9, 5], [1, 1, 0]),
+     _operand([2.0, 3.0, 5.0], [5, 9, 5], [2, 0, 1]), 6),
+)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cam_fill_matches_row_by_row_helpers(sspm, call):
+    vl, flush_ops, a, b, row_uops = call
+    (core, dev), (ref_core, ref) = _devices(sspm, vl, flush_ops=flush_ops)
+    got = _outcome(lambda: dev.cam_fill(a, b, row_uops=row_uops))
+    want = _outcome(lambda: ref.cam_fill(a, b, row_uops=row_uops))
+    assert got == want
+    assert _state(dev.sspm) == _state(ref.sspm)
+    _assert_cam_map_matches_table(dev.sspm)
+    core.finalize("fill")
+    ref_core.finalize("rows")
+    assert _columns(core.backend.recording) == _columns(ref_core.backend.recording)
+    assert core.backend.flush_sizes == ref_core.backend.flush_sizes
+
+
+def test_cam_fill_overflow_keeps_the_rows_before_it():
+    sspm = SSPM(_CFG)
+    sspm.cam_write(np.arange(_CAP - 6), np.ones(_CAP - 6))
+    (core, dev), (ref_core, ref) = _devices(sspm, 4)
+    # rows 0 and 1 insert four new keys before row 1's B operand, whose
+    # lanes 0-3 hit and whose third new key, at lane 6, overflows
+    a = _operand([1.0, 2.0, 3.0, 4.0], [10**6, 10**6 + 1, 0, 10**6 + 2], [2, 2])
+    b_keys = [10**7, 1, 2, 3, 4, 10**7 + 1, 10**7 + 2, 10**7 + 3]
+    b = _operand(np.arange(8.0), b_keys, [1, 7])
+    for d in (dev, ref):
+        with pytest.raises(SSPMCapacityError, match="index table full"):
+            d.cam_fill(a, b, row_uops=6)
+    assert _state(dev.sspm) == _state(ref.sspm)
+    assert dev.sspm.element_count == _CAP
+    # one row per operand, and row 1's B chunk before the overflowing lane
+    assert core.counters.via_instructions == ref_core.counters.via_instructions == 4
+    core.finalize("fill")
+    ref_core.finalize("rows")
+    assert _columns(core.backend.recording) == _columns(ref_core.backend.recording)
 
 
 # ----------------------------------------------------------------------

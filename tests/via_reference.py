@@ -10,7 +10,9 @@ the test oracle:
 * :class:`ChunkViaDevice` splits each helper operand into VL-wide chunks
   with :func:`chunks` and runs each through :meth:`ViaDevice.execute`,
   which builds one instruction and appends one builder row per chunk, on
-  a :class:`LaneSSPM`.
+  a :class:`LaneSSPM`; it runs a SpMA fill (:meth:`ViaDevice.cam_fill`)
+  as the per-row ``vidxload``/``vidxadd`` and ``scalar_ops`` calls the
+  kernel made before fills ran in one step.
 
 ``tests/test_via_bulk.py`` compares production against both, state, return
 values, exceptions and builder rows alike.
@@ -25,7 +27,7 @@ import numpy as np
 from repro.errors import ISAError, SSPMCapacityError, SSPMError
 from repro.via.config import DEFAULT_VIA, ViaConfig
 from repro.via.engine import ViaDevice
-from repro.via.isa import Mode, Opcode, ViaInstruction
+from repro.via.isa import Dest, Mode, Opcode, ViaInstruction
 from repro.via.sspm import SSPM
 
 _OPS = {
@@ -68,20 +70,29 @@ class LaneSSPM(SSPM):
             out[lane] = result
         return out
 
-    def cam_write(self, indices, values, op: str = "store") -> None:
+    def cam_write(self, indices, values, op: str = "store", stores=None) -> None:
+        """Each lane stores if ``op`` or its ``stores`` flag says so, else
+        applies ``op``."""
         idx = np.asarray(indices, dtype=np.int64).ravel()
         vals = np.asarray(values, dtype=float).ravel()
         if vals.shape != idx.shape:
             raise SSPMError("indices and values must have the same shape")
         if op != "store" and op not in _OPS:
             raise SSPMError(f"unknown CAM write op {op!r}")
-        for key, v in zip(idx.tolist(), vals.tolist()):
+        if stores is None:
+            stores = np.zeros(idx.size, dtype=bool)
+        stores = np.asarray(stores, dtype=bool).ravel()
+        if stores.shape != idx.shape:
+            raise SSPMError("indices and the store mask must have the same shape")
+        for key, v, store in zip(idx.tolist(), vals.tolist(), stores.tolist()):
+            lane_op = "store" if store else op
             slot = self._lookup(key)
             if slot is None:
                 slot = self._insert(key)
-                self._sram[slot] = v if op == "store" else _OPS[op](0.0, v)
+                current = 0.0
             else:
-                self._sram[slot] = v if op == "store" else _OPS[op](self._sram[slot], v)
+                current = self._sram[slot]
+            self._sram[slot] = v if lane_op == "store" else _OPS[lane_op](current, v)
             self._valid[slot] = True
 
     def cam_read(self, indices) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,6 +158,17 @@ class ChunkViaDevice(ViaDevice):
             val_parts.append(v)
             done += take
         return np.concatenate(idx_parts), np.concatenate(val_parts)
+
+    def cam_fill(self, a, b, *, row_uops: int) -> None:
+        """A SpMA fill as the kernel issued it, one helper call per row."""
+        (a_vals, a_keys, a_ptr), (b_vals, b_keys, b_ptr) = a, b
+        for r in range(len(a_ptr) - 1):
+            a_row = slice(a_ptr[r], a_ptr[r + 1])
+            b_row = slice(b_ptr[r], b_ptr[r + 1])
+            self.vidxload(a_vals[a_row], a_keys[a_row], Mode.CAM)
+            self.vidxadd(b_vals[b_row], b_keys[b_row], mode=Mode.CAM, dest=Dest.SSPM)
+            if row_uops:
+                self._core.scalar_ops(row_uops)
 
     def _arith_helper(self, op: Opcode, data, idx, mode, dest, offset):
         outs, masks = [], []
