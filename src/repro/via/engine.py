@@ -214,7 +214,7 @@ class ViaDevice:
         return self.vidxmov(0, self.vidxcount())
 
     def cam_fill(self, a, b, *, row_uops: int) -> None:
-        """Run a run of SpMA rows against the CAM-mode SSPM in one step.
+        """Run one SpMA fill's rows against the CAM-mode SSPM in one step.
 
         Row by row, the program is ``vidxload.c`` of the row's A lanes,
         ``vidxadd.c`` of its B lanes into the SSPM, and ``row_uops`` scalar

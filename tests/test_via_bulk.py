@@ -330,6 +330,13 @@ def _operand(vals, keys, lengths):
     return np.asarray(vals, dtype=float), np.asarray(keys, dtype=np.int64), ptr
 
 
+def _tracking(n):
+    """A scratchpad whose index table tracks keys 0 .. n - 1."""
+    sspm = SSPM(_CFG)
+    sspm.cam_write(np.arange(n), np.ones(n))
+    return sspm
+
+
 @given(prefilled(), fill_call())
 @example(
     # key 9 accumulates after its store; key 5 is stored after it was
@@ -337,6 +344,15 @@ def _operand(vals, keys, lengths):
     SSPM(_CFG),
     (4, 8192, _operand([1.0, 4.0], [9, 5], [1, 1, 0]),
      _operand([2.0, 3.0, 5.0], [5, 9, 5], [2, 0, 1]), 6),
+)
+@example(
+    # four new keys before row 1's B operand, whose lanes 0-3 hit and whose
+    # third new key, at lane 6, overflows: the rows before it and its
+    # operand's first whole chunk are kept
+    _tracking(_CAP - 6),
+    (4, 5, _operand([1.0, 2.0, 3.0, 4.0], [10**6, 10**6 + 1, 0, 10**6 + 2], [2, 2]),
+     _operand(np.arange(8.0), [10**7, 1, 2, 3, 4, 10**7 + 1, 10**7 + 2, 10**7 + 3],
+              [1, 7]), 6),
 )
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -352,27 +368,6 @@ def test_cam_fill_matches_row_by_row_helpers(sspm, call):
     ref_core.finalize("rows")
     assert _columns(core.backend.recording) == _columns(ref_core.backend.recording)
     assert core.backend.flush_sizes == ref_core.backend.flush_sizes
-
-
-def test_cam_fill_overflow_keeps_the_rows_before_it():
-    sspm = SSPM(_CFG)
-    sspm.cam_write(np.arange(_CAP - 6), np.ones(_CAP - 6))
-    (core, dev), (ref_core, ref) = _devices(sspm, 4)
-    # rows 0 and 1 insert four new keys before row 1's B operand, whose
-    # lanes 0-3 hit and whose third new key, at lane 6, overflows
-    a = _operand([1.0, 2.0, 3.0, 4.0], [10**6, 10**6 + 1, 0, 10**6 + 2], [2, 2])
-    b_keys = [10**7, 1, 2, 3, 4, 10**7 + 1, 10**7 + 2, 10**7 + 3]
-    b = _operand(np.arange(8.0), b_keys, [1, 7])
-    for d in (dev, ref):
-        with pytest.raises(SSPMCapacityError, match="index table full"):
-            d.cam_fill(a, b, row_uops=6)
-    assert _state(dev.sspm) == _state(ref.sspm)
-    assert dev.sspm.element_count == _CAP
-    # one row per operand, and row 1's B chunk before the overflowing lane
-    assert core.counters.via_instructions == ref_core.counters.via_instructions == 4
-    core.finalize("fill")
-    ref_core.finalize("rows")
-    assert _columns(core.backend.recording) == _columns(ref_core.backend.recording)
 
 
 # ----------------------------------------------------------------------
