@@ -315,18 +315,15 @@ def fill_call(draw):
         n = sum(lengths)
         keys = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
         vals = draw(st.lists(_values, min_size=n, max_size=n))
-        operands.append((
-            np.asarray(vals, dtype=float),
-            np.asarray(keys, dtype=np.int64),
-            np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
-        ))
+        operands.append(_operand(vals, keys, lengths))
     flush_ops = draw(st.sampled_from([5, 8192]))
     row_uops = draw(st.sampled_from([0, 6]))
     return vl, flush_ops, operands[0], operands[1], row_uops
 
 
 def _operand(vals, keys, lengths):
-    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    """A fill operand ``(values, keys, row_ptr)`` from its rows' lengths."""
+    ptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     return np.asarray(vals, dtype=float), np.asarray(keys, dtype=np.int64), ptr
 
 
