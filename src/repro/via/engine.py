@@ -33,16 +33,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional, Tuple
+import weakref
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ISAError, SSPMCapacityError, SSPMError
+from repro.errors import ISAError, SimulationError, SSPMCapacityError, SSPMError
 from repro.via import area
 from repro.via.config import DEFAULT_VIA, ViaConfig
 from repro.via.fivu import FivuTiming, fivu_timing
 from repro.via.isa import ARITH_OPS, Dest, Mode, Opcode, ViaInstruction
 from repro.via.sspm import SSPM
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.core import Core
 
 
 class ViaDevice:
@@ -51,27 +55,46 @@ class ViaDevice:
     The device is usable standalone (functional mode, e.g. in unit tests);
     when attached to a core every executed instruction also feeds the
     timing and energy accounting.
+
+    The core owns its device, and the device refers back to the core only
+    weakly, so the pair is no reference cycle: a kernel's whole machine is
+    freed when the kernel returns, without waiting for the cyclic
+    collector.  A device used after its core is gone raises
+    :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(self, config: ViaConfig = DEFAULT_VIA):
         self.config = config
         self.sspm = SSPM(config)
-        self._core = None
+        self._core_ref: Optional[weakref.ReferenceType["Core"]] = None
         #: set to the machine's 32-bit VL by kernels operating on 4-byte
         #: elements (the SSPM's native block size) — doubles lanes per op
         self.vl_override: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def attach(self, core) -> None:
+    def attach(self, core: "Core") -> None:
         """Called by :class:`repro.sim.core.Core` when the device is fitted."""
-        self._core = core
+        self._core_ref = weakref.ref(core)
+
+    @property
+    def _core(self) -> Optional["Core"]:
+        """The attached core, or ``None`` for a standalone device."""
+        if self._core_ref is None:
+            return None
+        core = self._core_ref()
+        if core is None:
+            raise SimulationError(
+                f"VIA device {self.config.name} used after its core was freed"
+            )
+        return core
 
     @property
     def vl(self) -> int:
         """Vector length in elements (from the attached machine, or 4)."""
         if self.vl_override is not None:
             return self.vl_override
-        return self._core.machine.vl if self._core is not None else 4
+        core = self._core
+        return core.machine.vl if core is not None else 4
 
     @property
     def leakage_mw(self) -> float:
@@ -96,10 +119,11 @@ class ViaDevice:
             )
         result = self._dispatch(instr)
         timing = fivu_timing(instr)
-        if self._core is not None:
+        core = self._core
+        if core is not None:
             # pass the FIVU profile, not pre-computed port cycles: the op is
             # priced against the VIA config of whichever core replays it
-            self._core.record_via_op(
+            core.record_via_op(
                 sspm_elements=timing.sspm_elements,
                 cam_searches=timing.cam_searches,
                 port_passes=timing.port_passes,
@@ -255,7 +279,8 @@ class ViaDevice:
         """Append the rows a fill's per-row helper calls append, for its
         first ``stop`` lanes in program order.
         """
-        if self._core is None:
+        core = self._core
+        if core is None:
             return
         for a_n, b_n in zip(a_len.tolist(), b_len.tolist()):
             for form, k in ((_LOAD_CAM, a_n), (_ADD_CAM_SSPM, b_n)):
@@ -265,7 +290,7 @@ class ViaDevice:
                 self._account_chunks(form, k)
                 stop -= k
             if row_uops:
-                self._core.scalar_ops(row_uops)
+                core.scalar_ops(row_uops)
 
     # ------------------------------------------------------------------
     # Bulk timing-only accounting
@@ -298,8 +323,9 @@ class ViaDevice:
         vl = self.vl
         n_instr = -(-int(total_elements) // vl)
         timing = _chunk_timing(opcode, mode, dest, min(vl, total_elements))
-        if self._core is not None:
-            self._core.record_via_op(
+        core = self._core
+        if core is not None:
+            core.record_via_op(
                 sspm_elements=timing.sspm_elements,
                 cam_searches=timing.cam_searches,
                 port_passes=timing.port_passes,
@@ -350,14 +376,16 @@ class ViaDevice:
         one VL chunk per instruction: ``n // VL`` full-width rows, then one
         row for the tail at its own width.
         """
-        if self._core is None:
+        core = self._core
+        if core is None:
             return
-        full, tail = divmod(n, self.vl)
-        for width, rows in ((self.vl, full), (tail, 1)):
+        vl = self.vl
+        full, tail = divmod(n, vl)
+        for width, rows in ((vl, full), (tail, 1)):
             if width and rows:
                 timing = _chunk_timing(*form, width)
                 for _ in range(rows):
-                    self._core.record_via_op(
+                    core.record_via_op(
                         sspm_elements=timing.sspm_elements,
                         cam_searches=timing.cam_searches,
                         port_passes=timing.port_passes,
