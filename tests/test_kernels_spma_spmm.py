@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.formats import COOMatrix, CSCMatrix, CSRMatrix
@@ -99,16 +101,20 @@ class TestSpma:
 
 
 class TestSpmm:
+    # allclose compares densely when the entry counts differ, and the
+    # timing reads the count, so both tests pin it too
     def test_baseline_correct(self, spmm_pair):
         a, b = spmm_pair
         res = spmm_csr_baseline(a, b)
         want = CSRMatrix.from_coo(reference.spmm(a, b))
+        assert res.output.nnz == want.nnz
         assert res.output.allclose(want)
 
     def test_via_correct(self, spmm_pair):
         a, b = spmm_pair
         res = spmm_via(a, b)
         want = CSRMatrix.from_coo(reference.spmm(a, b))
+        assert res.output.nnz == want.nnz
         assert res.output.allclose(want)
 
     def test_via_wins_big(self, spmm_pair):
@@ -153,3 +159,68 @@ class TestSpmm:
         res = spmm_via(a, b, via_config=VIA_4_2P)
         want = CSRMatrix.from_coo(reference.spmm(a, b))
         assert res.output.allclose(want)
+
+
+# ----------------------------------------------------------------------
+# the sparse product against the dense oracle
+# ----------------------------------------------------------------------
+#: quarter-integers: every product and every sum of up to 40 of them is
+#: exact, so a position cancels to 0.0 in any summation order or in none
+_QUARTERS = st.integers(-12, 12).map(lambda j: j / 4)
+
+
+@st.composite
+def _operand(draw, rows, cols, fmt):
+    """A ``rows x cols`` operand in ``fmt``; stored zeros are kept, and a
+    row, a column or the whole operand may be empty."""
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        max_size=min(rows * cols, 120), unique=True,
+    ))
+    vals = draw(st.lists(_QUARTERS, min_size=len(cells), max_size=len(cells)))
+    r = [i for i, _ in cells]
+    c = [j for _, j in cells]
+    return fmt.from_coo(COOMatrix((rows, cols), r, c, vals))
+
+
+@st.composite
+def _spmm_operands(draw):
+    m, k, n = (draw(st.integers(1, 40)) for _ in range(3))
+    return draw(_operand(m, k, CSRMatrix)), draw(_operand(k, n, CSCMatrix))
+
+
+def _pair(a_dense, b_dense):
+    return CSRMatrix.from_dense(a_dense), CSCMatrix.from_dense(b_dense)
+
+
+def _stored(shape, cells, vals):
+    """A CSR operand holding exactly ``cells``, zero values included."""
+    r, c = zip(*cells)
+    return CSRMatrix.from_coo(COOMatrix(shape, r, c, vals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spmm_operands())
+# 1*1 + 1*(-1): products that cancel exactly, so C has no entry
+@example(_pair(np.array([[1.0, 1.0]]), np.array([[1.0], [-1.0]])))
+# a stored zero in A: its products are stored-zero sums, so C drops them
+@example((
+    _stored((2, 2), [(0, 0), (1, 1)], [0.0, 2.0]),
+    CSCMatrix.from_dense(np.ones((2, 3))),
+))
+# all-empty operands, and an empty A row and B column
+@example((
+    CSRMatrix.from_coo(COOMatrix.empty((3, 4))),
+    CSCMatrix.from_coo(COOMatrix.empty((4, 2))),
+))
+@example(_pair(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([[3.0, 0.0], [4.0, 0.0]])))
+def test_product_matches_the_dense_oracle(pair):
+    a, b = pair
+    want = CSRMatrix.from_coo(reference.spmm(a, b))
+    for kernel in (spmm_csr_baseline, spmm_via):
+        got = kernel(a, b).output
+        assert got.shape == want.shape
+        assert got.nnz == want.nnz
+        np.testing.assert_array_equal(got.row_ptr, want.row_ptr)
+        np.testing.assert_array_equal(got.col_idx, want.col_idx)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-9, atol=1e-12)
