@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.eval.harness import geomean
+from repro.eval.harness import SPMM_MAX_N, geomean
 from repro.matrices.collection import MatrixCollection
 from repro.sim.config import DEFAULT_MACHINE, MachineConfig
 from repro.via.config import ViaConfig, dse_configs
@@ -89,7 +89,7 @@ def run_dse(
     machine: MachineConfig = DEFAULT_MACHINE,
     limit: Optional[int] = None,
     spmm_collection: Optional[MatrixCollection] = None,
-    spmm_max_n: int = 1024,
+    spmm_max_n: int = SPMM_MAX_N,
     runner: Optional["RunnerConfig"] = None,
     record_dir: Optional[str] = None,
     validate: bool = False,

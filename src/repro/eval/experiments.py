@@ -17,7 +17,13 @@ import numpy as np
 
 from repro.eval.categories import aggregate_ratio, categorize
 from repro.eval.dse import run_dse
-from repro.eval.harness import geomean, sweep_spma, sweep_spmm, sweep_spmv
+from repro.eval.harness import (
+    SPMM_MAX_N,
+    geomean,
+    sweep_spma,
+    sweep_spmm,
+    sweep_spmv,
+)
 from repro.eval.reporting import (
     render_categories,
     render_dse,
@@ -102,10 +108,11 @@ def table2() -> Artifact:
 
 def fig9(runner: Optional[RunnerConfig] = None) -> Artifact:
     """Figure 9: the design-space exploration; ``data`` is the DseResult."""
-    # SpMM's golden product is cubic: smaller but denser matrices
+    # SpMM runs its own collection of smaller but denser matrices
     spmm = MatrixCollection(6, seed=99, min_n=256, max_n=768)
     result = run_dse(
-        dse_collection(), spmm_collection=spmm, spmm_max_n=1024, runner=runner
+        dse_collection(), spmm_collection=spmm, spmm_max_n=SPMM_MAX_N,
+        runner=runner,
     )
     return Artifact(
         "fig9_dse", "F9 — design-space exploration", render_dse(result), result
@@ -149,9 +156,9 @@ def fig11b(
     """SpMM (Section VII-C) on its own collection, half the size of the
     evaluation collection's ``matrices`` and at least 6; ``data`` is the
     SpMM sweep records."""
-    # smaller, denser matrices: the golden dense product is cubic
+    # smaller, denser matrices than the evaluation collection's
     spmm = MatrixCollection(max(matrices // 2, 6), seed=77, min_n=192, max_n=768)
-    records = sweep_spmm(spmm, max_n=1024, runner=runner)
+    records = sweep_spmm(spmm, max_n=SPMM_MAX_N, runner=runner)
     text = render_categories(
         "SpMM speedup by nnz-per-row category (paper avg: 6.00x)",
         categorize(records),

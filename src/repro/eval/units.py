@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError, SweepError
-from repro.eval.harness import SweepRecord
+from repro.eval.harness import SPMM_MAX_N, SweepRecord
 from repro.eval.recordings import RecordingStore, recording_key
 from repro.formats.coo import COOMatrix
 from repro.formats.csb import CSBMatrix
@@ -245,7 +245,7 @@ def _plan_spma(unit: WorkUnit) -> UnitPlan:
 
 def _plan_spmm(unit: WorkUnit) -> Optional[UnitPlan]:
     spec, machine, via_config = unit.spec, unit.machine, unit.via_config
-    max_n = unit.max_n if unit.max_n is not None else 1024
+    max_n = unit.max_n if unit.max_n is not None else SPMM_MAX_N
     if spec.n > max_n:
         return None
     coo_a = spec.build()
@@ -472,7 +472,7 @@ def spmm_units(
     machine: MachineConfig = DEFAULT_MACHINE,
     via_config: ViaConfig = DEFAULT_VIA,
     limit: Optional[int] = None,
-    max_n: int = 1024,
+    max_n: int = SPMM_MAX_N,
     validate: bool = False,
 ) -> List[WorkUnit]:
     return [

@@ -1,8 +1,9 @@
 """Golden (untimed) kernel implementations used for functional checking.
 
 Every timed kernel in this package computes its real output while narrating
-its execution to the machine model; tests and the harness's paranoia mode
-compare those outputs against the plain-numpy implementations here.
+its execution to the machine model; the tests compare those outputs against
+the plain-numpy implementations here.  They favour being obviously right
+over being fast: :func:`spmm` multiplies dense copies of its operands.
 """
 
 from __future__ import annotations
