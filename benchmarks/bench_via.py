@@ -1,11 +1,14 @@
 """Fixed-input layer benchmark for VIA execution at paper density.
 
-Times the three VIA kernels whose SSPM work dominates a unit at the
-paper's density — ``spma_via``, ``spmv_csr_via`` and ``spmv_csb_via`` —
-on one fixed matrix, ``random_0933`` from ``paper_collection()``
-(n = 2,047, about 28 nonzeros per row), at the paper's selected 16_2p
-configuration.  SpMA adds the matrix's sibling (the same spec, seed + 1,
-as the sweep's SpMA units pair them); SpMV multiplies a fixed ``x``.
+Times the VIA kernels whose SSPM work dominates a unit at the paper's
+density — ``spma_via``, ``spmv_csr_via``, ``spmv_csb_via`` and
+``spmm_via`` — on one fixed matrix, ``random_0933`` from
+``paper_collection()`` (n = 2,047, about 28 nonzeros per row), at the
+paper's selected 16_2p configuration.  SpMA adds the matrix's sibling
+(the same spec, seed + 1, as the sweep's SpMA units pair them); SpMM
+multiplies it by the sibling with seed + 2 in CSC, as the sweep's SpMM
+units pair them, into a product of 1,344,225 entries; SpMV multiplies a
+fixed ``x``.
 
 Each kernel's figure is the fastest of ``--repeats`` runs, each timed with
 ``time.process_time`` (CPU time of this process, so a descheduled
@@ -37,8 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.formats.csb import CSBMatrix
+from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels.spma import spma_via
+from repro.kernels.spmm import spmm_via
 from repro.kernels.spmv import spmv_csb_via, spmv_csr_via
 from repro.matrices.collection import paper_collection
 from repro.sim.config import DEFAULT_MACHINE
@@ -53,15 +58,22 @@ PINNED_CYCLES = {
     "spma_via": 399798.5,
     "spmv_csr_via": 417129.375,
     "spmv_csb_via": 118961.25,
+    "spmm_via": 102005149.125,
 }
 
 
 def _inputs():
     spec = next(s for s in paper_collection().specs if s.name == MATRIX)
     coo = spec.build()
-    sibling = dataclasses.replace(spec, name=spec.name + "_b", seed=spec.seed + 1)
+
+    def sibling(seed_shift):
+        return dataclasses.replace(
+            spec, name=spec.name + "_b", seed=spec.seed + seed_shift
+        ).build()
+
     a = CSRMatrix.from_coo(coo)
-    b = CSRMatrix.from_coo(sibling.build())
+    b = CSRMatrix.from_coo(sibling(1))
+    b_csc = CSCMatrix.from_coo(sibling(2))
     csb = CSBMatrix.from_coo(coo, block_size=VIA_16_2P.csb_block_size)
     x = np.linspace(-1.0, 1.0, coo.cols)
     m, cfg = DEFAULT_MACHINE, VIA_16_2P
@@ -69,6 +81,7 @@ def _inputs():
         "spma_via": lambda: spma_via(a, b, m, cfg),
         "spmv_csr_via": lambda: spmv_csr_via(a, x, m, cfg),
         "spmv_csb_via": lambda: spmv_csb_via(csb, x, m, cfg),
+        "spmm_via": lambda: spmm_via(a, b_csc, m, cfg),
     }
     return spec, coo, kernels
 
