@@ -55,7 +55,8 @@ def test_kernel_leaves_no_machine_behind(monkeypatch, no_collector, label, recor
     backend = RecorderBackend() if recorded else None
     result = _RUNS[label](DEFAULT_VIA, backend)
     assert result.cycles > 0
-    assert len(refs) == 2, "the run built no machine through kernels.common"
+    # one Core and one ViaDevice, built through kernels.common
+    assert len(refs) == 2
     alive = [type(r()).__name__ for r in refs if r() is not None]
     assert alive == [], f"{label} left {alive} alive after it returned"
 
